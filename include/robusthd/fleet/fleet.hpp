@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "robusthd/fleet/router.hpp"
@@ -67,8 +66,7 @@ struct FleetStats {
   std::vector<ShardStats> shards;
 };
 
-/// Why try_submit returned nullopt (out-parameter; callers that don't
-/// care pass nothing).
+/// Why try_submit_to refused a request.
 enum class SubmitReject : std::uint8_t {
   kNone = 0,
   kQueueFull,      ///< target shard's queue rejected the push
@@ -107,23 +105,20 @@ class Fleet {
   std::future<serve::Response> submit(std::uint64_t tenant_id,
                                       hv::BinVec query);
 
-  struct TrySubmitResult {
-    std::future<serve::Response> future;
-    std::size_t shard = 0;
-    bool failover = false;
-  };
-
-  /// Non-blocking admission; nullopt when the target shard's queue is
-  /// full (counted into FleetStats::rejected via the shard) or — with a
-  /// finite `deadline` — when the request cannot make it: the deadline
-  /// has passed, or the routed shard's estimated queue wait exceeds the
-  /// remaining budget (queue-aware admission; both counted as
-  /// deadline_sheds). `reject`, when non-null, reports which.
-  std::optional<TrySubmitResult> try_submit(
+  /// Non-blocking admission, completing into `completions` instead of a
+  /// future (the frontend's path). Returns kNone when the request was
+  /// accepted: exactly one serve::Completion carrying `tag` will be
+  /// pushed to `completions`. Otherwise says why it was refused, and
+  /// nothing will be: the target shard's queue was full (counted into
+  /// FleetStats::rejected via the shard), or — with a finite `deadline`
+  /// — the request cannot make it, because the deadline has passed or
+  /// the routed shard's estimated queue wait exceeds the remaining
+  /// budget (queue-aware admission; both counted as deadline_sheds).
+  SubmitReject try_submit_to(
       std::uint64_t tenant_id, hv::BinVec query,
-      std::chrono::steady_clock::time_point deadline =
-          std::chrono::steady_clock::time_point::max(),
-      SubmitReject* reject = nullptr);
+      std::chrono::steady_clock::time_point deadline,
+      const std::shared_ptr<serve::CompletionQueue>& completions,
+      std::uint64_t tag);
 
   /// The health-aware routing decision for a tenant (no submission).
   Router::Decision route(std::uint64_t tenant_id) noexcept;

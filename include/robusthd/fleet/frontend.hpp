@@ -9,11 +9,21 @@
 // locality optimisation the client-side router makes, not a
 // correctness requirement.
 //
-// The loop never blocks on inference: a predict request becomes a
-// (request_id, future) entry in the connection's pending set, and each
-// poll iteration sweeps ready futures into the write buffer. All reads
-// and writes for a connection happen on its shard's loop thread, so
-// per-connection state needs no locks; only counters are atomic.
+// The loop never blocks on inference. A predict request is submitted
+// with a completion target (Fleet::try_submit_to): the loop's
+// serve::CompletionQueue and a tag naming the connection, its
+// generation and the request. Workers push each outcome (answered,
+// expired in queue, or dropped at shutdown, as an explicit status) into
+// that queue and ring its eventfd, which sits in the loop's poll set next
+// to the sockets — so one poll(2) waits for input and completions alike,
+// and no request waits for another connection's inference. A completion
+// whose connection closed meanwhile is dropped, even when a new peer
+// already holds the same fd number: every connection carries a
+// generation the completion must match. stop() wakes the loop through
+// the same eventfd, and the only poll timeout left is the reapers' next
+// deadline (read_deadline, idle_timeout). All reads and writes for a
+// connection happen on its shard's loop thread, so per-connection state
+// needs no locks; only counters are atomic.
 //
 // Framing violations (bad magic/CRC/length — see fleet/wire.hpp) poison
 // the connection and it is closed without a reply; semantically invalid
@@ -45,12 +55,9 @@ struct FrontendConfig {
   /// A connection whose unflushed output exceeds this is dropped — a
   /// peer that stops reading cannot pin server memory.
   std::size_t max_write_buffer = 8u << 20;
-  /// poll() timeout while responses are pending (the future-sweep
-  /// cadence); idle loops wait 20x longer.
-  std::chrono::milliseconds poll_interval{1};
   /// Slowloris defense: a connection holding a *partial* frame (header
   /// or payload bytes buffered, frame incomplete) longer than this is
-  /// reaped. A peer trickling one byte per poll tick cannot pin a
+  /// reaped. A peer trickling one byte at a time cannot pin a
   /// connection slot indefinitely. 0 disables.
   std::chrono::milliseconds read_deadline{2000};
   /// Reap connections with no traffic and nothing in flight for this
@@ -76,6 +83,9 @@ struct FrontendCounters {
   std::uint64_t deadline_sheds = 0;
   /// Connections closed by the read-deadline / idle reaper.
   std::uint64_t reaped_connections = 0;
+  /// Completions that arrived after their connection had closed: dropped
+  /// unframed, even when a new peer already holds the same fd number.
+  std::uint64_t stale_completions = 0;
 };
 
 class Frontend {
@@ -121,6 +131,7 @@ class Frontend {
   std::atomic<std::uint64_t> bad_requests_{0};
   std::atomic<std::uint64_t> deadline_sheds_{0};
   std::atomic<std::uint64_t> reaped_connections_{0};
+  std::atomic<std::uint64_t> stale_completions_{0};
 
   void loop_main(Loop& loop);
   friend struct Loop;

@@ -35,6 +35,9 @@ class RecordEncoder final : public Encoder {
     return memory_.feature_count();
   }
   const ItemMemory& item_memory() const noexcept { return memory_; }
+  /// The fixed random vector whose bit decides a dimension whose
+  /// majority vote ties (even feature counts only).
+  const BinVec& tie_break() const noexcept { return tie_break_; }
 
   /// Encodes one normalised sample (values in [0,1]) into a binary query
   /// hypervector.

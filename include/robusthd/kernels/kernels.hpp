@@ -15,9 +15,12 @@
 //   * hamming_matrix  — blocked queries x planes distance matrix: a batch
 //                       of queries is scored in one pass over the stored
 //                       class planes instead of Q*K independent scans
+//   * crc32c          — the Castagnoli CRC behind RHD2 blobs, WAL records
+//                       and wire frames
 //
 // Variants: portable scalar (the reference all others are tested against),
-// AVX2 (Harley–Seal carry-save popcount), AVX-512 (VPOPCNTDQ). Dispatch
+// AVX2 (Harley–Seal carry-save popcount), AVX-512 (VPOPCNTDQ); both SIMD
+// tiers compute crc32c with the SSE4.2 crc32 instruction. Dispatch
 // honours two environment overrides, read once at first use:
 //
 //   ROBUSTHD_FORCE_SCALAR=1       force the scalar reference
@@ -120,6 +123,14 @@ struct Ops {
                                       const PlaneSet& planes,
                                       const std::uint64_t* mask,
                                       std::uint32_t* out);
+
+  /// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) over bytes
+  /// [data, data + n), continuing from `crc`: 0 starts a fresh sum, and
+  /// the seed/finalise XORs live inside, so crc32c(b, crc32c(a)) ==
+  /// crc32c(ab). The scalar tier is the byte-at-a-time table reference;
+  /// the SIMD tiers run the SSE4.2 crc32 instruction eight bytes a step.
+  /// Every tier returns the same value for every input.
+  std::uint32_t (*crc32c)(const void* data, std::size_t n, std::uint32_t crc);
 };
 
 /// The kernel table for the ISA selected at first use. Thread-safe; the
@@ -185,6 +196,11 @@ inline void hamming_matrix_arena_masked(const std::uint64_t* const* queries,
                                         const std::uint64_t* mask,
                                         std::uint32_t* out) {
   ops().hamming_matrix_arena_masked(queries, num_queries, planes, mask, out);
+}
+
+inline std::uint32_t crc32c(const void* data, std::size_t n,
+                            std::uint32_t crc) {
+  return ops().crc32c(data, n, crc);
 }
 
 }  // namespace robusthd::kernels

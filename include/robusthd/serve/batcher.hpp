@@ -2,7 +2,7 @@
 // Batch coalescing over the request queue.
 //
 // Scoring a query is a handful of word-parallel Hamming kernels; the
-// bookkeeping around it (snapshot acquisition, promise fulfilment,
+// bookkeeping around it (snapshot acquisition, completion delivery,
 // stats) amortises much better over a batch. The batcher is the policy
 // layer: block for the first request, then greedily absorb whatever else
 // is already queued (up to max_batch), optionally lingering a bounded
@@ -29,7 +29,7 @@ template <typename T>
 class Batcher {
  public:
   /// Inspects a popped request before it joins a batch; returning true
-  /// drops it (the predicate owns its disposal — fulfilling the promise,
+  /// drops it (the predicate owns its disposal — completing the request,
   /// counting the shed). The deadline-propagation path uses this to skip
   /// work whose client has already given up, without the batcher knowing
   /// what a deadline is.

@@ -4,7 +4,7 @@
 //
 //   clients --submit()--> [bounded MPMC queue] --> batcher --> workers
 //                                                               |
-//                        futures <--(promise results)-----------+--trusted queries--> [lock-free ring]
+//     futures / completion queues <--(CompletionTarget)---------+--trusted queries--> [lock-free ring]
 //                                                                                          |
 //                                   workers <--acquire()-- [model snapshots] <--publish()--scrubber thread
 //
@@ -42,6 +42,7 @@
 #include "robusthd/persist/recover.hpp"
 #include "robusthd/serve/batcher.hpp"
 #include "robusthd/serve/chaos.hpp"
+#include "robusthd/serve/completion.hpp"
 #include "robusthd/serve/model_snapshot.hpp"
 #include "robusthd/serve/request_queue.hpp"
 #include "robusthd/serve/scrubber.hpp"
@@ -94,29 +95,6 @@ struct ServerConfig {
   persist::PersistConfig persist{};
 };
 
-/// What a client gets back for one query.
-struct Response {
-  int predicted = -1;
-  double confidence = 0.0;
-  /// Confidence cleared the recovery gate — the query was forwarded to
-  /// the scrubber as a pseudo-labeled repair hint.
-  bool trusted = false;
-  /// Snapshot publication count the scoring model carried (telemetry:
-  /// lets a client correlate answers with repair activity).
-  std::uint64_t model_version = 0;
-  /// Scored with quarantined chunks masked out (rung (b) of the
-  /// degradation ladder): the answer is best-effort over the surviving
-  /// dimensions.
-  bool degraded = false;
-  /// The circuit breaker was open (rung (c)): no scoring happened and
-  /// `predicted` is -1 — the client should retry or fail over.
-  bool abstained = false;
-  /// The request's propagated deadline expired before a worker reached
-  /// it: no scoring happened, `predicted` is -1, and retrying is futile —
-  /// the budget is spent (the caller should surface kDeadlineExceeded).
-  bool expired = false;
-};
-
 class Server {
  public:
   /// Takes ownership of the model (it becomes snapshot version 0).
@@ -139,8 +117,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Enqueues a query; blocks while the queue is full (backpressure).
-  /// The future is fulfilled by a worker; after shutdown() it carries a
-  /// broken-promise error only if the server never accepted the request.
+  /// The future is fulfilled by a worker; it carries a std::runtime_error
+  /// when the server refused the request (after shutdown()) or dropped it
+  /// unanswered.
   std::future<Response> submit(hv::BinVec query);
 
   /// Non-blocking admission; returns nullopt when the queue is full or
@@ -152,6 +131,15 @@ class Server {
       hv::BinVec query,
       std::chrono::steady_clock::time_point deadline =
           std::chrono::steady_clock::time_point::max());
+
+  /// try_submit for event loops: no promise and no future. On true the
+  /// request was accepted and exactly one Completion carrying `tag` will
+  /// be pushed to `completions` (answered, expired or dropped); on false
+  /// it was refused (full or shut down, counted) and nothing will be.
+  bool try_submit_to(hv::BinVec query,
+                     std::chrono::steady_clock::time_point deadline,
+                     std::shared_ptr<CompletionQueue> completions,
+                     std::uint64_t tag);
 
   /// Enqueues a raw (normalised) feature vector; a worker encodes it with
   /// ServerConfig::encoder before scoring. Throws std::logic_error when no
@@ -258,7 +246,7 @@ class Server {
     /// pre-encoded (`from_features` disambiguates zero-feature models).
     std::vector<float> features;
     bool from_features = false;
-    std::promise<Response> promise;
+    CompletionTarget done;
     std::chrono::steady_clock::time_point enqueued;
     /// Absolute shed deadline; max() = none (the overwhelmingly common
     /// case pays one comparison per dequeue).
@@ -266,6 +254,10 @@ class Server {
         std::chrono::steady_clock::time_point::max();
   };
 
+  /// Admission bookkeeping shared by every submit flavour: a blocking
+  /// push when `block`, otherwise try_push. A refused request's target
+  /// is left armed for the caller to dispose of.
+  bool admit(Request& request, bool block);
   void worker_main(std::size_t worker_index);
   /// Rebuilds and epoch-publishes the worker-side quarantine mask from the
   /// sentinel's excluded set (rung (b) hook).

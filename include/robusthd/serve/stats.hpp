@@ -144,7 +144,7 @@ struct ServerStats {
   // Admission.
   std::uint64_t submitted = 0;   ///< requests accepted into the queue
   std::uint64_t rejected = 0;    ///< try_submit failures (queue full/closed)
-  std::uint64_t completed = 0;   ///< promises fulfilled
+  std::uint64_t completed = 0;   ///< requests completed
   /// Requests dropped because their propagated deadline expired before a
   /// worker reached them (the client already gave up — scoring would be
   /// wasted work). Fulfilled with Response::expired, counted here.
@@ -158,7 +158,7 @@ struct ServerStats {
   // Per-stage latency.
   LatencyHistogram::Summary queue_wait;  ///< enqueue -> dequeue
   LatencyHistogram::Summary service;     ///< score + respond, per query
-  LatencyHistogram::Summary end_to_end;  ///< enqueue -> promise fulfilled
+  LatencyHistogram::Summary end_to_end;  ///< enqueue -> completion delivered
 
   // Recovery / trust flow.
   std::uint64_t trusted = 0;        ///< confidence cleared the gate

@@ -3,7 +3,7 @@
 //
 // Unlike util::ThreadPool (fork/join over an index range), serving
 // workers are long-running: each one loops "take a batch, score it,
-// fulfil the promises" until the request queue closes and drains. This
+// complete the requests" until the request queue closes and drains. This
 // class owns only the thread lifecycle — start N workers on the same
 // main function, join them, and surface the first worker exception on
 // join instead of losing it to std::terminate.

@@ -9,11 +9,19 @@
 // probability 2^-32. That is exactly the guarantee the serialization
 // round-trip experiment measures (bench/storage_integrity). It is also
 // the polynomial with hardware support everywhere (SSE4.2 crc32, ARMv8
-// CRC extension), so a later accelerated drop-in keeps the same values.
+// CRC extension).
+//
+// The sum is computed by the dispatched kernel table (kernels::Ops::
+// crc32c): the byte-at-a-time table on the scalar tier, the SSE4.2 crc32
+// instruction on the AVX2 and AVX-512 tiers. Both produce the same
+// values, so stored blobs, WAL records and wire frames are byte-identical
+// whichever tier wrote or checks them.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+
+#include "robusthd/kernels/kernels.hpp"
 
 namespace robusthd::util {
 
@@ -21,15 +29,15 @@ namespace robusthd::util {
 /// return value to checksum a blob in sections; 0 starts a fresh sum).
 /// The seed/finalise XORs live inside, so partial sums compose simply:
 /// crc32c(b, crc32c(a)) == crc32c(ab).
-std::uint32_t crc32c(std::span<const std::byte> data,
-                     std::uint32_t crc = 0) noexcept;
+inline std::uint32_t crc32c(std::span<const std::byte> data,
+                            std::uint32_t crc = 0) noexcept {
+  return kernels::crc32c(data.data(), data.size(), crc);
+}
 
 /// Raw-pointer convenience for headers and word buffers.
 inline std::uint32_t crc32c(const void* data, std::size_t size,
                             std::uint32_t crc = 0) noexcept {
-  return crc32c(
-      std::span<const std::byte>(static_cast<const std::byte*>(data), size),
-      crc);
+  return kernels::crc32c(data, size, crc);
 }
 
 }  // namespace robusthd::util

@@ -61,17 +61,17 @@ std::future<serve::Response> Fleet::submit(std::uint64_t tenant_id,
   return shards_[d.shard]->server().submit(std::move(query));
 }
 
-std::optional<Fleet::TrySubmitResult> Fleet::try_submit(
+SubmitReject Fleet::try_submit_to(
     std::uint64_t tenant_id, hv::BinVec query,
-    std::chrono::steady_clock::time_point deadline, SubmitReject* reject) {
-  if (reject) *reject = SubmitReject::kNone;
+    std::chrono::steady_clock::time_point deadline,
+    const std::shared_ptr<serve::CompletionQueue>& completions,
+    std::uint64_t tag) {
   const auto d = route(tenant_id);
   if (deadline != std::chrono::steady_clock::time_point::max()) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) {
       deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-      if (reject) *reject = SubmitReject::kDeadline;
-      return std::nullopt;
+      return SubmitReject::kDeadline;
     }
     // Queue-aware admission: refusing now costs the client one cheap
     // error frame; admitting a request the queue cannot serve in time
@@ -80,21 +80,13 @@ std::optional<Fleet::TrySubmitResult> Fleet::try_submit(
         shards_[d.shard]->server().estimated_wait_ns());
     if (now + wait >= deadline) {
       deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-      if (reject) *reject = SubmitReject::kPredictedLate;
-      return std::nullopt;
+      return SubmitReject::kPredictedLate;
     }
   }
-  auto future =
-      shards_[d.shard]->server().try_submit(std::move(query), deadline);
-  if (!future) {
-    if (reject) *reject = SubmitReject::kQueueFull;
-    return std::nullopt;
-  }
-  TrySubmitResult r;
-  r.future = std::move(*future);
-  r.shard = d.shard;
-  r.failover = d.failover;
-  return r;
+  return shards_[d.shard]->server().try_submit_to(std::move(query), deadline,
+                                                   completions, tag)
+             ? SubmitReject::kNone
+             : SubmitReject::kQueueFull;
 }
 
 FleetStats Fleet::stats() const {

@@ -8,41 +8,54 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <future>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
+
+#include "robusthd/serve/completion.hpp"
 
 namespace robusthd::fleet {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 void set_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) (void)fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// Whole milliseconds from `now` until `when`, rounded up so the loop
+/// never wakes just short of a reaper deadline and spins.
+int ms_until(Clock::time_point now, Clock::time_point when) {
+  if (when <= now) return 0;
+  const auto ms =
+      std::chrono::ceil<std::chrono::milliseconds>(when - now).count();
+  return static_cast<int>(std::min<long long>(ms, 1 << 30));
+}
+
 }  // namespace
 
 /// Per-connection state. Owned by exactly one loop thread.
 struct Connection {
-  explicit Connection(std::size_t max_payload) : reader(max_payload) {}
+  Connection(int fd_in, std::uint64_t generation_in, std::size_t max_payload)
+      : fd(fd_in), generation(generation_in), reader(max_payload) {}
 
   int fd = -1;
+  /// Unique within the loop. A completion carries the generation it was
+  /// submitted under; one that finds a different generation behind its
+  /// fd belongs to a closed connection whose fd number was reused, and
+  /// is dropped rather than framed to the new peer.
+  std::uint64_t generation = 0;
   wire::FrameReader reader;
   std::vector<std::byte> out;  ///< unflushed bytes, [out_off, size)
   std::size_t out_off = 0;
-
-  struct Pending {
-    std::uint64_t tenant_id = 0;
-    std::uint64_t request_id = 0;
-    std::future<serve::Response> future;
-  };
-  /// Order-free: responses carry request_id, so ready entries are
-  /// swap-popped wherever they sit.
-  std::vector<Pending> pending;
+  /// Requests submitted whose completion has not been framed yet.
+  std::size_t in_flight = 0;
 
   /// Last time the peer delivered bytes (idle-reaper clock).
   std::chrono::steady_clock::time_point last_activity;
@@ -54,10 +67,37 @@ struct Connection {
   std::size_t unflushed() const noexcept { return out.size() - out_off; }
 };
 
+/// A request in a shard's queue, remembered until its completion comes
+/// back. The tag handed to the server is the entry's slot index.
+struct Inflight {
+  int fd = -1;
+  std::uint64_t generation = 0;
+  std::uint64_t tenant_id = 0;
+  std::uint64_t request_id = 0;
+};
+
 struct Frontend::Loop {
   std::size_t shard = 0;
   int listen_fd = -1;
+  /// Workers complete this loop's requests here; its eventfd sits in the
+  /// poll set next to the sockets, and stop() rings it to wake the loop.
+  std::shared_ptr<serve::CompletionQueue> completions =
+      std::make_shared<serve::CompletionQueue>();
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
+  std::uint64_t next_generation = 1;
+  std::vector<Inflight> inflight;  ///< slot table, indexed by tag
+  std::vector<std::uint64_t> free_slots;
+
+  std::uint64_t take_slot(const Inflight& entry) {
+    if (free_slots.empty()) {
+      inflight.push_back(entry);
+      return inflight.size() - 1;
+    }
+    const std::uint64_t slot = free_slots.back();
+    free_slots.pop_back();
+    inflight[slot] = entry;
+    return slot;
+  }
 };
 
 Frontend::Frontend(Fleet& fleet, FrontendConfig config)
@@ -113,6 +153,7 @@ void Frontend::start() {
 void Frontend::stop() {
   if (!started_) return;
   running_.store(false, std::memory_order_release);
+  for (auto& loop : loops_) loop->completions->notify();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
@@ -122,6 +163,8 @@ void Frontend::stop() {
     for (auto& [fd, conn] : loop->conns) ::close(fd);
     loop->conns.clear();
   }
+  // Requests still queued in a shard keep their loop's completion queue
+  // alive and complete into it unread.
   loops_.clear();
   started_ = false;
 }
@@ -141,14 +184,23 @@ FrontendCounters Frontend::counters() const {
   c.deadline_sheds = deadline_sheds_.load(std::memory_order_relaxed);
   c.reaped_connections =
       reaped_connections_.load(std::memory_order_relaxed);
+  c.stale_completions = stale_completions_.load(std::memory_order_relaxed);
   return c;
 }
 
 void Frontend::loop_main(Loop& loop) {
   std::vector<pollfd> fds;
   std::vector<int> to_close;
+  std::vector<serve::Completion> completed;
 
   const auto close_conn = [&](int fd) { to_close.push_back(fd); };
+
+  const auto send_error = [&](Connection& conn, std::uint64_t tenant_id,
+                              std::uint64_t request_id, wire::ErrorCode code,
+                              std::string_view message) {
+    wire::append_error(conn.out, tenant_id, request_id, code, message);
+    frames_out_.fetch_add(1, std::memory_order_relaxed);
+  };
 
   const auto handle_frame = [&](Connection& conn, const wire::Frame& frame) {
     frames_in_.fetch_add(1, std::memory_order_relaxed);
@@ -162,61 +214,56 @@ void Frontend::loop_main(Loop& loop) {
         hv::BinVec query;
         if (!wire::parse_predict_request(frame.payload, query)) {
           bad_requests_.fetch_add(1, std::memory_order_relaxed);
-          wire::append_error(conn.out, frame.tenant_id, frame.request_id,
-                             wire::ErrorCode::kBadRequest,
-                             "malformed predict payload");
-          frames_out_.fetch_add(1, std::memory_order_relaxed);
+          send_error(conn, frame.tenant_id, frame.request_id,
+                     wire::ErrorCode::kBadRequest,
+                     "malformed predict payload");
           return true;
         }
         if (query.dimension() != fleet_.dimension()) {
           dimension_rejections_.fetch_add(1, std::memory_order_relaxed);
-          wire::append_error(conn.out, frame.tenant_id, frame.request_id,
-                             wire::ErrorCode::kDimensionMismatch,
-                             "query dimension != serving dimension");
-          frames_out_.fetch_add(1, std::memory_order_relaxed);
+          send_error(conn, frame.tenant_id, frame.request_id,
+                     wire::ErrorCode::kDimensionMismatch,
+                     "query dimension != serving dimension");
           return true;
         }
         // The wire deadline is relative (ms of remaining budget at send
         // time) — anchor it to our clock here. Clock skew costs only the
         // one-way network latency, which is already inside the budget.
         auto deadline = std::chrono::steady_clock::time_point::max();
-        if (frame.deadline_ms != 0) {
+        if (frame.deadline_ms != 0 && config_.admission_control) {
           deadline = std::chrono::steady_clock::now() +
                      std::chrono::milliseconds(frame.deadline_ms);
         }
-        SubmitReject reject = SubmitReject::kNone;
-        auto submitted = fleet_.try_submit(
-            frame.tenant_id, std::move(query),
-            config_.admission_control
-                ? deadline
-                : std::chrono::steady_clock::time_point::max(),
-            &reject);
-        if (!submitted) {
-          if (reject == SubmitReject::kDeadline) {
-            // The budget was spent before we could even enqueue —
-            // retrying is futile and the error code says so.
-            deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-            wire::append_error(conn.out, frame.tenant_id, frame.request_id,
-                               wire::ErrorCode::kDeadlineExceeded,
-                               "deadline passed before enqueue");
-          } else if (reject == SubmitReject::kPredictedLate) {
-            // Early kBusy: the queue cannot serve it within the budget,
-            // but another shard (or a later retry) still might.
-            deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-            busy_rejections_.fetch_add(1, std::memory_order_relaxed);
-            wire::append_error(conn.out, frame.tenant_id, frame.request_id,
-                               wire::ErrorCode::kBusy,
-                               "estimated queue wait exceeds deadline");
-          } else {
-            busy_rejections_.fetch_add(1, std::memory_order_relaxed);
-            wire::append_error(conn.out, frame.tenant_id, frame.request_id,
-                               wire::ErrorCode::kBusy, "shard queue full");
-          }
-          frames_out_.fetch_add(1, std::memory_order_relaxed);
+        const std::uint64_t tag = loop.take_slot(
+            {conn.fd, conn.generation, frame.tenant_id, frame.request_id});
+        const SubmitReject reject = fleet_.try_submit_to(
+            frame.tenant_id, std::move(query), deadline, loop.completions,
+            tag);
+        if (reject == SubmitReject::kNone) {
+          ++conn.in_flight;
           return true;
         }
-        conn.pending.push_back({frame.tenant_id, frame.request_id,
-                                std::move(submitted->future)});
+        loop.free_slots.push_back(tag);
+        if (reject == SubmitReject::kDeadline) {
+          // The budget was spent before we could even enqueue —
+          // retrying is futile and the error code says so.
+          deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+          send_error(conn, frame.tenant_id, frame.request_id,
+                     wire::ErrorCode::kDeadlineExceeded,
+                     "deadline passed before enqueue");
+        } else if (reject == SubmitReject::kPredictedLate) {
+          // Early kBusy: the queue cannot serve it within the budget,
+          // but another shard (or a later retry) still might.
+          deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+          busy_rejections_.fetch_add(1, std::memory_order_relaxed);
+          send_error(conn, frame.tenant_id, frame.request_id,
+                     wire::ErrorCode::kBusy,
+                     "estimated queue wait exceeds deadline");
+        } else {
+          busy_rejections_.fetch_add(1, std::memory_order_relaxed);
+          send_error(conn, frame.tenant_id, frame.request_id,
+                     wire::ErrorCode::kBusy, "shard queue full");
+        }
         return true;
       }
       default:
@@ -226,42 +273,46 @@ void Frontend::loop_main(Loop& loop) {
     }
   };
 
-  const auto sweep_pending = [&](Connection& conn) {
-    for (std::size_t i = 0; i < conn.pending.size();) {
-      auto& p = conn.pending[i];
-      if (p.future.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        ++i;
-        continue;
+  // Frames one completion into its connection's write buffer — unless
+  // that connection is gone, possibly replaced by a new peer on the same
+  // fd number, in which case the answer has nobody to go to.
+  const auto frame_completion = [&](const serve::Completion& c) {
+    const Inflight slot = loop.inflight[c.tag];
+    loop.free_slots.push_back(c.tag);
+    const auto it = loop.conns.find(slot.fd);
+    if (it == loop.conns.end() || it->second->generation != slot.generation) {
+      stale_completions_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    Connection& conn = *it->second;
+    --conn.in_flight;
+    switch (c.status) {
+      case serve::CompletionStatus::kAnswered: {
+        wire::PredictResult result;
+        result.predicted = c.response.predicted;
+        result.confidence = c.response.confidence;
+        result.model_version = c.response.model_version;
+        result.trusted = c.response.trusted;
+        result.degraded = c.response.degraded;
+        result.abstained = c.response.abstained;
+        wire::append_predict_response(conn.out, slot.tenant_id,
+                                      slot.request_id, result);
+        frames_out_.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
-      try {
-        const serve::Response r = p.future.get();
-        if (r.expired) {
-          // Shed in-queue by the server: nobody scored it, so there is
-          // no prediction to frame — surface the spent budget instead.
-          deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-          wire::append_error(conn.out, p.tenant_id, p.request_id,
-                             wire::ErrorCode::kDeadlineExceeded,
-                             "deadline expired in queue");
-        } else {
-          wire::PredictResult result;
-          result.predicted = r.predicted;
-          result.confidence = r.confidence;
-          result.model_version = r.model_version;
-          result.trusted = r.trusted;
-          result.degraded = r.degraded;
-          result.abstained = r.abstained;
-          wire::append_predict_response(conn.out, p.tenant_id, p.request_id,
-                                        result);
-        }
-      } catch (const std::future_error&) {
-        wire::append_error(conn.out, p.tenant_id, p.request_id,
-                           wire::ErrorCode::kShuttingDown,
-                           "request dropped in shutdown");
-      }
-      frames_out_.fetch_add(1, std::memory_order_relaxed);
-      p = std::move(conn.pending.back());
-      conn.pending.pop_back();
+      case serve::CompletionStatus::kExpired:
+        // Shed in-queue by the server: nobody scored it, so there is no
+        // prediction to frame — surface the spent budget instead.
+        deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+        send_error(conn, slot.tenant_id, slot.request_id,
+                   wire::ErrorCode::kDeadlineExceeded,
+                   "deadline expired in queue");
+        return;
+      case serve::CompletionStatus::kDropped:
+        send_error(conn, slot.tenant_id, slot.request_id,
+                   wire::ErrorCode::kShuttingDown,
+                   "request dropped in shutdown");
+        return;
     }
   };
 
@@ -282,6 +333,7 @@ void Frontend::loop_main(Loop& loop) {
   };
 
   std::vector<std::byte> read_buf(64 * 1024);
+  constexpr std::size_t kFirstConn = 2;  // fds[0] listener, fds[1] doorbell
 
   while (running_.load(std::memory_order_acquire)) {
     fds.clear();
@@ -289,26 +341,35 @@ void Frontend::loop_main(Loop& loop) {
         loop.conns.size() < config_.max_connections_per_shard;
     fds.push_back({loop.listen_fd,
                    static_cast<short>(room ? POLLIN : 0), 0});
-    std::future<serve::Response>* wait_on = nullptr;
+    fds.push_back({loop.completions->fd(), POLLIN, 0});
+    // One poll waits for socket input, completions and stop(); only the
+    // reapers need a timeout, and only when a connection could cross
+    // read_deadline or idle_timeout before anything else wakes us.
+    auto reap_at = Clock::time_point::max();
     for (auto& [fd, conn] : loop.conns) {
       short events = POLLIN;
       if (conn->unflushed() > 0) events |= POLLOUT;
-      if (!wait_on && !conn->pending.empty()) {
-        wait_on = &conn->pending.front().future;
-      }
       fds.push_back({fd, events, 0});
+      if (config_.read_deadline.count() > 0 &&
+          conn->partial_since != Clock::time_point::max()) {
+        reap_at =
+            std::min(reap_at, conn->partial_since + config_.read_deadline);
+      }
+      if (config_.idle_timeout.count() > 0 && conn->in_flight == 0 &&
+          conn->unflushed() == 0) {
+        reap_at =
+            std::min(reap_at, conn->last_activity + config_.idle_timeout);
+      }
     }
-    if (wait_on) {
-      // A response is in flight: park on the future instead of the poll
-      // timeout, so response latency tracks inference time (typically
-      // tens of microseconds), not the millisecond poll tick. poll() with
-      // timeout 0 then picks up any input that arrived meanwhile.
-      (void)wait_on->wait_for(config_.poll_interval);
-      (void)::poll(fds.data(), fds.size(), 0);
-    } else {
-      const auto timeout =
-          static_cast<int>(config_.poll_interval.count() * 20);
-      (void)::poll(fds.data(), fds.size(), timeout > 0 ? timeout : 1);
+    const int timeout = reap_at == Clock::time_point::max()
+                            ? -1
+                            : ms_until(Clock::now(), reap_at);
+    (void)::poll(fds.data(), fds.size(), timeout);
+
+    // Complete.
+    if ((fds[1].revents & POLLIN) != 0) {
+      loop.completions->drain(completed);
+      for (const auto& c : completed) frame_completion(c);
     }
 
     // Accept.
@@ -323,8 +384,8 @@ void Frontend::loop_main(Loop& loop) {
         set_nonblocking(cfd);
         const int one = 1;
         (void)::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        auto conn = std::make_unique<Connection>(config_.max_payload);
-        conn->fd = cfd;
+        auto conn = std::make_unique<Connection>(cfd, loop.next_generation++,
+                                                 config_.max_payload);
         conn->last_activity = std::chrono::steady_clock::now();
         loop.conns.emplace(cfd, std::move(conn));
         connections_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -332,7 +393,7 @@ void Frontend::loop_main(Loop& loop) {
     }
 
     // Read + parse.
-    for (std::size_t i = 1; i < fds.size(); ++i) {
+    for (std::size_t i = kFirstConn; i < fds.size(); ++i) {
       const int fd = fds[i].fd;
       auto it = loop.conns.find(fd);
       if (it == loop.conns.end()) continue;
@@ -391,8 +452,7 @@ void Frontend::loop_main(Loop& loop) {
     // defense) and — when configured — connections idle with nothing in
     // flight. Both are hard closes: a peer that trickles bytes has no
     // claim on a graceful goodbye.
-    if (config_.read_deadline.count() > 0 ||
-        config_.idle_timeout.count() > 0) {
+    if (reap_at != Clock::time_point::max()) {
       const auto now = std::chrono::steady_clock::now();
       for (auto& [fd, conn] : loop.conns) {
         const bool stuck_mid_frame =
@@ -401,7 +461,7 @@ void Frontend::loop_main(Loop& loop) {
                 std::chrono::steady_clock::time_point::max() &&
             now - conn->partial_since > config_.read_deadline;
         const bool idle =
-            config_.idle_timeout.count() > 0 && conn->pending.empty() &&
+            config_.idle_timeout.count() > 0 && conn->in_flight == 0 &&
             conn->unflushed() == 0 &&
             now - conn->last_activity > config_.idle_timeout;
         if (stuck_mid_frame || idle) {
@@ -411,9 +471,8 @@ void Frontend::loop_main(Loop& loop) {
       }
     }
 
-    // Complete + flush.
+    // Flush.
     for (auto& [fd, conn] : loop.conns) {
-      sweep_pending(*conn);
       if (!flush(fd, *conn) || conn->unflushed() > config_.max_write_buffer) {
         close_conn(fd);
       }

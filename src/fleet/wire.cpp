@@ -34,6 +34,39 @@ bool valid_type(std::uint8_t t) noexcept {
          t <= static_cast<std::uint8_t>(FrameType::kPong);
 }
 
+/// Appends a frame header announcing `payload_len` payload bytes, header
+/// CRC included, and returns the offset the payload starts at. The
+/// caller writes the payload in place and seals it with end_frame(), so
+/// no frame needs a temporary payload buffer.
+std::size_t begin_frame(std::vector<std::byte>& out, FrameType type,
+                        std::uint8_t flags, std::uint64_t tenant_id,
+                        std::uint64_t request_id, std::uint32_t payload_len,
+                        std::uint64_t deadline_ms) {
+  const std::size_t header_at = out.size();
+  // A zero deadline encodes as a version-0 header — byte-identical to
+  // what the pre-deadline encoder emitted, so legacy peers keep parsing
+  // us and our compat tests can assert bit-identity.
+  const std::uint16_t version = deadline_ms == 0 ? 0 : 1;
+  put<std::uint32_t>(out, kMagic);
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(type));
+  put<std::uint8_t>(out, flags);
+  put<std::uint16_t>(out, version);
+  put<std::uint64_t>(out, tenant_id);
+  put<std::uint64_t>(out, request_id);
+  put<std::uint32_t>(out, payload_len);
+  if (version >= 1) put<std::uint64_t>(out, deadline_ms);
+  const std::uint32_t header_crc =
+      util::crc32c(out.data() + header_at, out.size() - header_at);
+  put<std::uint32_t>(out, header_crc);
+  return out.size();
+}
+
+/// Appends the trailer: the CRC of everything written since `payload_at`.
+void end_frame(std::vector<std::byte>& out, std::size_t payload_at) {
+  put<std::uint32_t>(
+      out, util::crc32c(out.data() + payload_at, out.size() - payload_at));
+}
+
 }  // namespace
 
 const char* wire_error_name(WireError e) noexcept {
@@ -55,66 +88,54 @@ void append_frame(std::vector<std::byte>& out, FrameType type,
                   std::uint64_t request_id,
                   std::span<const std::byte> payload,
                   std::uint64_t deadline_ms) {
-  const std::size_t header_at = out.size();
-  // A zero deadline encodes as a version-0 header — byte-identical to
-  // what the pre-deadline encoder emitted, so legacy peers keep parsing
-  // us and our compat tests can assert bit-identity.
-  const std::uint16_t version = deadline_ms == 0 ? 0 : 1;
-  put<std::uint32_t>(out, kMagic);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(type));
-  put<std::uint8_t>(out, flags);
-  put<std::uint16_t>(out, version);
-  put<std::uint64_t>(out, tenant_id);
-  put<std::uint64_t>(out, request_id);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-  if (version >= 1) put<std::uint64_t>(out, deadline_ms);
-  const std::uint32_t header_crc =
-      util::crc32c(out.data() + header_at, out.size() - header_at);
-  put<std::uint32_t>(out, header_crc);
+  const std::size_t payload_at =
+      begin_frame(out, type, flags, tenant_id, request_id,
+                  static_cast<std::uint32_t>(payload.size()), deadline_ms);
   out.insert(out.end(), payload.begin(), payload.end());
-  put<std::uint32_t>(out, util::crc32c(payload));
+  end_frame(out, payload_at);
 }
 
 void append_predict_request(std::vector<std::byte>& out,
                             std::uint64_t tenant_id, std::uint64_t request_id,
                             const hv::BinVec& query,
                             std::uint64_t deadline_ms) {
-  std::vector<std::byte> payload;
-  payload.reserve(4 + query.word_count() * 8);
-  put<std::uint32_t>(payload, static_cast<std::uint32_t>(query.dimension()));
   const auto words = query.words();
+  const std::size_t payload_at = begin_frame(
+      out, FrameType::kPredictRequest, 0, tenant_id, request_id,
+      static_cast<std::uint32_t>(4 + words.size_bytes()), deadline_ms);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(query.dimension()));
   const auto* p = reinterpret_cast<const std::byte*>(words.data());
-  payload.insert(payload.end(), p, p + words.size_bytes());
-  append_frame(out, FrameType::kPredictRequest, 0, tenant_id, request_id,
-               payload, deadline_ms);
+  out.insert(out.end(), p, p + words.size_bytes());
+  end_frame(out, payload_at);
 }
 
 void append_predict_response(std::vector<std::byte>& out,
                              std::uint64_t tenant_id, std::uint64_t request_id,
                              const PredictResult& result) {
-  std::vector<std::byte> payload;
-  payload.reserve(20);
-  put<std::int32_t>(payload, result.predicted);
-  put<std::uint64_t>(payload, std::bit_cast<std::uint64_t>(result.confidence));
-  put<std::uint64_t>(payload, result.model_version);
   std::uint8_t flags = 0;
   if (result.trusted) flags |= kFlagTrusted;
   if (result.degraded) flags |= kFlagDegraded;
   if (result.abstained) flags |= kFlagAbstained;
-  append_frame(out, FrameType::kPredictResponse, flags, tenant_id, request_id,
-               payload);
+  const std::size_t payload_at =
+      begin_frame(out, FrameType::kPredictResponse, flags, tenant_id,
+                  request_id, 20, /*deadline_ms=*/0);
+  put<std::int32_t>(out, result.predicted);
+  put<std::uint64_t>(out, std::bit_cast<std::uint64_t>(result.confidence));
+  put<std::uint64_t>(out, result.model_version);
+  end_frame(out, payload_at);
 }
 
 void append_error(std::vector<std::byte>& out, std::uint64_t tenant_id,
                   std::uint64_t request_id, ErrorCode code,
                   std::string_view message) {
-  std::vector<std::byte> payload;
   if (message.size() > 256) message = message.substr(0, 256);
-  payload.reserve(2 + message.size());
-  put<std::uint16_t>(payload, static_cast<std::uint16_t>(code));
+  const std::size_t payload_at = begin_frame(
+      out, FrameType::kError, 0, tenant_id, request_id,
+      static_cast<std::uint32_t>(2 + message.size()), /*deadline_ms=*/0);
+  put<std::uint16_t>(out, static_cast<std::uint16_t>(code));
   const auto* p = reinterpret_cast<const std::byte*>(message.data());
-  payload.insert(payload.end(), p, p + message.size());
-  append_frame(out, FrameType::kError, 0, tenant_id, request_id, payload);
+  out.insert(out.end(), p, p + message.size());
+  end_frame(out, payload_at);
 }
 
 bool parse_predict_request(std::span<const std::byte> payload,
@@ -124,18 +145,13 @@ bool parse_predict_request(std::span<const std::byte> payload,
   if (dim == 0 || dim > kMaxDimension) return false;
   const std::size_t words = util::words_for_bits(dim);
   if (payload.size() != 4 + words * 8) return false;
-  hv::BinVec parsed(dim);
-  std::memcpy(parsed.mutable_words().data(), payload.data() + 4, words * 8);
   // Reject tail garbage instead of silently masking it: a peer that sets
   // bits past `dim` either disagrees with us about the dimension or is
-  // probing — both are protocol errors.
-  if (words > 0) {
-    const std::uint64_t last = parsed.words()[words - 1];
-    hv::BinVec masked = parsed;
-    masked.mask_tail();
-    if (masked.words()[words - 1] != last) return false;
-  }
-  query = std::move(parsed);
+  // probing — both are protocol errors. Only the last word has a tail.
+  const auto last = get<std::uint64_t>(payload, 4 + (words - 1) * 8);
+  if ((last & ~util::low_mask(dim - (words - 1) * 64)) != 0) return false;
+  if (query.dimension() != dim) query = hv::BinVec(dim);
+  std::memcpy(query.mutable_words().data(), payload.data() + 4, words * 8);
   return true;
 }
 

@@ -482,7 +482,8 @@ constexpr Ops kAvx2Ops{popcount_avx2,
                        hamming_matrix_avx2,
                        hamming_matrix_masked_avx2,
                        hamming_matrix_arena_avx2,
-                       hamming_matrix_arena_masked_avx2};
+                       hamming_matrix_arena_masked_avx2,
+                       crc32c_sse42};
 
 }  // namespace
 

@@ -439,7 +439,8 @@ constexpr Ops kAvx512Ops{popcount_avx512,
                          hamming_matrix_avx512,
                          hamming_matrix_masked_avx512,
                          hamming_matrix_arena_avx512,
-                         hamming_matrix_arena_masked_avx512};
+                         hamming_matrix_arena_masked_avx512,
+                         crc32c_sse42};
 
 }  // namespace
 

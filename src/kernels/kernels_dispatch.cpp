@@ -37,7 +37,8 @@ CpuFeatures probe_cpu() noexcept {
   const bool osxsave = (ecx & (1u << 27)) != 0;
   const bool avx = (ecx & (1u << 28)) != 0;
   const bool popcnt = (ecx & (1u << 23)) != 0;
-  if (!osxsave || !avx || !popcnt) return f;
+  const bool sse42 = (ecx & (1u << 20)) != 0;  // crc32 in both SIMD tiers
+  if (!osxsave || !avx || !popcnt || !sse42) return f;
 
   const std::uint64_t xcr0 = read_xcr0();
   const bool ymm_enabled = (xcr0 & 0x6) == 0x6;           // XMM + YMM

@@ -7,6 +7,11 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+
+#if defined(__SSE4_2__)
+#include <nmmintrin.h>
+#endif
 
 #include "robusthd/kernels/kernels.hpp"
 
@@ -57,5 +62,26 @@ inline void prefetch_words(const std::uint64_t* p, std::size_t n) noexcept {
   (void)n;
 #endif
 }
+
+#if defined(__SSE4_2__)
+/// CRC32C on the SSE4.2 crc32 instruction: one 8-byte step per word, then
+/// the byte tail. The instruction implements exactly the reflected
+/// Castagnoli polynomial of the scalar table, so values are identical.
+/// Compiled into the TUs built with SSE4.2 enabled (-mavx2 and the
+/// AVX-512 flags imply it).
+inline std::uint32_t crc32c_sse42(const void* data, std::size_t n,
+                                  std::uint32_t crc) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t c = ~crc;
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof word);
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; n > 0; --n, ++p) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
+}
+#endif
 
 }  // namespace robusthd::kernels::detail

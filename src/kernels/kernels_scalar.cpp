@@ -11,6 +11,7 @@
 #include "kernels_internal.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace robusthd::kernels::detail {
 
@@ -229,13 +230,41 @@ void hamming_matrix_arena_masked_scalar(const std::uint64_t* const* queries,
   }
 }
 
+// Reflected Castagnoli polynomial (iSCSI, RFC 3720 appendix B.4).
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;
+
+constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? kCrc32cPoly : 0u);
+    }
+    table[i] = crc;
+  }
+  return table;
+}
+
+constexpr auto kCrc32cTable = make_crc32c_table();
+
+std::uint32_t crc32c_scalar(const void* data, std::size_t n,
+                            std::uint32_t crc) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = kCrc32cTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
 constexpr Ops kScalarOps{popcount_scalar,
                          hamming_scalar,
                          hamming_masked_scalar,
                          hamming_matrix_scalar,
                          hamming_matrix_masked_scalar,
                          hamming_matrix_arena_scalar,
-                         hamming_matrix_arena_masked_scalar};
+                         hamming_matrix_arena_masked_scalar,
+                         crc32c_scalar};
 
 }  // namespace
 

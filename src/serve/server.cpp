@@ -163,33 +163,51 @@ Server::Server(model::HdcModel model, const ServerConfig& config)
 
 Server::~Server() { shutdown(); }
 
+bool Server::admit(Request& request, bool block) {
+  const bool accepted =
+      block ? queue_.push(std::move(request)) : queue_.try_push(request);
+  (accepted ? submitted_ : rejected_).fetch_add(1, std::memory_order_relaxed);
+  return accepted;
+}
+
 std::future<Response> Server::submit(hv::BinVec query) {
-  Request request{std::move(query), {}, false, std::promise<Response>(),
+  std::promise<Response> promise;
+  auto future = promise.get_future();
+  Request request{std::move(query), {}, false,
+                  CompletionTarget(std::move(promise)),
                   std::chrono::steady_clock::now()};
-  auto future = request.promise.get_future();
-  // push() only consumes the request on success; on failure the promise
-  // is still ours to fail explicitly.
-  if (!queue_.push(std::move(request))) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    request.promise.set_exception(std::make_exception_ptr(
-        std::runtime_error("serve::Server is shut down")));
-    return future;
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  // A refused request's target is still armed: leaving scope fails the
+  // future with the shutdown error.
+  admit(request, /*block=*/true);
   return future;
 }
 
 std::optional<std::future<Response>> Server::try_submit(
     hv::BinVec query, std::chrono::steady_clock::time_point deadline) {
-  Request request{std::move(query), {}, false, std::promise<Response>(),
+  std::promise<Response> promise;
+  auto future = promise.get_future();
+  Request request{std::move(query), {}, false,
+                  CompletionTarget(std::move(promise)),
                   std::chrono::steady_clock::now(), deadline};
-  auto future = request.promise.get_future();
-  if (!queue_.try_push(request)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+  if (!admit(request, /*block=*/false)) {
+    request.done.disarm();
     return std::nullopt;
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   return future;
+}
+
+bool Server::try_submit_to(hv::BinVec query,
+                           std::chrono::steady_clock::time_point deadline,
+                           std::shared_ptr<CompletionQueue> completions,
+                           std::uint64_t tag) {
+  Request request{std::move(query), {}, false,
+                  CompletionTarget(std::move(completions), tag),
+                  std::chrono::steady_clock::now(), deadline};
+  if (!admit(request, /*block=*/false)) {
+    request.done.disarm();
+    return false;
+  }
+  return true;
 }
 
 std::future<Response> Server::submit_features(std::vector<float> features) {
@@ -197,17 +215,12 @@ std::future<Response> Server::submit_features(std::vector<float> features) {
     throw std::logic_error(
         "serve::Server::submit_features requires ServerConfig::encoder");
   }
+  std::promise<Response> promise;
+  auto future = promise.get_future();
   Request request{hv::BinVec(), std::move(features), true,
-                  std::promise<Response>(),
+                  CompletionTarget(std::move(promise)),
                   std::chrono::steady_clock::now()};
-  auto future = request.promise.get_future();
-  if (!queue_.push(std::move(request))) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    request.promise.set_exception(std::make_exception_ptr(
-        std::runtime_error("serve::Server is shut down")));
-    return future;
-  }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  admit(request, /*block=*/true);
   return future;
 }
 
@@ -325,7 +338,7 @@ void Server::shutdown() {
   if (chaos_) chaos_->stop();      // stop attacking first
   if (sentinel_) sentinel_->stop();  // then stop escalating
   queue_.close();     // wakes workers; pops drain accepted requests
-  workers_.join();    // every accepted promise is now fulfilled
+  workers_.join();    // every accepted request is now completed
   if (scrubber_) scrubber_->stop();  // final ring drain, then halt
   // Last: the scrubber's final publications are already appended, so this
   // closes one last epoch over them — a graceful shutdown loses nothing.
@@ -486,8 +499,8 @@ void Server::worker_main(std::size_t worker_index) {
   }
   // Expired requests are shed at dequeue time, before they occupy a batch
   // slot: the client's budget is spent, so scoring would be pure waste.
-  // The predicate owns the disposal (promise, latency records, counters)
-  // so the batcher stays deadline-agnostic.
+  // The predicate owns the disposal (completion, latency records,
+  // counters) so the batcher stays deadline-agnostic.
   Batcher<Request> batcher(
       queue_, config_.max_batch, config_.batch_linger,
       [this](Request& request) {
@@ -503,7 +516,7 @@ void Server::worker_main(std::size_t worker_index) {
         Response response;
         response.expired = true;
         completed_.fetch_add(1, std::memory_order_release);
-        request.promise.set_value(response);
+        request.done.complete(CompletionStatus::kExpired, response);
         return true;
       });
   const model::ConfidenceConfig confidence =
@@ -561,7 +574,7 @@ void Server::worker_main(std::size_t worker_index) {
         service_.record(elapsed_ns(dequeued, end));
         end_to_end_.record(elapsed_ns(request.enqueued, end));
         completed_.fetch_add(1, std::memory_order_release);
-        request.promise.set_value(response);
+        request.done.complete(CompletionStatus::kAnswered, response);
       }
       continue;
     }
@@ -640,10 +653,10 @@ void Server::worker_main(std::size_t worker_index) {
       // the unit of work, so every request in it shares the scoring cost.
       service_.record(elapsed_ns(score_start, end));
       end_to_end_.record(elapsed_ns(request.enqueued, end));
-      // Count before fulfilling: once a client sees its future ready,
+      // Count before completing: once a client sees its answer,
       // stats().completed already includes it.
       completed_.fetch_add(1, std::memory_order_release);
-      request.promise.set_value(response);
+      request.done.complete(CompletionStatus::kAnswered, response);
     }
   }
 }

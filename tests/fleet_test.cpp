@@ -238,6 +238,91 @@ bool reply_predict(int fd, const wire::Frame& frame, std::int32_t predicted) {
   return true;
 }
 
+bool connect_to(int fd, std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+}
+
+/// Blocking loopback connection to `port`.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd >= 0 && !connect_to(fd, port)) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+std::uint16_t local_port(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  (void)::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  return ntohs(addr.sin_port);
+}
+
+/// The frontend runs in this process, so the fd it accepted for a
+/// client socket can be found: the socket bound to the frontend's port
+/// whose peer is the client's local port. -1 when there is none.
+int accepted_fd_for(int client_fd, std::uint16_t frontend_port) {
+  const std::uint16_t client_port = local_port(client_fd);
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in local{};
+    socklen_t len = sizeof local;
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET || ntohs(local.sin_port) != frontend_port) {
+      continue;
+    }
+    sockaddr_in peer{};
+    len = sizeof peer;
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+        ntohs(peer.sin_port) == client_port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+/// Reads frames off a blocking socket until `count` have arrived or
+/// `timeout` passes with nothing new; returns copies of what arrived.
+struct OwnedFrame {
+  wire::FrameType type{};
+  std::uint64_t request_id = 0;
+  std::vector<std::byte> payload;
+};
+
+std::vector<OwnedFrame> read_frames(int fd, std::size_t count,
+                                    std::chrono::milliseconds timeout) {
+  std::vector<OwnedFrame> frames;
+  wire::FrameReader reader;
+  std::byte buf[16 * 1024];
+  while (frames.size() < count) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(timeout.count())) <= 0) break;
+    const auto n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    reader.feed({buf, static_cast<std::size_t>(n)});
+    while (auto frame = reader.next()) {
+      frames.push_back({frame->type, frame->request_id,
+                        {frame->payload.begin(), frame->payload.end()}});
+    }
+  }
+  return frames;
+}
+
+template <typename Pred>
+bool eventually(Pred pred, std::chrono::milliseconds limit =
+                               std::chrono::milliseconds(5000)) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 void expect_identical(const serve::Response& fleet_r,
                       const serve::Response& direct_r, std::size_t i) {
   EXPECT_EQ(fleet_r.predicted, direct_r.predicted) << "query " << i;
@@ -558,24 +643,29 @@ TEST(Fleet, QuarantineDegradedFlagPropagatesOverTheWire) {
 TEST(Fleet, TrySubmitShedsPastDeadlineAndAcceptsLiveOne) {
   const auto w = make_world(0x99);
   auto fleet = make_fleet(w, 1);
+  auto completions = std::make_shared<serve::CompletionQueue>();
 
-  SubmitReject reject = SubmitReject::kNone;
-  const auto dead = fleet.try_submit(
+  const auto dead = fleet.try_submit_to(
       0, w.queries[0],
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1),
-      &reject);
-  EXPECT_FALSE(dead.has_value());
-  EXPECT_EQ(reject, SubmitReject::kDeadline);
+      completions, /*tag=*/1);
+  EXPECT_EQ(dead, SubmitReject::kDeadline);
   EXPECT_EQ(fleet.stats().deadline_sheds, 1u);
 
-  auto live = fleet.try_submit(
+  const auto live = fleet.try_submit_to(
       0, w.queries[0],
-      std::chrono::steady_clock::now() + std::chrono::seconds(5), &reject);
-  ASSERT_TRUE(live.has_value());
-  EXPECT_EQ(reject, SubmitReject::kNone);
-  const auto response = live->future.get();
-  EXPECT_FALSE(response.expired);
-  EXPECT_GE(response.predicted, 0);
+      std::chrono::steady_clock::now() + std::chrono::seconds(5),
+      completions, /*tag=*/2);
+  ASSERT_EQ(live, SubmitReject::kNone);
+  pollfd pfd{completions->fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  std::vector<serve::Completion> done;
+  completions->drain(done);
+  ASSERT_EQ(done.size(), 1u) << "the refused request completes nothing";
+  EXPECT_EQ(done[0].tag, 2u);
+  EXPECT_EQ(done[0].status, serve::CompletionStatus::kAnswered);
+  EXPECT_FALSE(done[0].response.expired);
+  EXPECT_GE(done[0].response.predicted, 0);
 
   fleet.shutdown();
 }
@@ -627,6 +717,191 @@ TEST(Fleet, SlowlorisPartialFrameIsReaped) {
   ::close(fd);
   EXPECT_GE(frontend.counters().reaped_connections, 1u);
 
+  frontend.stop();
+  fleet.shutdown();
+}
+
+// ------------------------------------------------------ completion path --
+
+TEST(Fleet, StaleCompletionIsNeverFramedToAReusedFd) {
+  const auto w = make_world(0xd1);
+  std::vector<model::HdcModel> models;
+  models.push_back(w.model);
+  FleetConfig config;
+  ShardConfig shard;
+  shard.server.worker_threads = 1;
+  shard.server.enable_recovery = false;
+  // The worker holds an underfull batch open this long, so the request
+  // below is still in flight when its connection closes and a new one
+  // takes over the fd number.
+  shard.server.max_batch = 64;
+  shard.server.batch_linger = std::chrono::milliseconds(1000);
+  config.shards.push_back(std::move(shard));
+  Fleet fleet(std::move(models), std::move(config));
+  Frontend frontend(fleet);
+  frontend.start();
+  const auto port = frontend.ports()[0];
+
+  const int first = connect_loopback(port);
+  ASSERT_GE(first, 0);
+  ASSERT_TRUE(eventually(
+      [&] { return frontend.counters().connections_accepted == 1; }));
+  const int first_server_fd = accepted_fd_for(first, port);
+  ASSERT_GE(first_server_fd, 0);
+  // Created now, connected later: the lowest free fd the frontend's next
+  // accept() can take is then the one the first connection gives up.
+  const int second = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(second, 0);
+
+  std::vector<std::byte> request;
+  wire::append_predict_request(request, 3, /*request_id=*/7, w.queries[0]);
+  send_prefix(first, request, request.size());
+  ASSERT_TRUE(eventually(
+      [&] { return fleet.shard(0).server().stats().submitted == 1; }));
+  (void)::shutdown(first, SHUT_WR);  // EOF: the frontend closes its side
+  ASSERT_TRUE(eventually(
+      [&] { return frontend.counters().connections_closed == 1; }));
+
+  ASSERT_TRUE(connect_to(second, port));
+  ASSERT_TRUE(eventually(
+      [&] { return frontend.counters().connections_accepted == 2; }));
+  ASSERT_EQ(accepted_fd_for(second, port), first_server_fd)
+      << "the new connection must reuse the closed one's fd number";
+  ASSERT_EQ(fleet.shard(0).server().stats().completed, 0u)
+      << "the request must still be in flight when its fd is reused";
+
+  // The request completes while the new peer holds the fd: dropped.
+  ASSERT_TRUE(eventually(
+      [&] { return frontend.counters().stale_completions == 1; }));
+  std::vector<std::byte> ping;
+  wire::append_frame(ping, wire::FrameType::kPing, 0, 0, /*request_id=*/9,
+                     {});
+  send_prefix(second, ping, ping.size());
+  const auto frames =
+      read_frames(second, 2, std::chrono::milliseconds(200));
+  ASSERT_EQ(frames.size(), 1u) << "only the pong may reach the new peer";
+  EXPECT_EQ(frames[0].type, wire::FrameType::kPong);
+  EXPECT_EQ(frames[0].request_id, 9u);
+
+  ::close(first);
+  ::close(second);
+  frontend.stop();
+  fleet.shutdown();
+}
+
+TEST(Fleet, ShutdownWithQueuedRequestsFramesEachAcceptedRequestOnce) {
+  const auto w = make_world(0xd2);
+  std::vector<model::HdcModel> models;
+  models.push_back(w.model);
+  FleetConfig config;
+  ShardConfig shard;
+  shard.server.worker_threads = 1;
+  shard.server.enable_recovery = false;
+  shard.server.queue_capacity = 16;
+  shard.server.max_batch = 256;
+  shard.server.batch_linger = std::chrono::milliseconds(200);
+  config.shards.push_back(std::move(shard));
+  Fleet fleet(std::move(models), std::move(config));
+  Frontend frontend(fleet);
+  frontend.start();
+
+  const int fd = connect_loopback(frontend.ports()[0]);
+  ASSERT_GE(fd, 0);
+  constexpr std::uint64_t kBurst = 100;
+  constexpr std::uint64_t kLate = 10;
+  std::vector<std::byte> burst;
+  for (std::uint64_t id = 1; id <= kBurst; ++id) {
+    wire::append_predict_request(burst, 1, id,
+                                 w.queries[id % w.queries.size()]);
+  }
+  send_prefix(fd, burst, burst.size());
+  ASSERT_TRUE(eventually(
+      [&] { return frontend.counters().frames_in == kBurst; }));
+  // The worker is still lingering over its batch: shut the fleet down
+  // under it, then keep talking to the frontend.
+  fleet.shutdown();
+  std::vector<std::byte> late;
+  for (std::uint64_t id = kBurst + 1; id <= kBurst + kLate; ++id) {
+    wire::append_predict_request(late, 1, id, w.queries[0]);
+  }
+  send_prefix(fd, late, late.size());
+
+  const auto frames =
+      read_frames(fd, kBurst + kLate + 1, std::chrono::milliseconds(500));
+  ASSERT_EQ(frames.size(), kBurst + kLate);
+  std::vector<int> seen(kBurst + kLate + 1, 0);
+  std::uint64_t answered = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t busy = 0;
+  for (const auto& f : frames) {
+    ASSERT_GE(f.request_id, 1u);
+    ASSERT_LE(f.request_id, kBurst + kLate);
+    ++seen[f.request_id];
+    if (f.type == wire::FrameType::kPredictResponse) {
+      ++answered;
+      continue;
+    }
+    ASSERT_EQ(f.type, wire::FrameType::kError);
+    const auto info = wire::parse_error(f.payload);
+    ASSERT_TRUE(info.has_value());
+    if (info->code == wire::ErrorCode::kShuttingDown) {
+      ++dropped;
+    } else {
+      ASSERT_EQ(info->code, wire::ErrorCode::kBusy) << info->message;
+      ++busy;
+    }
+  }
+  for (std::uint64_t id = 1; id <= kBurst + kLate; ++id) {
+    EXPECT_EQ(seen[id], 1) << "request " << id;
+  }
+  const auto accepted = fleet.shard(0).server().stats().submitted;
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(answered + dropped, accepted);
+  EXPECT_EQ(busy, kBurst + kLate - accepted);
+  EXPECT_EQ(frontend.counters().stale_completions, 0u);
+
+  ::close(fd);
+  frontend.stop();
+}
+
+TEST(Fleet, ReapersWakeTheLoopOnTheirOwnDeadlines) {
+  // No traffic and no poll tick: the only thing that can wake the loop
+  // for these connections is the reapers' own deadlines.
+  const auto w = make_world(0xd3);
+  auto fleet = make_fleet(w, 1);
+  FrontendConfig fc;
+  fc.read_deadline = std::chrono::milliseconds(60);
+  fc.idle_timeout = std::chrono::milliseconds(250);
+  Frontend frontend(fleet, fc);
+  frontend.start();
+  const auto port = frontend.ports()[0];
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const int idle = connect_loopback(port);
+  const int slow = connect_loopback(port);
+  ASSERT_GE(idle, 0);
+  ASSERT_GE(slow, 0);
+  std::array<unsigned char, 8> partial{0x52, 0x48, 0x46, 0x31, 1, 0, 0, 0};
+  ASSERT_GT(::send(slow, partial.data(), partial.size(), MSG_NOSIGNAL), 0);
+
+  const auto closed_after = [&](int fd) {
+    char buf[16];
+    pollfd pfd{fd, POLLIN, 0};
+    (void)::poll(&pfd, 1, 3000);
+    const auto n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+    EXPECT_LE(n, 0);
+    return std::chrono::steady_clock::now() - t0;
+  };
+  const auto slow_closed = closed_after(slow);
+  const auto idle_closed = closed_after(idle);
+  EXPECT_GE(slow_closed, fc.read_deadline);
+  EXPECT_GE(idle_closed, fc.idle_timeout);
+  EXPECT_LT(slow_closed, idle_closed);
+  EXPECT_LT(idle_closed, std::chrono::milliseconds(2500));
+  EXPECT_EQ(frontend.counters().reaped_connections, 2u);
+
+  ::close(idle);
+  ::close(slow);
   frontend.stop();
   fleet.shutdown();
 }

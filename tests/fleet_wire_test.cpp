@@ -397,6 +397,16 @@ TEST(FleetWire, PredictPayloadRejectsTailGarbage) {
   ASSERT_TRUE(parse_predict_request(payload, decoded));
   payload[4 + 15] = std::byte{0x80};  // highest bit of word 1 = bit 127
   EXPECT_FALSE(parse_predict_request(payload, decoded));
+
+  // Dimension 128 fills both words exactly: there is no tail, so the
+  // same bit 127 is a real dimension and must be accepted.
+  const std::uint32_t full = 128;
+  std::memcpy(payload.data(), &full, 4);
+  ASSERT_TRUE(parse_predict_request(payload, decoded));
+  EXPECT_EQ(decoded.dimension(), full);
+  EXPECT_TRUE(decoded.get(0));
+  EXPECT_TRUE(decoded.get(127));
+  EXPECT_EQ(decoded.count_ones(), 2u);
 }
 
 TEST(FleetWire, ResponsePayloadLengthIsExact) {

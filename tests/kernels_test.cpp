@@ -370,23 +370,61 @@ TEST(BitSliceKernels, ResetAndResizeReuseStorage) {
 
 // ---- zero-allocation encode --------------------------------------------
 
-TEST(EncodeKernels, EncodeIntoMatchesEncode) {
-  hv::EncoderConfig config;
-  config.dimension = 2048;
-  const std::size_t features = 13;
-  hv::RecordEncoder encoder(features, config);
-  util::Xoshiro256 rng(0xfeed);
-  hv::EncodeWorkspace ws;
-  hv::BinVec out;
-  for (int s = 0; s < 20; ++s) {
-    std::vector<float> sample(features);
-    for (auto& f : sample) {
-      f = static_cast<float>(rng.uniform());
+/// Independent reference for RecordEncoder, bit by bit: per-dimension
+/// counts of level(f_k) XOR base(k), then a majority vote in which an
+/// exact tie (possible only for even feature counts) takes the encoder's
+/// tie-break bit. `ties` counts the tied dimensions.
+hv::BinVec reference_encode(const hv::RecordEncoder& encoder,
+                            const std::vector<float>& features,
+                            std::size_t& ties) {
+  const auto& memory = encoder.item_memory();
+  const std::size_t dim = encoder.dimension();
+  std::vector<std::size_t> ones(dim, 0);
+  for (std::size_t k = 0; k < features.size(); ++k) {
+    const auto& level = memory.level(memory.level_index(features[k]));
+    const auto& base = memory.base(k);
+    for (std::size_t d = 0; d < dim; ++d) {
+      ones[d] += level.get(d) != base.get(d) ? 1 : 0;
     }
-    const auto expected = encoder.encode(sample);
-    encoder.encode_into(sample, out, ws);
-    EXPECT_EQ(out.dimension(), expected.dimension());
-    EXPECT_EQ(hv::hamming(expected, out), 0u) << "sample " << s;
+  }
+  hv::BinVec out(dim);
+  for (std::size_t d = 0; d < dim; ++d) {
+    if (2 * ones[d] > features.size()) {
+      out.set(d, true);
+    } else if (2 * ones[d] == features.size()) {
+      out.set(d, encoder.tie_break().get(d));
+      ++ties;
+    }
+  }
+  return out;
+}
+
+TEST(EncodeKernels, EncodeIntoMatchesMajorityReference) {
+  for (const std::size_t dim : {63u, 64u, 65u, 4096u}) {
+    // Odd counts never tie; even counts exercise the tie-break path.
+    for (const std::size_t features : {13u, 14u}) {
+      hv::EncoderConfig config;
+      config.dimension = dim;
+      hv::RecordEncoder encoder(features, config);
+      util::Xoshiro256 rng(0xfeed ^ (dim << 8) ^ features);
+      hv::EncodeWorkspace ws;
+      hv::BinVec out;
+      std::size_t ties = 0;
+      for (int s = 0; s < 20; ++s) {
+        std::vector<float> sample(features);
+        for (auto& f : sample) f = static_cast<float>(rng.uniform());
+        const auto expected = reference_encode(encoder, sample, ties);
+        encoder.encode_into(sample, out, ws);
+        ASSERT_EQ(out.dimension(), dim);
+        EXPECT_EQ(hv::hamming(expected, out), 0u)
+            << "D=" << dim << " features=" << features << " sample " << s;
+      }
+      if (features % 2 == 0) {
+        EXPECT_GT(ties, 0u) << "D=" << dim << ": tie path never exercised";
+      } else {
+        EXPECT_EQ(ties, 0u);
+      }
+    }
   }
 }
 

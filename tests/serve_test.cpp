@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -742,6 +744,119 @@ TEST(Server, RecoveryRejectsMultibitModels) {
   ServerConfig config;
   config.enable_recovery = true;
   EXPECT_THROW(Server(std::move(model), config), std::invalid_argument);
+}
+
+// ---------------------------------------------------- completion queue --
+
+bool doorbell_rung(const CompletionQueue& queue) {
+  pollfd pfd{queue.fd(), POLLIN, 0};
+  return ::poll(&pfd, 1, 0) == 1;
+}
+
+TEST(CompletionQueue, EveryTargetDeliversExactlyOnce) {
+  auto queue = std::make_shared<CompletionQueue>();
+  EXPECT_FALSE(doorbell_rung(*queue));
+  Response answer;
+  answer.predicted = 3;
+  {
+    CompletionTarget answered(queue, 1);
+    answered.complete(CompletionStatus::kAnswered, answer);
+    answered.complete(CompletionStatus::kExpired, answer);  // disarmed
+    CompletionTarget dropped(queue, 2);  // destroyed armed
+    CompletionTarget refused(queue, 3);
+    refused.disarm();
+    CompletionTarget moved_from(queue, 4);
+    CompletionTarget moved_to(std::move(moved_from));
+    moved_to.complete(CompletionStatus::kExpired, Response{});
+  }
+  EXPECT_TRUE(doorbell_rung(*queue));
+  std::vector<Completion> out;
+  queue->drain(out);
+  EXPECT_FALSE(doorbell_rung(*queue));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0].tag, 1u);
+  EXPECT_EQ(out[0].status, CompletionStatus::kAnswered);
+  EXPECT_EQ(out[0].response.predicted, 3);
+  EXPECT_EQ(out[1].tag, 4u);
+  EXPECT_EQ(out[1].status, CompletionStatus::kExpired);
+  EXPECT_EQ(out[2].tag, 2u);
+  EXPECT_EQ(out[2].status, CompletionStatus::kDropped);
+}
+
+TEST(CompletionQueue, DroppedFutureTargetThrows) {
+  std::promise<Response> promise;
+  auto future = promise.get_future();
+  { CompletionTarget target(std::move(promise)); }
+  EXPECT_THROW(future.get(), std::runtime_error);
+}
+
+TEST(CompletionQueue, ConcurrentProducersLoseNothingAndRingTheDoorbell) {
+  auto queue = std::make_shared<CompletionQueue>();
+  constexpr std::uint64_t kProducers = 4;
+  constexpr std::uint64_t kEach = 2000;
+  std::vector<std::thread> producers;
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < kEach; ++i) {
+        queue->push(p * kEach + i, CompletionStatus::kAnswered, Response{});
+      }
+    });
+  }
+  // The consumer waits on the doorbell only, as an event loop does: a
+  // lost wake-up would leave it blocked with completions queued.
+  std::vector<int> seen(kProducers * kEach, 0);
+  std::vector<Completion> out;
+  std::uint64_t received = 0;
+  while (received < kProducers * kEach) {
+    pollfd pfd{queue->fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "lost wake-up at " << received;
+    queue->drain(out);
+    for (const auto& c : out) ++seen[c.tag];
+    received += out.size();
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                          [](int n) { return n == 1; }));
+}
+
+TEST(Server, TrySubmitToCompletesIntoTheQueue) {
+  const auto w = make_world(0xc0);
+  ServerConfig config;
+  config.worker_threads = 2;
+  config.enable_recovery = false;
+  Server server(w.model, config);
+  auto queue = std::make_shared<CompletionQueue>();
+  const auto past =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  ASSERT_TRUE(server.try_submit_to(w.queries[0], past, queue, 100));
+  for (std::uint64_t i = 1; i < w.queries.size(); ++i) {
+    ASSERT_TRUE(server.try_submit_to(
+        w.queries[i], std::chrono::steady_clock::time_point::max(), queue,
+        100 + i));
+  }
+  std::vector<Completion> all;
+  std::vector<Completion> out;
+  while (all.size() < w.queries.size()) {
+    pollfd pfd{queue->fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+    queue->drain(out);
+    all.insert(all.end(), out.begin(), out.end());
+  }
+  for (const auto& c : all) {
+    const std::size_t i = c.tag - 100;
+    if (i == 0) {
+      EXPECT_EQ(c.status, CompletionStatus::kExpired);
+      EXPECT_TRUE(c.response.expired);
+      continue;
+    }
+    EXPECT_EQ(c.status, CompletionStatus::kAnswered);
+    EXPECT_EQ(c.response.predicted, w.model.predict(w.queries[i])) << i;
+  }
+  server.shutdown();
+  EXPECT_FALSE(server.try_submit_to(
+      w.queries[0], std::chrono::steady_clock::time_point::max(), queue, 1));
+  queue->drain(out);
+  EXPECT_TRUE(out.empty()) << "a refused submission completes nothing";
 }
 
 }  // namespace

@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "robusthd/fault/campaign.hpp"
+#include "robusthd/kernels/kernels.hpp"
 #include "robusthd/util/bitops.hpp"
 #include "robusthd/util/crc32c.hpp"
 #include "robusthd/util/csv.hpp"
+#include "robusthd/util/rng.hpp"
 #include "robusthd/util/table.hpp"
 #include "robusthd/util/timer.hpp"
 
@@ -22,9 +24,8 @@ namespace robusthd {
 namespace {
 
 std::vector<std::byte> bytes_of(const std::string& s) {
-  std::vector<std::byte> out(s.size());
-  std::memcpy(out.data(), s.data(), s.size());
-  return out;
+  const auto* p = reinterpret_cast<const std::byte*>(s.data());
+  return {p, p + s.size()};
 }
 
 TEST(Crc32c, KnownAnswerVectors) {
@@ -56,6 +57,76 @@ TEST(Crc32c, DetectsEverySingleBitFlip) {
     data[bit / 8] ^= std::byte{static_cast<unsigned char>(1u << (bit % 8))};
     EXPECT_NE(util::crc32c(data), clean) << "missed bit " << bit;
     data[bit / 8] ^= std::byte{static_cast<unsigned char>(1u << (bit % 8))};
+  }
+}
+
+/// Every kernel tier this host can run, the scalar table first.
+std::vector<std::pair<kernels::Isa, const kernels::Ops*>> crc_tiers() {
+  std::vector<std::pair<kernels::Isa, const kernels::Ops*>> tiers;
+  for (const auto isa :
+       {kernels::Isa::kScalar, kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
+    if (const auto* ops = kernels::ops_for(isa)) tiers.emplace_back(isa, ops);
+  }
+  return tiers;
+}
+
+TEST(Crc32c, KnownAnswerVectorsOnEveryTier) {
+  const auto check = bytes_of("123456789");
+  const std::vector<std::byte> zeros(32, std::byte{0});
+  const std::vector<std::byte> ones(32, std::byte{0xFF});
+  for (const auto& [isa, ops] : crc_tiers()) {
+    const char* name = kernels::isa_name(isa);
+    EXPECT_EQ(ops->crc32c(check.data(), check.size(), 0), 0xE3069283u)
+        << name;
+    EXPECT_EQ(ops->crc32c(nullptr, 0, 0), 0u) << name;
+    EXPECT_EQ(ops->crc32c(zeros.data(), zeros.size(), 0), 0x8A9136AAu)
+        << name;
+    EXPECT_EQ(ops->crc32c(ones.data(), ones.size(), 0), 0x62A8AB43u)
+        << name;
+  }
+}
+
+TEST(Crc32c, InstructionPathMatchesTableAtEveryLengthAndOffset) {
+  const auto& table = *kernels::ops_for(kernels::Isa::kScalar);
+  util::Xoshiro256 rng(0xc3c32c);
+  std::vector<unsigned char> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next());
+  for (const auto& [isa, ops] : crc_tiers()) {
+    std::size_t mismatches = 0;
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t len = 0; len <= 1024; ++len) {
+        const unsigned char* p = buf.data() + offset;
+        // A fresh sum and one continued from an arbitrary prior value.
+        const auto seed = static_cast<std::uint32_t>(len * 2654435761u);
+        if (ops->crc32c(p, len, 0) != table.crc32c(p, len, 0) ||
+            ops->crc32c(p, len, seed) != table.crc32c(p, len, seed)) {
+          ADD_FAILURE() << kernels::isa_name(isa) << " offset " << offset
+                        << " length " << len;
+          if (++mismatches > 8) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32c, PartialSumsComposeAcrossWordBoundaries) {
+  util::Xoshiro256 rng(0x8b0da);
+  std::vector<unsigned char> buf(64);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next());
+  for (const auto& [isa, ops] : crc_tiers()) {
+    const auto full = ops->crc32c(buf.data(), buf.size(), 0);
+    // Every cut, so the second part starts at every position within an
+    // 8-byte step, and the first part ends on both sides of a boundary.
+    for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+      const auto head = ops->crc32c(buf.data(), cut, 0);
+      EXPECT_EQ(ops->crc32c(buf.data() + cut, buf.size() - cut, head), full)
+          << kernels::isa_name(isa) << " cut at " << cut;
+    }
+    // Three pieces straddling one word boundary: [0,5) [5,11) [11,64).
+    auto sum = ops->crc32c(buf.data(), 5, 0);
+    sum = ops->crc32c(buf.data() + 5, 6, sum);
+    EXPECT_EQ(ops->crc32c(buf.data() + 11, buf.size() - 11, sum), full)
+        << kernels::isa_name(isa);
   }
 }
 
