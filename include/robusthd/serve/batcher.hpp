@@ -4,9 +4,9 @@
 // Scoring a query is a handful of word-parallel Hamming kernels; the
 // bookkeeping around it (snapshot acquisition, completion delivery,
 // stats) amortises much better over a batch. The batcher is the policy
-// layer: block for the first request, then greedily absorb whatever else
-// is already queued (up to max_batch), optionally lingering a bounded
-// time to let a batch fill under light load.
+// layer: block for the first request and take whatever else is already
+// queued (up to max_batch) under the same lock, optionally lingering a
+// bounded time to let a batch fill under light load.
 //
 // Latency/throughput knobs:
 //  * max_batch — upper bound on coalescing (per-request latency under
@@ -49,31 +49,51 @@ class Batcher {
   /// request is available. Returns false — with `out` empty — only when
   /// the queue is closed and fully drained (the worker's exit signal).
   /// Dropped requests never occupy a batch slot: an expired backlog is
-  /// burned through at pop speed, not at scoring speed.
+  /// burned through at pop speed, not at scoring speed, and the batch is
+  /// topped up from the queue in their place.
   bool next_batch(std::vector<T>& out) {
     out.clear();
-    while (out.empty()) {
-      auto first = queue_.pop();
-      if (!first) return false;
-      if (drop_ && drop_(*first)) continue;
-      out.push_back(std::move(*first));
-    }
-
-    const auto deadline = std::chrono::steady_clock::now() + linger_;
+    // One lock round trip moves everything already queued (up to
+    // max_batch); later rounds only replace shed requests and never
+    // block while the batch holds a live one.
     while (out.size() < max_batch_) {
-      auto next = queue_.try_pop();
-      if (!next && linger_ > std::chrono::nanoseconds::zero()) {
+      const std::size_t start = out.size();
+      const std::size_t room = max_batch_ - start;
+      const std::size_t got = out.empty() ? queue_.pop_batch(out, room)
+                                          : queue_.try_pop_batch(out, room);
+      if (got == 0) break;
+      shed_dropped(out, start);
+    }
+    if (out.empty()) return false;  // closed and drained
+
+    if (linger_ > std::chrono::nanoseconds::zero()) {
+      const auto deadline = std::chrono::steady_clock::now() + linger_;
+      while (out.size() < max_batch_) {
         const auto now = std::chrono::steady_clock::now();
-        if (now < deadline) next = queue_.pop_for(deadline - now);
+        if (now >= deadline) break;
+        auto next = queue_.pop_for(deadline - now);
+        if (!next) break;
+        if (drop_ && drop_(*next)) continue;
+        out.push_back(std::move(*next));
       }
-      if (!next) break;
-      if (drop_ && drop_(*next)) continue;
-      out.push_back(std::move(*next));
     }
     return true;
   }
 
  private:
+  /// Runs the drop predicate over out[start..] in arrival order and
+  /// compacts the survivors in place.
+  void shed_dropped(std::vector<T>& out, std::size_t start) {
+    if (!drop_) return;
+    std::size_t kept = start;
+    for (std::size_t i = start; i < out.size(); ++i) {
+      if (drop_(out[i])) continue;
+      if (kept != i) out[kept] = std::move(out[i]);
+      ++kept;
+    }
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(kept), out.end());
+  }
+
   RequestQueue<T>& queue_;
   const std::size_t max_batch_;
   const std::chrono::nanoseconds linger_;

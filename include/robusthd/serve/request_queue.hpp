@@ -12,20 +12,24 @@
 // before the close and only then report exhaustion. Graceful shutdown is
 // therefore "close, then join consumers": no accepted request is dropped.
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace robusthd::serve {
 
-/// Mutex + condvar bounded queue. Simple by design: the hot cost of a
-/// serving cycle is scoring, not queue transfer, and a blocking queue
+/// Mutex + condvar bounded queue. Simple by design: a blocking queue
 /// gives exact FIFO and a provable drain-on-close — properties the
-/// lock-free trust ring (scrubber.hpp) deliberately trades away.
+/// lock-free trust ring (scrubber.hpp) deliberately trades away. Workers
+/// take whole batches with pop_batch, so the lock round trip is paid once
+/// per batch, not once per request.
 template <typename T>
 class RequestQueue {
  public:
@@ -59,15 +63,8 @@ class RequestQueue {
     return true;
   }
 
-  /// Blocks until an item is available; drains remaining items after
-  /// close() and then returns nullopt.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    return take(lock);
-  }
-
-  /// pop() with a timeout; nullopt on timeout or exhaustion.
+  /// Waits up to `timeout` for one item; nullopt on timeout, or once the
+  /// queue is closed and drained.
   template <typename Rep, typename Period>
   std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -78,10 +75,20 @@ class RequestQueue {
     return take(lock);
   }
 
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
+  /// Batch pop: blocks until an item is available, then moves up to `max`
+  /// items, oldest first, onto the back of `out` under that one lock
+  /// acquisition. Returns how many it moved: 0 only once the queue is
+  /// closed and drained.
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
     std::unique_lock<std::mutex> lock(mutex_);
-    return take(lock);
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    return take_batch(lock, out, max);
+  }
+
+  /// Non-blocking pop_batch: 0 when nothing is queued right now.
+  std::size_t try_pop_batch(std::vector<T>& out, std::size_t max) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return take_batch(lock, out, max);
   }
 
   /// Rejects future pushes and wakes every waiter. Idempotent.
@@ -115,6 +122,24 @@ class RequestQueue {
     lock.unlock();
     not_full_.notify_one();
     return item;
+  }
+
+  std::size_t take_batch(std::unique_lock<std::mutex>& lock,
+                         std::vector<T>& out, std::size_t max) {
+    const std::size_t n = std::min(max, items_.size());
+    const auto first = items_.begin();
+    const auto last = first + static_cast<std::ptrdiff_t>(n);
+    out.insert(out.end(), std::make_move_iterator(first),
+               std::make_move_iterator(last));
+    items_.erase(first, last);
+    lock.unlock();
+    // n slots freed: wake up to n blocked producers.
+    if (n == 1) {
+      not_full_.notify_one();
+    } else if (n > 1) {
+      not_full_.notify_all();
+    }
+    return n;
   }
 
   const std::size_t capacity_;

@@ -62,6 +62,20 @@ struct TrustedQuery {
 /// are the serving workers; the consumer is the scrubber thread. push()
 /// fails (rather than blocks) when full — callers treat entries as
 /// droppable hints.
+///
+/// Copy-free hand-off: push() copies the query straight into the cell it
+/// has claimed, so a full ring copies nothing and a warm cell (one that
+/// already holds a buffer of the query's size) reuses it; pop() swaps
+/// buffers with the consumer instead of moving. Once the ring is warm the
+/// same capacity + 1 buffers circulate between the cells and the
+/// consumer, and no push or pop allocates.
+///
+/// No-throw after claim: a cell claimed by a producer must be published,
+/// or the consumer waits on it forever (the scrubber would stop for
+/// good). The only step between claim and publish that could throw is
+/// the copy into a cold cell (a buffer allocation), so push() is noexcept
+/// on purpose, the way CompletionTarget::complete is: an allocation
+/// failure there ends the program instead of wedging the ring.
 class TrustRing {
  public:
   explicit TrustRing(std::size_t capacity)
@@ -76,7 +90,9 @@ class TrustRing {
 
   std::size_t capacity() const noexcept { return cells_.size(); }
 
-  bool push(TrustedQuery&& value) noexcept {
+  /// Copies `query` (and its taint tag) into the ring; false — with
+  /// nothing copied — when the ring is full.
+  bool push(const hv::BinVec& query, bool suspect) noexcept {
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
       Cell& cell = cells_[pos & mask_];
@@ -86,7 +102,8 @@ class TrustRing {
       if (diff == 0) {
         if (tail_.compare_exchange_weak(pos, pos + 1,
                                         std::memory_order_relaxed)) {
-          cell.value = std::move(value);
+          cell.value.query = query;
+          cell.value.suspect = suspect;
           cell.sequence.store(pos + 1, std::memory_order_release);
           return true;
         }
@@ -98,6 +115,8 @@ class TrustRing {
     }
   }
 
+  /// Takes the oldest entry, swapping `out`'s buffer into the cell for
+  /// the next producer to reuse. False when the ring is empty.
   bool pop(TrustedQuery& out) noexcept {
     std::size_t pos = head_.load(std::memory_order_relaxed);
     for (;;) {
@@ -108,7 +127,8 @@ class TrustRing {
       if (diff == 0) {
         if (head_.compare_exchange_weak(pos, pos + 1,
                                         std::memory_order_relaxed)) {
-          out = std::move(cell.value);
+          std::swap(out.query, cell.value.query);
+          out.suspect = cell.value.suspect;
           cell.sequence.store(pos + mask_ + 1, std::memory_order_release);
           return true;
         }
@@ -148,7 +168,9 @@ class TrustRing {
 struct ScrubberConfig {
   model::RecoveryConfig recovery{};
   std::size_t ring_capacity = 1024;
-  /// Consumer poll interval when the ring is idle.
+  /// Consumer poll interval when the ring is idle. Offers do not wake
+  /// the scrub thread, so this also bounds how long a trusted query waits
+  /// in the ring before it is replayed.
   std::chrono::microseconds idle_wait{500};
   /// Admission control for repair evidence (inert unless gate.enabled).
   /// Server builds the TrustGate from this — including the per-class
@@ -233,9 +255,11 @@ class Scrubber {
   /// The installed gate, or nullptr.
   const TrustGate* trust_gate() const noexcept { return gate_.get(); }
 
-  /// Hands a trusted query to the recovery loop. Returns false when the
-  /// ring is full — the hint is dropped, recorded in trust_drops, and
-  /// callers must never retry (recovery pressure is advisory).
+  /// Hands a copy of a trusted query to the recovery loop. Returns false
+  /// when the ring is full — the hint is dropped, recorded in
+  /// trust_drops, and callers must never retry (recovery pressure is
+  /// advisory). Never wakes the scrub thread: it picks the query up
+  /// within ScrubberConfig::idle_wait.
   bool offer(const hv::BinVec& query);
 
   /// Why a gated offer did not enter the ring.

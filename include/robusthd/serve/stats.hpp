@@ -157,7 +157,12 @@ struct ServerStats {
 
   // Per-stage latency.
   LatencyHistogram::Summary queue_wait;  ///< enqueue -> dequeue
-  LatencyHistogram::Summary service;     ///< score + respond, per query
+  /// The whole service time of the batch a request was answered in
+  /// (dequeue to answers ready: encode, score, confidence, trust offers),
+  /// recorded once per request — so the mean is a mean batch service
+  /// time, the figure Server::estimated_wait_ns multiplies by the
+  /// batches queued ahead.
+  LatencyHistogram::Summary service;
   LatencyHistogram::Summary end_to_end;  ///< enqueue -> completion delivered
 
   // Recovery / trust flow.

@@ -43,15 +43,23 @@ Confidence assess(std::span<const double> similarities,
   }
 
   // Standardise across classes, then softmax at the configured temperature.
+  // Only the winner's probability is needed, and the winner holds the
+  // largest z-score, so its softmax term is exp(0) = 1: the result is
+  // 1 / sum_i exp((z_i - z_top) / T). Each term is computed with the same
+  // operations, in the same index order, as util::softmax over the
+  // z-scores, so the value is bit-identical to reading that softmax at
+  // the winner — without the two temporary vectors and k divisions.
+  // (Similarities lie in [-1, 1], so the argmax above is the maximum.)
   util::RunningStats stats;
   for (const auto s : similarities) stats.add(s);
   const double sd = stats.stddev() > 1e-12 ? stats.stddev() : 1e-12;
-  std::vector<double> z(similarities.size());
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    z[i] = (similarities[i] - stats.mean()) / sd;
+  const double mean = stats.mean();
+  const double z_top = (stats.max() - mean) / sd;
+  double sum = 0.0;
+  for (const auto s : similarities) {
+    sum += std::exp(((s - mean) / sd - z_top) / config.temperature);
   }
-  const auto probs = util::softmax(z, config.temperature);
-  c.top_probability = probs[best];
+  c.top_probability = 1.0 / sum;
   return c;
 }
 

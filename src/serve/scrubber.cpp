@@ -54,13 +54,13 @@ void Scrubber::install_trust_gate(std::unique_ptr<TrustGate> gate) {
 }
 
 bool Scrubber::offer(const hv::BinVec& query) {
-  TrustedQuery entry{query, false};
-  if (!ring_.push(std::move(entry))) {
+  if (!ring_.push(query, false)) {
     drops_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  // No wake-up: the scrub thread drains the ring at least every
+  // idle_wait, so an offer costs the worker no syscall.
   offered_.fetch_add(1, std::memory_order_release);
-  wake_cv_.notify_one();
   return true;
 }
 
@@ -69,13 +69,11 @@ Scrubber::OfferOutcome Scrubber::offer_trusted(const hv::BinVec& query,
   TrustGate::Verdict verdict;
   if (gate_) verdict = gate_->check(query, predicted, margin);
   if (!verdict.accept) return OfferOutcome::kGateRejected;
-  TrustedQuery entry{query, verdict.suspect};
-  if (!ring_.push(std::move(entry))) {
+  if (!ring_.push(query, verdict.suspect)) {
     drops_.fetch_add(1, std::memory_order_relaxed);
     return OfferOutcome::kRingFull;
   }
-  offered_.fetch_add(1, std::memory_order_release);
-  wake_cv_.notify_one();
+  offered_.fetch_add(1, std::memory_order_release);  // no wake, as offer()
   return OfferOutcome::kAccepted;
 }
 
@@ -350,8 +348,10 @@ void Scrubber::thread_main() {
 
     if (!worked) {
       std::unique_lock<std::mutex> lock(wake_mutex_);
-      // Timed wait: wakeups are advisory (producers notify without the
-      // lock), the timeout bounds any missed-notify window.
+      // Timed wait: offers never notify, so the timeout is what picks up
+      // new ring entries (within idle_wait of the offer). Commands and
+      // stop() do notify (without the lock); the timeout also bounds
+      // their missed-notify window.
       wake_cv_.wait_for(lock, config_.idle_wait);
     }
   }

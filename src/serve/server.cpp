@@ -546,6 +546,7 @@ void Server::worker_main(std::size_t worker_index) {
 #endif
 
   std::vector<Request> batch;
+  std::vector<Response> responses;
   while (batcher.next_batch(batch)) {
     // One snapshot per batch: every query in the batch is scored against
     // the same immutable model, however the scrubber races us.
@@ -558,105 +559,107 @@ void Server::worker_main(std::size_t worker_index) {
     }
     batch_sizes_.record(batch.size());
     const auto dequeued = std::chrono::steady_clock::now();
+    responses.assign(batch.size(), Response{});
 
-    // Rung (c): breaker open — shed the whole batch with explicit
-    // abstentions, no encoding, no scoring. Clients get an answer (not a
-    // hang) and retry once the sentinel has republished the last-good
-    // model.
     if (breaker_open_.load(std::memory_order_acquire)) {
-      for (auto& request : batch) {
-        queue_wait_.record(elapsed_ns(request.enqueued, dequeued));
-        Response response;
+      // Rung (c): breaker open — shed the whole batch with explicit
+      // abstentions, no encoding, no scoring. Clients get an answer (not
+      // a hang) and retry once the sentinel has republished the
+      // last-good model.
+      for (auto& response : responses) {
         response.abstained = true;
         response.model_version = version;
-        abstained_.fetch_add(1, std::memory_order_relaxed);
-        const auto end = std::chrono::steady_clock::now();
-        service_.record(elapsed_ns(dequeued, end));
-        end_to_end_.record(elapsed_ns(request.enqueued, end));
-        completed_.fetch_add(1, std::memory_order_release);
-        request.done.complete(CompletionStatus::kAnswered, response);
       }
-      continue;
-    }
-
-    // Server-side encoding for feature-mode requests, through the worker's
-    // persistent workspace (the encoder's bit-sliced counter is reused).
-    [[maybe_unused]] bool encoded_any = false;
-    for (auto& request : batch) {
-      if (request.from_features) {
-        config_.encoder->encode_into(request.features, request.query,
-                                     encode_ws);
-        encoded_any = true;
+      abstained_.fetch_add(batch.size(), std::memory_order_relaxed);
+    } else {
+      // Server-side encoding for feature-mode requests, through the
+      // worker's persistent workspace (the encoder's bit-sliced counter
+      // is reused).
+      [[maybe_unused]] bool encoded_any = false;
+      for (auto& request : batch) {
+        if (request.from_features) {
+          config_.encoder->encode_into(request.features, request.query,
+                                       encode_ws);
+          encoded_any = true;
+        }
       }
-    }
 #ifndef NDEBUG
-    if (encoded_any) {
-      // Steady-state invariant: once warmed, encoding a request must not
-      // grow the workspace — i.e. the encode path really is allocation-free.
-      assert(!encode_warmed || encode_ws.capacity_signature() == encode_sig);
-      encode_sig = encode_ws.capacity_signature();
-      encode_warmed = true;
-    }
+      if (encoded_any) {
+        // Steady-state invariant: once warmed, encoding a request must not
+        // grow the workspace — i.e. the encode path really is
+        // allocation-free.
+        assert(!encode_warmed ||
+               encode_ws.capacity_signature() == encode_sig);
+        encode_sig = encode_ws.capacity_signature();
+        encode_warmed = true;
+      }
 #endif
 
-    // Score the whole batch in one blocked pass over the class planes.
-    const auto score_start = std::chrono::steady_clock::now();
-    query_ptrs.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      query_ptrs[i] = &batch[i].query;
-    }
-    // Rung (b): with a non-empty quarantine, score over the surviving
-    // dimensions only (masked kernels) and flag the answers degraded. The
-    // confidence model then sees kept_dims as the effective dimension.
-    const bool degraded = qmask != nullptr;
-    std::size_t effective_dim = model->dimension();
-    if (degraded) {
-      model->scores_batch_masked(query_ptrs, qmask->words, qmask->kept_dims,
-                                 score_ws);
-      effective_dim = qmask->kept_dims;
-    } else {
-      model->scores_batch(query_ptrs, score_ws);
-    }
-    const std::size_t k = model->num_classes();
+      // Score the whole batch in one blocked pass over the class planes.
+      query_ptrs.resize(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        query_ptrs[i] = &batch[i].query;
+      }
+      // Rung (b): with a non-empty quarantine, score over the surviving
+      // dimensions only (masked kernels) and flag the answers degraded.
+      // The confidence model then sees kept_dims as the effective
+      // dimension.
+      const bool degraded = qmask != nullptr;
+      std::size_t effective_dim = model->dimension();
+      if (degraded) {
+        model->scores_batch_masked(query_ptrs, qmask->words,
+                                   qmask->kept_dims, score_ws);
+        effective_dim = qmask->kept_dims;
+        degraded_.fetch_add(batch.size(), std::memory_order_relaxed);
+      } else {
+        model->scores_batch(query_ptrs, score_ws);
+      }
+      const std::size_t k = model->num_classes();
 
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const std::span<const double> similarities(
+            score_ws.scores.data() + i * k, k);
+        const auto conf =
+            model::assess(similarities, confidence, effective_dim);
+
+        Response& response = responses[i];
+        response.predicted = conf.predicted;
+        response.confidence = conf.top_probability;
+        response.model_version = version;
+        response.degraded = degraded;
+        if (scrubber_ && conf.top_probability >= trust_threshold) {
+          // Pre-filter only: the trust gate (margin floor, fair-share
+          // rate limit, canary agreement) decides admission, and the
+          // engine re-runs its own gates on the scrub thread. A full ring
+          // drops the hint — serving latency must not wait on recovery.
+          // Gate rejections are counted by the gate itself, not as ring
+          // drops.
+          response.trusted = true;
+          trusted_.fetch_add(1, std::memory_order_relaxed);
+          const auto outcome = scrubber_->offer_trusted(
+              batch[i].query, conf.predicted, conf.margin);
+          if (outcome == Scrubber::OfferOutcome::kRingFull) {
+            scrub_dropped_.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    }
+
+    // Every answer of the batch is ready: record and complete them in one
+    // pass, so a caller waiting on the first answer wakes once per batch
+    // rather than once per request. The batch is the unit of work, so each
+    // of its requests records the batch's whole service time.
+    const auto end = std::chrono::steady_clock::now();
+    const std::uint64_t service = elapsed_ns(dequeued, end);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       auto& request = batch[i];
       queue_wait_.record(elapsed_ns(request.enqueued, dequeued));
-
-      const std::span<const double> similarities(
-          score_ws.scores.data() + i * k, k);
-      const auto conf = model::assess(similarities, confidence, effective_dim);
-
-      Response response;
-      response.predicted = conf.predicted;
-      response.confidence = conf.top_probability;
-      response.model_version = version;
-      response.degraded = degraded;
-      if (degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
-      if (scrubber_ && conf.top_probability >= trust_threshold) {
-        // Pre-filter only: the trust gate (margin floor, fair-share rate
-        // limit, canary agreement) decides admission, and the engine
-        // re-runs its own gates on the scrub thread. A full ring drops
-        // the hint — serving latency must not wait on recovery. Gate
-        // rejections are counted by the gate itself, not as ring drops.
-        response.trusted = true;
-        trusted_.fetch_add(1, std::memory_order_relaxed);
-        const auto outcome = scrubber_->offer_trusted(
-            request.query, conf.predicted, conf.margin);
-        if (outcome == Scrubber::OfferOutcome::kRingFull) {
-          scrub_dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-
-      const auto end = std::chrono::steady_clock::now();
-      // Service time is measured from the batch-score start: the batch is
-      // the unit of work, so every request in it shares the scoring cost.
-      service_.record(elapsed_ns(score_start, end));
+      service_.record(service);
       end_to_end_.record(elapsed_ns(request.enqueued, end));
       // Count before completing: once a client sees its answer,
       // stats().completed already includes it.
       completed_.fetch_add(1, std::memory_order_release);
-      request.done.complete(CompletionStatus::kAnswered, response);
+      request.done.complete(CompletionStatus::kAnswered, responses[i]);
     }
   }
 }

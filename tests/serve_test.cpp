@@ -84,17 +84,25 @@ TEST(RequestQueue, FifoAndBounds) {
   EXPECT_FALSE(queue.try_push(overflow));
   EXPECT_EQ(overflow, 99);  // untouched on failure
   EXPECT_EQ(queue.depth(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    const auto v = queue.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
+  // Batch pops are FIFO, never move more than asked for, and append.
+  std::vector<int> out{-1};
+  EXPECT_EQ(queue.pop_batch(out, 3), 3u);
+  EXPECT_EQ(out, (std::vector<int>{-1, 0, 1, 2}));
+  for (int i = 4; i < 7; ++i) {  // the pop freed its three slots
+    int v = i;
+    EXPECT_TRUE(queue.try_push(v));
   }
-  EXPECT_FALSE(queue.try_pop().has_value());
+  EXPECT_FALSE(queue.try_push(overflow));
+  out.clear();
+  EXPECT_EQ(queue.try_pop_batch(out, 8), 4u);
+  EXPECT_EQ(out, (std::vector<int>{3, 4, 5, 6}));
+  EXPECT_EQ(queue.try_pop_batch(out, 8), 0u);  // empty: returns at once
+  EXPECT_EQ(out.size(), 4u);
 }
 
 TEST(RequestQueue, CloseDrainsThenExhausts) {
   RequestQueue<int> queue(8);
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 5; ++i) {
     int v = i;
     ASSERT_TRUE(queue.try_push(v));
   }
@@ -102,13 +110,16 @@ TEST(RequestQueue, CloseDrainsThenExhausts) {
   int rejected = 7;
   EXPECT_FALSE(queue.try_push(rejected));
   // Accepted items drain in order...
-  for (int i = 0; i < 3; ++i) {
-    const auto v = queue.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  // ...then pop reports exhaustion instead of blocking.
-  EXPECT_FALSE(queue.pop().has_value());
+  std::vector<int> out;
+  EXPECT_EQ(queue.pop_batch(out, 3), 3u);
+  EXPECT_EQ(queue.pop_batch(out, 3), 2u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
+  // ...then the pops report exhaustion instead of blocking.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(queue.pop_batch(out, 3), 0u);
+  EXPECT_FALSE(queue.pop_for(std::chrono::seconds(5)).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(out.size(), 5u);
 }
 
 TEST(RequestQueue, PopForTimesOut) {
@@ -120,17 +131,36 @@ TEST(RequestQueue, PopForTimesOut) {
 }
 
 TEST(RequestQueue, BlockedProducerWakesOnPop) {
-  RequestQueue<int> queue(1);
-  int first = 1;
-  ASSERT_TRUE(queue.try_push(first));
-  std::thread producer([&] {
-    int second = 2;
-    EXPECT_TRUE(queue.push(std::move(second)));
-  });
+  RequestQueue<int> queue(2);
+  for (int v : {1, 2}) {
+    int item = v;
+    ASSERT_TRUE(queue.try_push(item));
+  }
+  std::vector<std::thread> producers;
+  for (int v : {3, 4}) {
+    producers.emplace_back([&queue, v] {
+      int item = v;
+      queue.push(std::move(item));
+    });
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(queue.pop().value(), 1);
-  producer.join();
-  EXPECT_EQ(queue.pop().value(), 2);
+  std::vector<int> out;
+  EXPECT_EQ(queue.pop_batch(out, 2), 2u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+  // One batch pop freed two slots, so it must wake both blocked
+  // producers, not just one.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (queue.depth() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(queue.depth(), 2u);
+  queue.close();  // frees a producer left blocked, so the joins return
+  for (auto& t : producers) t.join();
+  out.clear();
+  queue.pop_batch(out, 2);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<int>{3, 4}));
 }
 
 // ----------------------------------------------------------------- ring --
@@ -141,9 +171,13 @@ TEST(TrustRing, FifoSingleThread) {
   std::vector<hv::BinVec> sent;
   for (int i = 0; i < 8; ++i) {
     sent.push_back(hv::BinVec::random(64, rng));
-    ASSERT_TRUE(ring.push(TrustedQuery{sent.back(), (i % 2) == 0}));
+    ASSERT_TRUE(ring.push(sent.back(), (i % 2) == 0));
   }
-  EXPECT_FALSE(ring.push(TrustedQuery{sent.front(), false}));  // full
+  // A full ring refuses without touching the caller's query or any entry.
+  const hv::BinVec refused = hv::BinVec::random(64, rng);
+  const hv::BinVec refused_copy = refused;
+  EXPECT_FALSE(ring.push(refused, true));
+  EXPECT_EQ(refused, refused_copy);
   TrustedQuery out;
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(ring.pop(out));
@@ -151,28 +185,59 @@ TEST(TrustRing, FifoSingleThread) {
     EXPECT_EQ(out.suspect, (i % 2) == 0);  // the taint tag rides along
   }
   EXPECT_FALSE(ring.pop(out));  // empty
+
+  // Wrap-around: ten laps at shifting fill levels. Bits and tags survive,
+  // and once every cell and the consumer hold a buffer the same
+  // capacity + 1 buffers circulate — a warm ring allocates nothing.
+  std::vector<const std::uint64_t*> buffers;
+  std::size_t next = 0;  // index of the next entry to pop
+  sent.clear();
+  std::vector<bool> tags;
+  for (int lap = 0; lap < 10; ++lap) {
+    const std::size_t fill = 1 + static_cast<std::size_t>(lap) % 8;
+    for (std::size_t i = 0; i < fill; ++i) {
+      sent.push_back(hv::BinVec::random(64, rng));
+      tags.push_back(rng.bernoulli(0.5));
+      ASSERT_TRUE(ring.push(sent.back(), tags.back()));
+    }
+    while (ring.pop(out)) {
+      EXPECT_EQ(out.query, sent[next]) << next;
+      EXPECT_EQ(out.suspect, tags[next]) << next;
+      ++next;
+      const auto* data = out.query.words().data();
+      if (std::find(buffers.begin(), buffers.end(), data) == buffers.end()) {
+        buffers.push_back(data);
+      }
+    }
+  }
+  EXPECT_EQ(next, sent.size());
+  EXPECT_LE(buffers.size(), ring.capacity() + 1);
 }
 
 TEST(TrustRing, MultiProducerNoLossNoDuplication) {
-  TrustRing ring(1024);
+  // A small ring: 2,000 entries lap it ~30 times, so producers race each
+  // other for cells and contend with a full ring throughout.
+  TrustRing ring(64);
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
+  const auto tainted = [](std::size_t id) { return id % 3 == 0; };
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      util::Xoshiro256 rng(static_cast<std::uint64_t>(p) + 100);
+    producers.emplace_back([&ring, &tainted, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         // Encode (producer, index) in the first bits of the vector.
         hv::BinVec v(64);
         const auto id = static_cast<std::size_t>(p * kPerProducer + i);
         for (std::size_t b = 0; b < 32; ++b) v.set(b, (id >> b) & 1);
-        while (!ring.push(TrustedQuery{v, false})) {
+        while (!ring.push(v, tainted(id))) {
           std::this_thread::yield();
         }
       }
     });
   }
   std::vector<int> seen(kProducers * kPerProducer, 0);
+  std::vector<const std::uint64_t*> buffers;
+  int bad_tags = 0;
   std::atomic<bool> done{false};
   std::thread consumer([&] {
     TrustedQuery out;
@@ -184,6 +249,12 @@ TEST(TrustRing, MultiProducerNoLossNoDuplication) {
           id |= static_cast<std::size_t>(out.query.get(b)) << b;
         }
         ++seen[id];
+        if (out.suspect != tainted(id)) ++bad_tags;
+        const auto* data = out.query.words().data();
+        if (std::find(buffers.begin(), buffers.end(), data) ==
+            buffers.end()) {
+          buffers.push_back(data);
+        }
         ++drained;
       } else {
         std::this_thread::yield();
@@ -196,6 +267,10 @@ TEST(TrustRing, MultiProducerNoLossNoDuplication) {
   EXPECT_TRUE(done.load());
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
                           [](int n) { return n == 1; }));
+  EXPECT_EQ(bad_tags, 0);
+  // Buffers are copied into and swapped out of the cells, never
+  // reallocated: the consumer sees at most one per cell plus its own.
+  EXPECT_LE(buffers.size(), ring.capacity() + 1);
 }
 
 // --------------------------------------------------------------- server --
@@ -710,6 +785,63 @@ TEST(Batcher, FlushesPartialBatchWhenQueueClosesMidLinger) {
   // Closed and drained: the worker exit signal.
   EXPECT_FALSE(batcher.next_batch(batch));
   EXPECT_TRUE(batch.empty());
+}
+
+TEST(Batcher, ShedRequestsNeverTakeABatchSlot) {
+  // Expired requests interleaved between live ones, as the worker's
+  // deadline predicate sees them: each is completed kExpired exactly once
+  // and the batch still fills to max_batch live requests, in FIFO order.
+  struct Item {
+    int id = 0;  ///< live ids count up from 0; expired ids from 100
+    CompletionTarget done;
+  };
+  auto completions = std::make_shared<CompletionQueue>();
+  RequestQueue<Item> queue(64);
+  Batcher<Item> batcher(queue, 4, std::chrono::nanoseconds::zero(),
+                        [](Item& item) {
+                          if (item.id < 100) return false;
+                          Response response;
+                          response.expired = true;
+                          item.done.complete(CompletionStatus::kExpired,
+                                             response);
+                          return true;
+                        });
+  const char* pattern = "EELELLEEELLELEELLLELEE";  // E expired, L live
+  int live = 0, expired = 100;
+  for (const char* c = pattern; *c != '\0'; ++c) {
+    const int id = *c == 'L' ? live++ : expired++;
+    Item item{id, CompletionTarget(completions,
+                                   static_cast<std::uint64_t>(id))};
+    ASSERT_TRUE(queue.try_push(item));
+  }
+  queue.close();
+
+  std::vector<std::vector<int>> batches;
+  std::vector<Item> batch;
+  while (batcher.next_batch(batch)) {
+    batches.emplace_back();
+    for (auto& item : batch) {
+      batches.back().push_back(item.id);
+      item.done.complete(CompletionStatus::kAnswered, Response{});
+    }
+  }
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batches, (std::vector<std::vector<int>>{
+                         {0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9}}));
+
+  std::vector<Completion> out;
+  completions->drain(out);
+  std::vector<int> times(static_cast<std::size_t>(expired), 0);
+  for (const auto& c : out) {
+    ++times[c.tag];
+    const bool is_expired = c.tag >= 100;
+    EXPECT_EQ(c.status, is_expired ? CompletionStatus::kExpired
+                                   : CompletionStatus::kAnswered)
+        << c.tag;
+  }
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(live + expired - 100));
+  for (int id = 0; id < live; ++id) EXPECT_EQ(times[id], 1) << id;
+  for (int id = 100; id < expired; ++id) EXPECT_EQ(times[id], 1) << id;
 }
 
 TEST(Server, ShutdownMidLingerAnswersEveryAcceptedRequest) {
