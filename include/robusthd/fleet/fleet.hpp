@@ -105,23 +105,32 @@ class Fleet {
   std::future<serve::Response> submit(std::uint64_t tenant_id,
                                       hv::BinVec query);
 
-  /// Non-blocking admission, completing into `completions` instead of a
-  /// future (the frontend's path). Returns kNone when the request was
-  /// accepted: exactly one serve::Completion carrying `tag` will be
-  /// pushed to `completions`. Otherwise says why it was refused, and
-  /// nothing will be: the target shard's queue was full (counted into
-  /// FleetStats::rejected via the shard), or — with a finite `deadline`
-  /// — the request cannot make it, because the deadline has passed or
-  /// the routed shard's estimated queue wait exceeds the remaining
-  /// budget (queue-aware admission; both counted as deadline_sheds).
+  /// The health-aware routing decision for a tenant (no submission).
+  /// Counts a failover or an unrouteable shed, so route a request once.
+  Router::Decision route(std::uint64_t tenant_id) noexcept;
+
+  /// Deadline triage for a routed request, before it is answered or
+  /// queued: true when a finite `deadline` has already passed, counted
+  /// into FleetStats::deadline_sheds. The caller owes its client a
+  /// kDeadlineExceeded instead of an answer.
+  bool shed_expired(std::chrono::steady_clock::time_point deadline);
+
+  /// Non-blocking admission of a request route() sent to `shard`,
+  /// completing into `completions` instead of a future (the frontend's
+  /// queue path). Returns kNone when the request was accepted: exactly one
+  /// serve::Completion carrying `tag` will be pushed to `completions`.
+  /// Otherwise says why it was refused, and nothing will be: the shard's
+  /// queue was full (counted into FleetStats::rejected via the shard), or
+  /// — with a finite `deadline` — the request cannot make it, because the
+  /// deadline has passed or the shard's estimated queue wait exceeds the
+  /// remaining budget (queue-aware admission; both counted as
+  /// deadline_sheds). Throws std::out_of_range when `shard` is not below
+  /// shard_count().
   SubmitReject try_submit_to(
-      std::uint64_t tenant_id, hv::BinVec query,
+      std::size_t shard, hv::BinVec query,
       std::chrono::steady_clock::time_point deadline,
       const std::shared_ptr<serve::CompletionQueue>& completions,
       std::uint64_t tag);
-
-  /// The health-aware routing decision for a tenant (no submission).
-  Router::Decision route(std::uint64_t tenant_id) noexcept;
 
   FleetStats stats() const;
 

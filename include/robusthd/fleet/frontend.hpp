@@ -3,27 +3,45 @@
 //
 // One listener + one poll(2) event loop thread per shard: shard i's
 // endpoint is ports()[i]. A connection may still talk about any tenant
-// — every predict request is routed through Fleet::try_submit (so
+// — every predict request is routed through Fleet::route (so
 // server-side failover and breaker shedding apply no matter which port
 // the client picked); connecting to the tenant's primary port is a
 // locality optimisation the client-side router makes, not a
 // correctness requirement.
 //
-// The loop never blocks on inference. A predict request is submitted
-// with a completion target (Fleet::try_submit_to): the loop's
-// serve::CompletionQueue and a tag naming the connection, its
-// generation and the request. Workers push each outcome (answered,
-// expired in queue, or dropped at shutdown, as an explicit status) into
-// that queue and ring its eventfd, which sits in the loop's poll set next
-// to the sockets — so one poll(2) waits for input and completions alike,
-// and no request waits for another connection's inference. A completion
-// whose connection closed meanwhile is dropped, even when a new peer
-// already holds the same fd number: every connection carries a
-// generation the completion must match. stop() wakes the loop through
-// the same eventfd, and the only poll timeout left is the reapers' next
-// deadline (read_deadline, idle_timeout). All reads and writes for a
-// connection happen on its shard's loop thread, so per-connection state
-// needs no locks; only counters are atomic.
+// Each loop iteration reads every ready connection, then dispatches the
+// predict requests it collected. Each is routed once, and one whose
+// propagated deadline has passed is shed (Fleet::shed_expired). The
+// first max_batch requests routed to the loop's own shard may be
+// answered on the loop itself, through the workers' own per-batch code
+// (serve::Server::answer_now), with the answers framed in the same
+// iteration (FrontendCounters::answered_inline). That happens only when
+// the shard is idle (queue open and empty, batch_linger zero) and it
+// pays: the shard's measured service time for the batch is no longer
+// than its measured hand-off to an idle worker (Server::inline_pays).
+// So a loop only ever scores batches cheaper than the wake-up it saves,
+// and a heavy model keeps all its scoring on its (possibly many)
+// workers. Loop-answered requests run on the loop thread, which
+// ShardConfig::cpus does not pin.
+//
+// Everything else (another shard's requests, a busy, lingering or heavy
+// shard, a fresh shard that has not measured its costs yet, the rest of
+// a burst larger than one batch) takes the queue path, where the loop
+// never blocks on inference. The request is submitted with a completion
+// target (Fleet::try_submit_to): the loop's serve::CompletionQueue and a
+// tag naming the connection, its generation and the request. Workers push
+// each outcome (answered, expired in queue, or dropped at shutdown, as
+// an explicit status) into that queue and ring its eventfd, which sits
+// in the loop's poll set next to the sockets — so one poll(2) waits for
+// input and completions alike, and no request waits for another
+// connection's inference. A completion whose connection closed
+// meanwhile is dropped, even when a new peer already holds the same fd
+// number: every connection carries a generation the completion must
+// match. stop() wakes the loop through the same eventfd, and the only
+// poll timeout left is the reapers' next deadline (read_deadline,
+// idle_timeout). All reads and writes for a connection happen on its
+// shard's loop thread, so per-connection state needs no locks; only
+// counters are atomic.
 //
 // Framing violations (bad magic/CRC/length — see fleet/wire.hpp) poison
 // the connection and it is closed without a reply; semantically invalid
@@ -86,6 +104,9 @@ struct FrontendCounters {
   /// Completions that arrived after their connection had closed: dropped
   /// unframed, even when a new peer already holds the same fd number.
   std::uint64_t stale_completions = 0;
+  /// Predict requests the loop answered itself (Server::answer_now)
+  /// instead of queueing them for the shard's workers.
+  std::uint64_t answered_inline = 0;
 };
 
 class Frontend {
@@ -132,6 +153,7 @@ class Frontend {
   std::atomic<std::uint64_t> deadline_sheds_{0};
   std::atomic<std::uint64_t> reaped_connections_{0};
   std::atomic<std::uint64_t> stale_completions_{0};
+  std::atomic<std::uint64_t> answered_inline_{0};
 
   void loop_main(Loop& loop);
   friend struct Loop;

@@ -11,6 +11,12 @@
 // Pushes after close fail; pops continue to *drain* whatever was accepted
 // before the close and only then report exhaustion. Graceful shutdown is
 // therefore "close, then join consumers": no accepted request is dropped.
+//
+// Bypass: a producer may serve a batch on its own thread instead of
+// pushing it, but only while the queue is open and empty, which is when a
+// consumer would take the batch at once anyway. Bypasses are granted
+// under the same lock as close(), so none starts after a close, and
+// wait_bypasses() lets shutdown wait out the ones already running.
 
 #include <algorithm>
 #include <chrono>
@@ -91,6 +97,31 @@ class RequestQueue {
     return take_batch(lock, out, max);
   }
 
+  /// Grants a bypass when the queue is open and empty; every grant must
+  /// be ended with end_bypass().
+  bool try_bypass() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_ || !items_.empty()) return false;
+    ++bypasses_;
+    return true;
+  }
+
+  void end_bypass() {
+    bool last_after_close = false;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      last_after_close = --bypasses_ == 0 && closed_;
+    }
+    if (last_after_close) bypass_done_.notify_all();
+  }
+
+  /// Call after close(): blocks until every bypass granted before the
+  /// close has ended (none can start after it).
+  void wait_bypasses() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    bypass_done_.wait(lock, [&] { return bypasses_ == 0; });
+  }
+
   /// Rejects future pushes and wakes every waiter. Idempotent.
   void close() {
     {
@@ -146,7 +177,9 @@ class RequestQueue {
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
+  std::condition_variable bypass_done_;
   std::deque<T> items_;
+  std::size_t bypasses_ = 0;  ///< bypasses granted and not yet ended
   bool closed_ = false;
 };
 

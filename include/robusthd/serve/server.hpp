@@ -16,6 +16,14 @@
 // independent of recovery activity — the paper's "repair while serving"
 // claim, made concrete.
 //
+// An event loop holding a whole batch may skip the queue: answer_now()
+// scores it on the caller's thread through the workers' own per-batch
+// code, but only when the queue is open and empty and batch_linger is
+// zero, so it never overtakes queued work or defeats a linger.
+// inline_pays() says whether doing so is worth it: whether the batch is
+// expected to take less time than handing it to an idle worker, as the
+// server has measured both.
+//
 // Determinism: scoring is pure, so for a fixed model snapshot the
 // server's predictions are bit-identical to calling HdcModel::predict
 // serially — batching, worker count and scheduling cannot change a
@@ -30,9 +38,9 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <vector>
-
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "robusthd/fault/injector.hpp"
 #include "robusthd/hv/binvec.hpp"
@@ -96,7 +104,37 @@ struct ServerConfig {
 };
 
 class Server {
+  struct Request;
+
  public:
+  /// One thread's scoring context: its cached snapshot and quarantine
+  /// mask, its encode and score workspaces, and the buffers of the batch
+  /// it is serving. Each worker owns one, and so does an event loop that
+  /// answers with answer_now(). Use it from one thread at a time.
+  class Lane {
+   public:
+    /// The answers of the lane's last batch, in query order.
+    std::span<const Response> responses() const noexcept {
+      return responses_;
+    }
+
+   private:
+    friend class Server;
+    std::shared_ptr<const model::HdcModel> model_;
+    std::uint64_t version_ = 0;
+    /// null means the quarantine is empty: unmasked kernels.
+    std::shared_ptr<const QuarantineMask> qmask_;
+    std::uint64_t qmask_version_ = 0;
+    hv::EncodeWorkspace encode_ws_;
+    model::ScoreWorkspace score_ws_;
+    std::vector<Request> batch_;
+    std::vector<const hv::BinVec*> query_ptrs_;
+    std::vector<Response> responses_;
+    /// Debug builds check that a warmed encode workspace never grows.
+    bool encode_warmed_ = false;
+    std::pair<std::size_t, std::size_t> encode_sig_{};
+  };
+
   /// Takes ownership of the model (it becomes snapshot version 0).
   /// Throws std::invalid_argument when recovery is enabled on a
   /// multi-bit model (the substitution operator is binary-only).
@@ -140,6 +178,24 @@ class Server {
                      std::chrono::steady_clock::time_point deadline,
                      std::shared_ptr<CompletionQueue> completions,
                      std::uint64_t tag);
+
+  /// Answers `queries` as one batch on the calling thread, through the
+  /// same per-batch code the workers run, when a worker would take them
+  /// at once: the queue is open and empty, batch_linger is zero and there
+  /// are at most max_batch queries. Then it moves the queries out, leaves
+  /// their answers in lane.responses() and returns true; the batch counts
+  /// in submitted, completed and batches, with zero queue wait. Otherwise
+  /// it touches nothing and returns false, and the caller queues them.
+  bool answer_now(Lane& lane, std::span<hv::BinVec> queries);
+
+  /// Whether answer_now() on `n` queries is expected to finish sooner
+  /// than handing them to a worker would: their estimated service time
+  /// (mean batch service time ÷ mean batch size × n) is at most the mean
+  /// hand-off, the time a request waits for an idle worker to wake up.
+  /// Workers measure the hand-off; batches on either path measure the
+  /// service time. False until both have been measured, so a fresh
+  /// server's first batch goes to a worker. Cheap: a few relaxed loads.
+  bool inline_pays(std::size_t n) const;
 
   /// Enqueues a raw (normalised) feature vector; a worker encodes it with
   /// ServerConfig::encoder before scoring. Throws std::logic_error when no
@@ -259,6 +315,13 @@ class Server {
   /// is left armed for the caller to dispose of.
   bool admit(Request& request, bool block);
   void worker_main(std::size_t worker_index);
+  /// Expected time to score `n` queries, from the mean batch service time
+  /// and the mean batch size; 0 before any batch has been measured.
+  double estimated_service_ns(std::size_t n) const;
+  /// Serves lane.batch_, begun at `started`: scores it on one snapshot
+  /// (or abstains while the breaker is open), offers trusted answers to
+  /// the scrubber, records the stats and completes every request.
+  void run_batch(Lane& lane, std::chrono::steady_clock::time_point started);
   /// Rebuilds and epoch-publishes the worker-side quarantine mask from the
   /// sentinel's excluded set (rung (b) hook).
   void apply_quarantine(const std::vector<bool>& excluded);
@@ -320,6 +383,9 @@ class Server {
   LatencyHistogram queue_wait_;
   LatencyHistogram service_;
   LatencyHistogram end_to_end_;
+  /// Queue wait of the requests that arrived while a worker was idle: the
+  /// cost of one hand-off, which answering inline saves (inline_pays).
+  LatencyHistogram handoff_;
   BatchSizeDistribution batch_sizes_;
 
   /// reset_stats() baselines for counters owned by the subsystems (the

@@ -61,30 +61,33 @@ std::future<serve::Response> Fleet::submit(std::uint64_t tenant_id,
   return shards_[d.shard]->server().submit(std::move(query));
 }
 
+bool Fleet::shed_expired(std::chrono::steady_clock::time_point deadline) {
+  if (deadline == std::chrono::steady_clock::time_point::max() ||
+      std::chrono::steady_clock::now() < deadline) {
+    return false;
+  }
+  deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
 SubmitReject Fleet::try_submit_to(
-    std::uint64_t tenant_id, hv::BinVec query,
+    std::size_t shard, hv::BinVec query,
     std::chrono::steady_clock::time_point deadline,
     const std::shared_ptr<serve::CompletionQueue>& completions,
     std::uint64_t tag) {
-  const auto d = route(tenant_id);
+  auto& server = shards_.at(shard)->server();
   if (deadline != std::chrono::steady_clock::time_point::max()) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-      return SubmitReject::kDeadline;
-    }
+    if (shed_expired(deadline)) return SubmitReject::kDeadline;
     // Queue-aware admission: refusing now costs the client one cheap
     // error frame; admitting a request the queue cannot serve in time
     // costs a queue slot, a dequeue, and a shed anyway.
-    const auto wait = std::chrono::nanoseconds(
-        shards_[d.shard]->server().estimated_wait_ns());
-    if (now + wait >= deadline) {
+    const auto wait = std::chrono::nanoseconds(server.estimated_wait_ns());
+    if (std::chrono::steady_clock::now() + wait >= deadline) {
       deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
       return SubmitReject::kPredictedLate;
     }
   }
-  return shards_[d.shard]->server().try_submit_to(std::move(query), deadline,
-                                                   completions, tag)
+  return server.try_submit_to(std::move(query), deadline, completions, tag)
              ? SubmitReject::kNone
              : SubmitReject::kQueueFull;
 }

@@ -67,6 +67,18 @@ struct Connection {
   std::size_t unflushed() const noexcept { return out.size() - out_off; }
 };
 
+/// A validated predict request from this iteration's read pass, waiting
+/// to be answered or queued. Its connection stays in the loop's table
+/// until the iteration ends, so the pointer is good until then.
+struct Pending {
+  Connection* conn = nullptr;  ///< null once dispatched
+  std::uint64_t tenant_id = 0;
+  std::uint64_t request_id = 0;
+  std::chrono::steady_clock::time_point deadline;
+  hv::BinVec query;
+  std::size_t shard = 0;  ///< set by dispatch's one routing decision
+};
+
 /// A request in a shard's queue, remembered until its completion comes
 /// back. The tag handed to the server is the entry's slot index.
 struct Inflight {
@@ -87,6 +99,9 @@ struct Frontend::Loop {
   std::uint64_t next_generation = 1;
   std::vector<Inflight> inflight;  ///< slot table, indexed by tag
   std::vector<std::uint64_t> free_slots;
+  /// Scoring context for the batches this loop answers itself
+  /// (serve::Server::answer_now); only its own shard's.
+  serve::Server::Lane lane;
 
   std::uint64_t take_slot(const Inflight& entry) {
     if (free_slots.empty()) {
@@ -185,6 +200,7 @@ FrontendCounters Frontend::counters() const {
   c.reaped_connections =
       reaped_connections_.load(std::memory_order_relaxed);
   c.stale_completions = stale_completions_.load(std::memory_order_relaxed);
+  c.answered_inline = answered_inline_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -192,6 +208,12 @@ void Frontend::loop_main(Loop& loop) {
   std::vector<pollfd> fds;
   std::vector<int> to_close;
   std::vector<serve::Completion> completed;
+  std::vector<Pending> pending;
+  std::vector<std::size_t> group;  ///< pending indices of the own shard's batch
+  std::vector<hv::BinVec> batch;   ///< their queries, in the same order
+  /// Frames parsed this iteration; frames_in counts them only once they
+  /// have been answered, queued or refused.
+  std::uint64_t frames_read = 0;
 
   const auto close_conn = [&](int fd) { to_close.push_back(fd); };
 
@@ -202,8 +224,24 @@ void Frontend::loop_main(Loop& loop) {
     frames_out_.fetch_add(1, std::memory_order_relaxed);
   };
 
+  const auto send_answer = [&](Connection& conn, std::uint64_t tenant_id,
+                               std::uint64_t request_id,
+                               const serve::Response& response) {
+    wire::PredictResult result;
+    result.predicted = response.predicted;
+    result.confidence = response.confidence;
+    result.model_version = response.model_version;
+    result.trusted = response.trusted;
+    result.degraded = response.degraded;
+    result.abstained = response.abstained;
+    wire::append_predict_response(conn.out, tenant_id, request_id, result);
+    frames_out_.fetch_add(1, std::memory_order_relaxed);
+  };
+
+  // Parses and validates; a valid predict request joins `pending` for
+  // dispatch after the read pass.
   const auto handle_frame = [&](Connection& conn, const wire::Frame& frame) {
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
+    ++frames_read;
     switch (frame.type) {
       case wire::FrameType::kPing:
         wire::append_frame(conn.out, wire::FrameType::kPong, 0,
@@ -234,36 +272,8 @@ void Frontend::loop_main(Loop& loop) {
           deadline = std::chrono::steady_clock::now() +
                      std::chrono::milliseconds(frame.deadline_ms);
         }
-        const std::uint64_t tag = loop.take_slot(
-            {conn.fd, conn.generation, frame.tenant_id, frame.request_id});
-        const SubmitReject reject = fleet_.try_submit_to(
-            frame.tenant_id, std::move(query), deadline, loop.completions,
-            tag);
-        if (reject == SubmitReject::kNone) {
-          ++conn.in_flight;
-          return true;
-        }
-        loop.free_slots.push_back(tag);
-        if (reject == SubmitReject::kDeadline) {
-          // The budget was spent before we could even enqueue —
-          // retrying is futile and the error code says so.
-          deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-          send_error(conn, frame.tenant_id, frame.request_id,
-                     wire::ErrorCode::kDeadlineExceeded,
-                     "deadline passed before enqueue");
-        } else if (reject == SubmitReject::kPredictedLate) {
-          // Early kBusy: the queue cannot serve it within the budget,
-          // but another shard (or a later retry) still might.
-          deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-          busy_rejections_.fetch_add(1, std::memory_order_relaxed);
-          send_error(conn, frame.tenant_id, frame.request_id,
-                     wire::ErrorCode::kBusy,
-                     "estimated queue wait exceeds deadline");
-        } else {
-          busy_rejections_.fetch_add(1, std::memory_order_relaxed);
-          send_error(conn, frame.tenant_id, frame.request_id,
-                     wire::ErrorCode::kBusy, "shard queue full");
-        }
+        pending.push_back({&conn, frame.tenant_id, frame.request_id, deadline,
+                           std::move(query)});
         return true;
       }
       default:
@@ -287,19 +297,9 @@ void Frontend::loop_main(Loop& loop) {
     Connection& conn = *it->second;
     --conn.in_flight;
     switch (c.status) {
-      case serve::CompletionStatus::kAnswered: {
-        wire::PredictResult result;
-        result.predicted = c.response.predicted;
-        result.confidence = c.response.confidence;
-        result.model_version = c.response.model_version;
-        result.trusted = c.response.trusted;
-        result.degraded = c.response.degraded;
-        result.abstained = c.response.abstained;
-        wire::append_predict_response(conn.out, slot.tenant_id,
-                                      slot.request_id, result);
-        frames_out_.fetch_add(1, std::memory_order_relaxed);
+      case serve::CompletionStatus::kAnswered:
+        send_answer(conn, slot.tenant_id, slot.request_id, c.response);
         return;
-      }
       case serve::CompletionStatus::kExpired:
         // Shed in-queue by the server: nobody scored it, so there is no
         // prediction to frame — surface the spent budget instead.
@@ -314,6 +314,91 @@ void Frontend::loop_main(Loop& loop) {
                    "request dropped in shutdown");
         return;
     }
+  };
+
+  // The budget was spent before we could even enqueue — retrying is
+  // futile and the error code says so.
+  const auto refuse_expired = [&](const Pending& p) {
+    deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+    send_error(*p.conn, p.tenant_id, p.request_id,
+               wire::ErrorCode::kDeadlineExceeded,
+               "deadline passed before enqueue");
+  };
+
+  // The queue path: queue-aware admission into the routed shard, whose
+  // workers complete the request into this loop's completion queue.
+  const auto enqueue = [&](const Pending& p, hv::BinVec query) {
+    Connection& conn = *p.conn;
+    const std::uint64_t tag = loop.take_slot(
+        {conn.fd, conn.generation, p.tenant_id, p.request_id});
+    const SubmitReject reject = fleet_.try_submit_to(
+        p.shard, std::move(query), p.deadline, loop.completions, tag);
+    if (reject == SubmitReject::kNone) {
+      ++conn.in_flight;
+      return;
+    }
+    loop.free_slots.push_back(tag);
+    if (reject == SubmitReject::kDeadline) {
+      refuse_expired(p);
+    } else if (reject == SubmitReject::kPredictedLate) {
+      // Early kBusy: the queue cannot serve it within the budget, but
+      // another shard (or a later retry) still might.
+      deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+      busy_rejections_.fetch_add(1, std::memory_order_relaxed);
+      send_error(conn, p.tenant_id, p.request_id, wire::ErrorCode::kBusy,
+                 "estimated queue wait exceeds deadline");
+    } else {
+      busy_rejections_.fetch_add(1, std::memory_order_relaxed);
+      send_error(conn, p.tenant_id, p.request_id, wire::ErrorCode::kBusy,
+                 "shard queue full");
+    }
+  };
+
+  // Answers or queues everything the read pass collected. Each request is
+  // routed once, so failovers and unrouteable sheds count once whichever
+  // path answers it, and one whose budget is already spent is shed. The
+  // first max_batch requests routed to this loop's own shard are answered
+  // on this thread when the shard is idle and scoring them is expected to
+  // take less time than the hand-off to a worker (Server::inline_pays,
+  // Server::answer_now). Everything else takes the queue path.
+  const auto dispatch = [&] {
+    auto& server = fleet_.shard(loop.shard).server();
+    group.clear();
+    batch.clear();
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      Pending& p = pending[i];
+      p.shard = fleet_.route(p.tenant_id).shard;
+      if (fleet_.shed_expired(p.deadline)) {
+        refuse_expired(p);
+        p.conn = nullptr;
+      } else if (p.shard == loop.shard &&
+                 group.size() < server.config().max_batch) {
+        group.push_back(i);
+        batch.push_back(std::move(p.query));
+      }
+    }
+    const bool answered = !group.empty() &&
+                          server.inline_pays(group.size()) &&
+                          server.answer_now(loop.lane, batch);
+    if (answered) {
+      answered_inline_.fetch_add(group.size(), std::memory_order_relaxed);
+    }
+    // The group goes first: a request queued before it would make
+    // answer_now refuse.
+    for (std::size_t j = 0; j < group.size(); ++j) {
+      Pending& p = pending[group[j]];
+      if (answered) {
+        send_answer(*p.conn, p.tenant_id, p.request_id,
+                    loop.lane.responses()[j]);
+      } else {
+        enqueue(p, std::move(batch[j]));
+      }
+      p.conn = nullptr;
+    }
+    for (auto& p : pending) {
+      if (p.conn != nullptr) enqueue(p, std::move(p.query));
+    }
+    pending.clear();
   };
 
   const auto flush = [&](int fd, Connection& conn) -> bool {
@@ -447,6 +532,11 @@ void Frontend::loop_main(Loop& loop) {
         }
       }
     }
+
+    // Answer or queue what was read.
+    dispatch();
+    frames_in_.fetch_add(frames_read, std::memory_order_relaxed);
+    frames_read = 0;
 
     // Reap connections stuck mid-frame past the read deadline (slowloris
     // defense) and — when configured — connections idle with nothing in

@@ -311,17 +311,22 @@ std::uint64_t Server::load_model(const std::string& path) {
   }
 }
 
-std::uint64_t Server::estimated_wait_ns() const {
-  const std::size_t depth = queue_.depth();
-  if (depth == 0) return 0;
-  const double mean_batch_service = service_.mean_ns();
+double Server::estimated_service_ns(std::size_t n) const {
   const double mean_batch = batch_sizes_.mean();
-  if (mean_batch_service <= 0.0) return 0;  // nothing measured yet
-  // depth / mean_batch batches are ahead of a request admitted now, each
-  // costing roughly one mean batch service time.
-  return static_cast<std::uint64_t>(static_cast<double>(depth) *
-                                    mean_batch_service /
-                                    (mean_batch < 1.0 ? 1.0 : mean_batch));
+  // n / mean_batch batches, each costing roughly one mean batch service
+  // time (0 while nothing has been measured).
+  return static_cast<double>(n) * service_.mean_ns() /
+         (mean_batch < 1.0 ? 1.0 : mean_batch);
+}
+
+std::uint64_t Server::estimated_wait_ns() const {
+  // The queued requests are ahead of one admitted now.
+  return static_cast<std::uint64_t>(estimated_service_ns(queue_.depth()));
+}
+
+bool Server::inline_pays(std::size_t n) const {
+  const double service = estimated_service_ns(n);
+  return service > 0.0 && service <= handoff_.mean_ns();
 }
 
 void Server::drain() {
@@ -339,6 +344,10 @@ void Server::shutdown() {
   if (sentinel_) sentinel_->stop();  // then stop escalating
   queue_.close();     // wakes workers; pops drain accepted requests
   workers_.join();    // every accepted request is now completed
+  // No answer_now() starts after the close; wait out any still running,
+  // or its trust offers would land in a stopped scrubber's ring and
+  // drain() would wait for them forever.
+  queue_.wait_bypasses();
   if (scrubber_) scrubber_->stop();  // final ring drain, then halt
   // Last: the scrubber's final publications are already appended, so this
   // closes one last epoch over them — a graceful shutdown loses nothing.
@@ -458,6 +467,7 @@ void Server::reset_stats() {
   queue_wait_.reset();
   service_.reset();
   end_to_end_.reset();
+  handoff_.reset();
   batch_sizes_.reset();
   const std::lock_guard<std::mutex> baseline_lock(baseline_mutex_);
   if (scrubber_) scrub_baseline_ = scrubber_->counters();
@@ -519,148 +529,171 @@ void Server::worker_main(std::size_t worker_index) {
         request.done.complete(CompletionStatus::kExpired, response);
         return true;
       });
-  const model::ConfidenceConfig confidence =
+  Lane lane;
+  for (auto idle_since = std::chrono::steady_clock::now();
+       batcher.next_batch(lane.batch_);
+       idle_since = std::chrono::steady_clock::now()) {
+    const auto started = std::chrono::steady_clock::now();
+    // A request that arrived while this worker was idle waited only for it
+    // to wake up: that wait is the hand-off inline_pays() weighs.
+    const auto first = lane.batch_.front().enqueued;
+    if (first > idle_since) handoff_.record(elapsed_ns(first, started));
+    run_batch(lane, started);
+  }
+}
+
+bool Server::answer_now(Lane& lane, std::span<hv::BinVec> queries) {
+  if (queries.empty() || queries.size() > config_.max_batch ||
+      config_.batch_linger.count() != 0 || !queue_.try_bypass()) {
+    return false;
+  }
+  // The bypass keeps shutdown() from stopping the scrubber until this
+  // batch's trust offers have landed.
+  struct EndBypass {
+    RequestQueue<Request>& queue;
+    ~EndBypass() { queue.end_bypass(); }
+  } end_bypass{queue_};
+  // Enqueued the moment the batch starts: zero queue wait, and end to end
+  // is the batch's own service time. No completion target: the answers
+  // stay in the lane for the caller.
+  const auto started = std::chrono::steady_clock::now();
+  lane.batch_.clear();
+  for (auto& query : queries) {
+    lane.batch_.push_back(Request{std::move(query), {}, false,
+                                  CompletionTarget(), started});
+  }
+  submitted_.fetch_add(queries.size(), std::memory_order_relaxed);
+  run_batch(lane, started);
+  lane.batch_.clear();  // the queries are answered: free them now
+  return true;
+}
+
+void Server::run_batch(Lane& lane,
+                       std::chrono::steady_clock::time_point started) {
+  auto& batch = lane.batch_;
+  auto& responses = lane.responses_;
+  const model::ConfidenceConfig& confidence =
       config_.scrubber.recovery.confidence;
   const double trust_threshold =
       config_.scrubber.recovery.confidence_threshold;
 
-  // Per-worker cached snapshot: refreshed only when the published version
-  // moves, so steady-state batches take no lock at all.
-  std::shared_ptr<const model::HdcModel> model;
-  std::uint64_t version = 0;
+  // One snapshot per batch: every query in the batch is scored against
+  // the same immutable model, however the scrubber races us. The lane's
+  // cached snapshot and quarantine mask are refreshed only when their
+  // published versions move, so steady-state batches take no lock.
+  snapshot_.refresh(lane.model_, lane.version_);
+  if (quarantine_version_.load(std::memory_order_acquire) !=
+      lane.qmask_version_) {
+    const std::lock_guard<std::mutex> lock(quarantine_mutex_);
+    lane.qmask_ = quarantine_;
+    lane.qmask_version_ = quarantine_version_.load(std::memory_order_relaxed);
+  }
+  const auto& model = lane.model_;
+  const std::uint64_t version = lane.version_;
+  batch_sizes_.record(batch.size());
+  responses.assign(batch.size(), Response{});
 
-  // Per-worker cached quarantine mask, same epoch pattern. null means the
-  // quarantine is empty and scoring takes the unmasked kernels.
-  std::shared_ptr<const QuarantineMask> qmask;
-  std::uint64_t qmask_version = 0;
-
-  // Per-worker reusable workspaces. Encoding and batch scoring run through
-  // these, so after the first full-sized batch the hot path performs no
-  // heap allocations per request (asserted below in debug builds).
-  hv::EncodeWorkspace encode_ws;
-  model::ScoreWorkspace score_ws;
-  std::vector<const hv::BinVec*> query_ptrs;
-#ifndef NDEBUG
-  bool encode_warmed = false;
-  std::pair<std::size_t, std::size_t> encode_sig{};
-#endif
-
-  std::vector<Request> batch;
-  std::vector<Response> responses;
-  while (batcher.next_batch(batch)) {
-    // One snapshot per batch: every query in the batch is scored against
-    // the same immutable model, however the scrubber races us.
-    snapshot_.refresh(model, version);
-    if (quarantine_version_.load(std::memory_order_acquire) !=
-        qmask_version) {
-      const std::lock_guard<std::mutex> lock(quarantine_mutex_);
-      qmask = quarantine_;
-      qmask_version = quarantine_version_.load(std::memory_order_relaxed);
+  if (breaker_open_.load(std::memory_order_acquire)) {
+    // Rung (c): breaker open — shed the whole batch with explicit
+    // abstentions, no encoding, no scoring. Clients get an answer (not
+    // a hang) and retry once the sentinel has republished the
+    // last-good model.
+    for (auto& response : responses) {
+      response.abstained = true;
+      response.model_version = version;
     }
-    batch_sizes_.record(batch.size());
-    const auto dequeued = std::chrono::steady_clock::now();
-    responses.assign(batch.size(), Response{});
-
-    if (breaker_open_.load(std::memory_order_acquire)) {
-      // Rung (c): breaker open — shed the whole batch with explicit
-      // abstentions, no encoding, no scoring. Clients get an answer (not
-      // a hang) and retry once the sentinel has republished the
-      // last-good model.
-      for (auto& response : responses) {
-        response.abstained = true;
-        response.model_version = version;
-      }
-      abstained_.fetch_add(batch.size(), std::memory_order_relaxed);
-    } else {
-      // Server-side encoding for feature-mode requests, through the
-      // worker's persistent workspace (the encoder's bit-sliced counter
-      // is reused).
-      [[maybe_unused]] bool encoded_any = false;
-      for (auto& request : batch) {
-        if (request.from_features) {
-          config_.encoder->encode_into(request.features, request.query,
-                                       encode_ws);
-          encoded_any = true;
-        }
-      }
-#ifndef NDEBUG
-      if (encoded_any) {
-        // Steady-state invariant: once warmed, encoding a request must not
-        // grow the workspace — i.e. the encode path really is
-        // allocation-free.
-        assert(!encode_warmed ||
-               encode_ws.capacity_signature() == encode_sig);
-        encode_sig = encode_ws.capacity_signature();
-        encode_warmed = true;
-      }
-#endif
-
-      // Score the whole batch in one blocked pass over the class planes.
-      query_ptrs.resize(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        query_ptrs[i] = &batch[i].query;
-      }
-      // Rung (b): with a non-empty quarantine, score over the surviving
-      // dimensions only (masked kernels) and flag the answers degraded.
-      // The confidence model then sees kept_dims as the effective
-      // dimension.
-      const bool degraded = qmask != nullptr;
-      std::size_t effective_dim = model->dimension();
-      if (degraded) {
-        model->scores_batch_masked(query_ptrs, qmask->words,
-                                   qmask->kept_dims, score_ws);
-        effective_dim = qmask->kept_dims;
-        degraded_.fetch_add(batch.size(), std::memory_order_relaxed);
-      } else {
-        model->scores_batch(query_ptrs, score_ws);
-      }
-      const std::size_t k = model->num_classes();
-
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        const std::span<const double> similarities(
-            score_ws.scores.data() + i * k, k);
-        const auto conf =
-            model::assess(similarities, confidence, effective_dim);
-
-        Response& response = responses[i];
-        response.predicted = conf.predicted;
-        response.confidence = conf.top_probability;
-        response.model_version = version;
-        response.degraded = degraded;
-        if (scrubber_ && conf.top_probability >= trust_threshold) {
-          // Pre-filter only: the trust gate (margin floor, fair-share
-          // rate limit, canary agreement) decides admission, and the
-          // engine re-runs its own gates on the scrub thread. A full ring
-          // drops the hint — serving latency must not wait on recovery.
-          // Gate rejections are counted by the gate itself, not as ring
-          // drops.
-          response.trusted = true;
-          trusted_.fetch_add(1, std::memory_order_relaxed);
-          const auto outcome = scrubber_->offer_trusted(
-              batch[i].query, conf.predicted, conf.margin);
-          if (outcome == Scrubber::OfferOutcome::kRingFull) {
-            scrub_dropped_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+    abstained_.fetch_add(batch.size(), std::memory_order_relaxed);
+  } else {
+    // Server-side encoding for feature-mode requests, through the
+    // lane's persistent workspace (the encoder's bit-sliced counter is
+    // reused), so after the first full-sized batch the hot path performs
+    // no heap allocations per request.
+    [[maybe_unused]] bool encoded_any = false;
+    for (auto& request : batch) {
+      if (request.from_features) {
+        config_.encoder->encode_into(request.features, request.query,
+                                     lane.encode_ws_);
+        encoded_any = true;
       }
     }
+#ifndef NDEBUG
+    if (encoded_any) {
+      // Steady-state invariant: once warmed, encoding a request must not
+      // grow the workspace — i.e. the encode path really is
+      // allocation-free.
+      assert(!lane.encode_warmed_ ||
+             lane.encode_ws_.capacity_signature() == lane.encode_sig_);
+      lane.encode_sig_ = lane.encode_ws_.capacity_signature();
+      lane.encode_warmed_ = true;
+    }
+#endif
 
-    // Every answer of the batch is ready: record and complete them in one
-    // pass, so a caller waiting on the first answer wakes once per batch
-    // rather than once per request. The batch is the unit of work, so each
-    // of its requests records the batch's whole service time.
-    const auto end = std::chrono::steady_clock::now();
-    const std::uint64_t service = elapsed_ns(dequeued, end);
+    // Score the whole batch in one blocked pass over the class planes.
+    auto& query_ptrs = lane.query_ptrs_;
+    query_ptrs.resize(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      auto& request = batch[i];
-      queue_wait_.record(elapsed_ns(request.enqueued, dequeued));
-      service_.record(service);
-      end_to_end_.record(elapsed_ns(request.enqueued, end));
-      // Count before completing: once a client sees its answer,
-      // stats().completed already includes it.
-      completed_.fetch_add(1, std::memory_order_release);
-      request.done.complete(CompletionStatus::kAnswered, responses[i]);
+      query_ptrs[i] = &batch[i].query;
     }
+    // Rung (b): with a non-empty quarantine, score over the surviving
+    // dimensions only (masked kernels) and flag the answers degraded.
+    // The confidence model then sees kept_dims as the effective
+    // dimension.
+    const auto& qmask = lane.qmask_;
+    const bool degraded = qmask != nullptr;
+    std::size_t effective_dim = model->dimension();
+    if (degraded) {
+      model->scores_batch_masked(query_ptrs, qmask->words, qmask->kept_dims,
+                                 lane.score_ws_);
+      effective_dim = qmask->kept_dims;
+      degraded_.fetch_add(batch.size(), std::memory_order_relaxed);
+    } else {
+      model->scores_batch(query_ptrs, lane.score_ws_);
+    }
+    const std::size_t k = model->num_classes();
+
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::span<const double> similarities(
+          lane.score_ws_.scores.data() + i * k, k);
+      const auto conf = model::assess(similarities, confidence, effective_dim);
+
+      Response& response = responses[i];
+      response.predicted = conf.predicted;
+      response.confidence = conf.top_probability;
+      response.model_version = version;
+      response.degraded = degraded;
+      if (scrubber_ && conf.top_probability >= trust_threshold) {
+        // Pre-filter only: the trust gate (margin floor, fair-share
+        // rate limit, canary agreement) decides admission, and the
+        // engine re-runs its own gates on the scrub thread. A full ring
+        // drops the hint — serving latency must not wait on recovery.
+        // Gate rejections are counted by the gate itself, not as ring
+        // drops.
+        response.trusted = true;
+        trusted_.fetch_add(1, std::memory_order_relaxed);
+        const auto outcome = scrubber_->offer_trusted(
+            batch[i].query, conf.predicted, conf.margin);
+        if (outcome == Scrubber::OfferOutcome::kRingFull) {
+          scrub_dropped_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  }
+
+  // Every answer of the batch is ready: record and complete them in one
+  // pass, so a caller waiting on the first answer wakes once per batch
+  // rather than once per request. The batch is the unit of work, so each
+  // of its requests records the batch's whole service time.
+  const auto end = std::chrono::steady_clock::now();
+  const std::uint64_t service = elapsed_ns(started, end);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    auto& request = batch[i];
+    queue_wait_.record(elapsed_ns(request.enqueued, started));
+    service_.record(service);
+    end_to_end_.record(elapsed_ns(request.enqueued, end));
+    // Count before completing: once a client sees its answer,
+    // stats().completed already includes it.
+    completed_.fetch_add(1, std::memory_order_release);
+    request.done.complete(CompletionStatus::kAnswered, responses[i]);
   }
 }
 

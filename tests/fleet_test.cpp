@@ -23,6 +23,7 @@
 #include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -75,7 +76,8 @@ World make_world(std::uint64_t seed, std::size_t queries_per_class = 20) {
 
 /// N same-model shards with deterministic scoring (no recovery).
 Fleet make_fleet(const World& w, std::size_t shards,
-                 std::size_t queue_capacity = 256) {
+                 std::size_t queue_capacity = 256,
+                 std::chrono::microseconds batch_linger = {}) {
   std::vector<model::HdcModel> models;
   FleetConfig config;
   for (std::size_t i = 0; i < shards; ++i) {
@@ -83,6 +85,7 @@ Fleet make_fleet(const World& w, std::size_t shards,
     ShardConfig shard;
     shard.server.worker_threads = 2;
     shard.server.queue_capacity = queue_capacity;
+    shard.server.batch_linger = batch_linger;
     shard.server.enable_recovery = false;
     config.shards.push_back(std::move(shard));
   }
@@ -289,8 +292,18 @@ int accepted_fd_for(int client_fd, std::uint16_t frontend_port) {
 /// `timeout` passes with nothing new; returns copies of what arrived.
 struct OwnedFrame {
   wire::FrameType type{};
+  std::uint8_t flags = 0;
   std::uint64_t request_id = 0;
   std::vector<std::byte> payload;
+
+  wire::Frame view() const {
+    wire::Frame frame;
+    frame.type = type;
+    frame.flags = flags;
+    frame.request_id = request_id;
+    frame.payload = payload;
+    return frame;
+  }
 };
 
 std::vector<OwnedFrame> read_frames(int fd, std::size_t count,
@@ -305,7 +318,7 @@ std::vector<OwnedFrame> read_frames(int fd, std::size_t count,
     if (n <= 0) break;
     reader.feed({buf, static_cast<std::size_t>(n)});
     while (auto frame = reader.next()) {
-      frames.push_back({frame->type, frame->request_id,
+      frames.push_back({frame->type, frame->flags, frame->request_id,
                         {frame->payload.begin(), frame->payload.end()}});
     }
   }
@@ -323,8 +336,10 @@ bool eventually(Pred pred, std::chrono::milliseconds limit =
   return true;
 }
 
-void expect_identical(const serve::Response& fleet_r,
-                      const serve::Response& direct_r, std::size_t i) {
+/// `fleet_r` is a serve::Response or a wire::PredictResult.
+template <typename Answer>
+void expect_identical(const Answer& fleet_r, const serve::Response& direct_r,
+                      std::size_t i) {
   EXPECT_EQ(fleet_r.predicted, direct_r.predicted) << "query " << i;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(fleet_r.confidence),
             std::bit_cast<std::uint64_t>(direct_r.confidence))
@@ -393,45 +408,132 @@ TEST(Fleet, RejectsMixedDimensions) {
 
 TEST(Fleet, TcpPredictionsBitIdenticalToDirectServer) {
   const auto w = make_world(0x33);
-  auto fleet = make_fleet(w, 2);
-  Frontend frontend(fleet);
-  frontend.start();
-  const auto ports = frontend.ports();
-  ASSERT_EQ(ports.size(), 2u);
-
   serve::ServerConfig direct_config;
   direct_config.worker_threads = 2;
   direct_config.enable_recovery = false;
   serve::Server direct(w.model, direct_config);
 
-  std::vector<Endpoint> endpoints;
-  std::vector<std::string> groups;
-  for (const auto port : ports) {
-    endpoints.push_back({"127.0.0.1", port});
-    groups.push_back("default");
-  }
-  Client client(std::move(endpoints), std::move(groups));
+  // An idle shard's requests are answered on the frontend loop itself; a
+  // lingering shard keeps every one on its workers. Either way the answers
+  // are the direct server's, bit for bit.
+  for (const auto linger :
+       {std::chrono::microseconds(0), std::chrono::microseconds(200)}) {
+    SCOPED_TRACE("batch_linger_us=" + std::to_string(linger.count()));
+    auto fleet = make_fleet(w, 2, 256, linger);
+    Frontend frontend(fleet);
+    frontend.start();
+    const auto ports = frontend.ports();
+    ASSERT_EQ(ports.size(), 2u);
 
-  for (std::size_t i = 0; i < w.queries.size(); ++i) {
-    const auto over_wire = client.predict(/*tenant_id=*/i, w.queries[i]);
-    ASSERT_TRUE(over_wire.ok) << over_wire.error_message;
-    const auto direct_r = direct.submit(w.queries[i]).get();
-    EXPECT_EQ(over_wire.predicted, direct_r.predicted) << "query " << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(over_wire.confidence),
-              std::bit_cast<std::uint64_t>(direct_r.confidence))
-        << "query " << i;
-    EXPECT_EQ(over_wire.trusted, direct_r.trusted) << "query " << i;
-    EXPECT_EQ(over_wire.degraded, direct_r.degraded) << "query " << i;
-    EXPECT_EQ(over_wire.abstained, direct_r.abstained) << "query " << i;
-    EXPECT_EQ(over_wire.model_version, direct_r.model_version)
-        << "query " << i;
-    // Client-side routing agreed with the fleet's router.
-    EXPECT_EQ(over_wire.shard, fleet.router().route(i)) << "query " << i;
-    EXPECT_FALSE(over_wire.failover);
-  }
-  EXPECT_EQ(client.counters().responses, w.queries.size());
-  EXPECT_EQ(client.counters().transport_errors, 0u);
+    std::vector<Endpoint> endpoints;
+    std::vector<std::string> groups;
+    for (const auto port : ports) {
+      endpoints.push_back({"127.0.0.1", port});
+      groups.push_back("default");
+    }
+    Client client(std::move(endpoints), std::move(groups));
 
+    for (std::size_t i = 0; i < w.queries.size(); ++i) {
+      const auto over_wire = client.predict(/*tenant_id=*/i, w.queries[i]);
+      ASSERT_TRUE(over_wire.ok) << over_wire.error_message;
+      const auto direct_r = direct.submit(w.queries[i]).get();
+      EXPECT_EQ(over_wire.predicted, direct_r.predicted) << "query " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(over_wire.confidence),
+                std::bit_cast<std::uint64_t>(direct_r.confidence))
+          << "query " << i;
+      EXPECT_EQ(over_wire.trusted, direct_r.trusted) << "query " << i;
+      EXPECT_EQ(over_wire.degraded, direct_r.degraded) << "query " << i;
+      EXPECT_EQ(over_wire.abstained, direct_r.abstained) << "query " << i;
+      EXPECT_EQ(over_wire.model_version, direct_r.model_version)
+          << "query " << i;
+      // Client-side routing agreed with the fleet's router.
+      EXPECT_EQ(over_wire.shard, fleet.router().route(i)) << "query " << i;
+      EXPECT_FALSE(over_wire.failover);
+    }
+    EXPECT_EQ(client.counters().responses, w.queries.size());
+    EXPECT_EQ(client.counters().transport_errors, 0u);
+    // Every frame was a predict request (hedges included). A fresh
+    // shard's first batch goes to a worker, which measures what the
+    // hand-off costs; a lingering shard is never answered on the loop.
+    const auto counters = frontend.counters();
+    EXPECT_GE(counters.frames_in, w.queries.size());
+    if (linger.count() == 0) {
+      EXPECT_LE(counters.answered_inline + ports.size(), counters.frames_in);
+    } else {
+      EXPECT_EQ(counters.answered_inline, 0u);
+    }
+
+    frontend.stop();
+    fleet.shutdown();
+  }
+  direct.shutdown();
+}
+
+TEST(Fleet, BurstBeyondOneBatchIsAnsweredOnceEachAndReachesTheWorkers) {
+  const auto w = make_world(0x34);
+  std::vector<model::HdcModel> models;
+  models.push_back(w.model);
+  FleetConfig config;
+  ShardConfig shard;
+  shard.server.worker_threads = 2;
+  shard.server.enable_recovery = false;
+  shard.server.max_batch = 4;
+  config.shards.push_back(std::move(shard));
+  Fleet fleet(std::move(models), std::move(config));
+  Frontend frontend(fleet);
+  frontend.start();
+
+  serve::ServerConfig direct_config;
+  direct_config.worker_threads = 1;
+  direct_config.enable_recovery = false;
+  serve::Server direct(w.model, direct_config);
+
+  // A few requests first, so the shard has measured the hand-off and its
+  // service time, and the loop may answer the burst's first batch itself.
+  constexpr std::uint64_t kWarm = 8;
+  constexpr std::uint64_t kBurst = 64;
+  const auto query_of = [&](std::uint64_t id) {
+    return w.queries[id % w.queries.size()];
+  };
+  const int fd = connect_loopback(frontend.ports()[0]);
+  ASSERT_GE(fd, 0);
+  for (std::uint64_t id = kBurst + 1; id <= kBurst + kWarm; ++id) {
+    std::vector<std::byte> warm;
+    wire::append_predict_request(warm, /*tenant_id=*/1, id, query_of(id));
+    send_prefix(fd, warm, warm.size());
+    ASSERT_EQ(read_frames(fd, 1, std::chrono::seconds(5)).size(), 1u);
+  }
+
+  // One write, 16 batches' worth: the loop answers at most one batch
+  // itself and queues the rest for the shard's workers.
+  std::vector<std::byte> burst;
+  for (std::uint64_t id = 1; id <= kBurst; ++id) {
+    wire::append_predict_request(burst, /*tenant_id=*/1, id, query_of(id));
+  }
+  send_prefix(fd, burst, burst.size());
+  const auto frames = read_frames(fd, kBurst, std::chrono::seconds(5));
+  ASSERT_EQ(frames.size(), kBurst);
+  EXPECT_TRUE(read_frames(fd, 1, std::chrono::milliseconds(50)).empty());
+
+  std::vector<int> seen(kBurst + 1, 0);
+  for (const auto& f : frames) {
+    ASSERT_EQ(f.type, wire::FrameType::kPredictResponse);
+    ASSERT_GE(f.request_id, 1u);
+    ASSERT_LE(f.request_id, kBurst);
+    ++seen[f.request_id];
+    const auto result = wire::parse_predict_response(f.view());
+    ASSERT_TRUE(result.has_value());
+    expect_identical(*result, direct.submit(query_of(f.request_id)).get(),
+                     f.request_id);
+  }
+  for (std::uint64_t id = 1; id <= kBurst; ++id) {
+    EXPECT_EQ(seen[id], 1) << "request " << id;
+  }
+  EXPECT_LT(frontend.counters().answered_inline, kBurst)
+      << "the rest reached the workers";
+  EXPECT_EQ(fleet.shard(0).server().stats().completed, kBurst + kWarm);
+
+  ::close(fd);
   frontend.stop();
   fleet.shutdown();
   direct.shutdown();
@@ -644,30 +746,45 @@ TEST(Fleet, TrySubmitShedsPastDeadlineAndAcceptsLiveOne) {
   const auto w = make_world(0x99);
   auto fleet = make_fleet(w, 1);
   auto completions = std::make_shared<serve::CompletionQueue>();
-
-  const auto dead = fleet.try_submit_to(
-      0, w.queries[0],
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1),
-      completions, /*tag=*/1);
-  EXPECT_EQ(dead, SubmitReject::kDeadline);
+  // The frontend's entry points: one routing decision, deadline triage,
+  // then the queue path.
+  const std::size_t shard = fleet.route(0).shard;
+  const auto past =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  EXPECT_TRUE(fleet.shed_expired(past));
   EXPECT_EQ(fleet.stats().deadline_sheds, 1u);
 
-  const auto live = fleet.try_submit_to(
-      0, w.queries[0],
-      std::chrono::steady_clock::now() + std::chrono::seconds(5),
-      completions, /*tag=*/2);
+  const auto live_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  EXPECT_FALSE(fleet.shed_expired(live_deadline));
+  EXPECT_FALSE(
+      fleet.shed_expired(std::chrono::steady_clock::time_point::max()));
+  const auto live = fleet.try_submit_to(shard, w.queries[0], live_deadline,
+                                        completions, /*tag=*/2);
   ASSERT_EQ(live, SubmitReject::kNone);
+  EXPECT_EQ(fleet.stats().deadline_sheds, 1u);
   pollfd pfd{completions->fd(), POLLIN, 0};
   ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
   std::vector<serve::Completion> done;
   completions->drain(done);
-  ASSERT_EQ(done.size(), 1u) << "the refused request completes nothing";
+  ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].tag, 2u);
   EXPECT_EQ(done[0].status, serve::CompletionStatus::kAnswered);
   EXPECT_FALSE(done[0].response.expired);
   EXPECT_GE(done[0].response.predicted, 0);
 
+  // The queue path refuses a spent budget on its own too, and completes
+  // nothing for it.
+  EXPECT_EQ(fleet.try_submit_to(shard, w.queries[0], past, completions,
+                                /*tag=*/3),
+            SubmitReject::kDeadline);
+  EXPECT_EQ(fleet.stats().deadline_sheds, 2u);
+  EXPECT_THROW(fleet.try_submit_to(fleet.shard_count(), w.queries[0],
+                                   live_deadline, completions, /*tag=*/4),
+               std::out_of_range);
   fleet.shutdown();
+  completions->drain(done);
+  EXPECT_TRUE(done.empty());
 }
 
 TEST(Fleet, LegacyClientWithoutDeadlinesStillServed) {
@@ -862,6 +979,168 @@ TEST(Fleet, ShutdownWithQueuedRequestsFramesEachAcceptedRequestOnce) {
 
   ::close(fd);
   frontend.stop();
+}
+
+TEST(Fleet, ShutdownDuringLoopAnswersFramesEachRequestOnceAndDrains) {
+  // Clients keep a shard busy, answered on its loop or by its workers,
+  // while Fleet::shutdown() runs. Every request gets exactly one frame:
+  // an answer, or kBusy / kShuttingDown once the shard is down. Nothing
+  // is answered after the shutdown, and what drain() waits for (every
+  // accepted request completed, every trust offer processed) is done.
+  const auto w = make_world(0xd5);
+  constexpr int kRounds = 12;
+  constexpr std::uint64_t kClients = 2;
+  constexpr std::uint64_t kPerBurst = 2;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<model::HdcModel> models;
+    models.push_back(w.model);
+    FleetConfig config;
+    ShardConfig shard;
+    shard.server.worker_threads = 1;
+    config.shards.push_back(std::move(shard));
+    Fleet fleet(std::move(models), std::move(config));
+    auto& server = fleet.shard(0).server();
+    Frontend frontend(fleet);
+    frontend.start();
+    const auto port = frontend.ports()[0];
+
+    // Each client pipelines a burst and waits for exactly one frame per
+    // request.
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> sent{0};
+    std::atomic<std::uint64_t> answered{0};
+    std::atomic<std::uint64_t> refused{0};
+    std::atomic<std::uint64_t> bad{0};
+    std::vector<std::thread> clients;
+    for (std::uint64_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        const int fd = connect_loopback(port);
+        if (fd < 0) {
+          bad.fetch_add(1);
+          return;
+        }
+        std::uint64_t first_id = (c + 1) << 32;
+        while (!stop.load()) {
+          std::vector<std::byte> out;
+          for (std::uint64_t k = 0; k < kPerBurst; ++k) {
+            wire::append_predict_request(
+                out, /*tenant_id=*/1, first_id + k,
+                w.queries[(first_id + k) % w.queries.size()]);
+          }
+          send_prefix(fd, out, out.size());
+          sent.fetch_add(kPerBurst);
+          const auto frames =
+              read_frames(fd, kPerBurst, std::chrono::seconds(5));
+          std::vector<int> seen(kPerBurst, 0);
+          for (const auto& f : frames) {
+            if (f.request_id < first_id ||
+                f.request_id >= first_id + kPerBurst ||
+                ++seen[f.request_id - first_id] != 1) {
+              bad.fetch_add(1);
+              continue;
+            }
+            if (f.type == wire::FrameType::kPredictResponse) {
+              answered.fetch_add(1);
+              continue;
+            }
+            const auto info = f.type == wire::FrameType::kError
+                                  ? wire::parse_error(f.payload)
+                                  : std::nullopt;
+            if (info && (info->code == wire::ErrorCode::kBusy ||
+                         info->code == wire::ErrorCode::kShuttingDown)) {
+              refused.fetch_add(1);
+            } else {
+              bad.fetch_add(1);
+            }
+          }
+          if (frames.size() != kPerBurst) bad.fetch_add(1);
+          first_id += kPerBurst;
+        }
+        ::close(fd);
+      });
+    }
+
+    ASSERT_TRUE(eventually([&] { return server.stats().completed >= 64; }));
+    fleet.shutdown();
+    const auto submitted_at_shutdown = server.stats().submitted;
+    // Keep talking to the frontend a little after the shutdown.
+    const auto refused_at_shutdown = refused.load();
+    ASSERT_TRUE(eventually([&] {
+      return refused.load() >= refused_at_shutdown + kClients * kPerBurst;
+    }));
+    stop.store(true);
+    for (auto& t : clients) t.join();
+
+    EXPECT_EQ(bad.load(), 0u);
+    EXPECT_EQ(answered.load() + refused.load(), sent.load());
+    EXPECT_EQ(server.stats().submitted, submitted_at_shutdown)
+        << "nothing may be answered after shutdown()";
+    const auto s = server.stats();
+    EXPECT_EQ(s.completed, s.submitted);
+    EXPECT_EQ(s.scrub_processed, s.scrub_offered)
+        << "an offer landed in the stopped scrubber's ring";
+    EXPECT_GT(s.scrub_offered, 0u);
+    if (s.completed == s.submitted && s.scrub_processed == s.scrub_offered) {
+      fleet.drain();
+    }
+    frontend.stop();
+  }
+}
+
+TEST(Fleet, HeavyShardKeepsItsRequestsOnTheWorkers) {
+  // A thousand classes at D = 16,384: scoring one query costs far more
+  // than handing it to a worker, so the loop never scores a batch itself
+  // and the shard's two workers share them.
+  constexpr std::size_t kWideDim = 16384;
+  constexpr std::size_t kManyClasses = 1024;
+  util::Xoshiro256 rng(0xd6);
+  std::vector<hv::BinVec> prototypes;
+  std::vector<int> labels;
+  for (std::size_t c = 0; c < kManyClasses; ++c) {
+    prototypes.push_back(hv::BinVec::random(kWideDim, rng));
+    labels.push_back(static_cast<int>(c));
+  }
+  model::HdcConfig model_config;
+  model_config.retrain_epochs = 0;
+  std::vector<model::HdcModel> models;
+  models.push_back(
+      model::HdcModel::train(prototypes, labels, kManyClasses, model_config));
+  FleetConfig config;
+  ShardConfig shard;
+  shard.server.worker_threads = 2;
+  shard.server.enable_recovery = false;
+  config.shards.push_back(std::move(shard));
+  Fleet fleet(std::move(models), std::move(config));
+  Frontend frontend(fleet);
+  frontend.start();
+  const int fd = connect_loopback(frontend.ports()[0]);
+  ASSERT_GE(fd, 0);
+
+  constexpr std::uint64_t kBursts = 4;
+  constexpr std::uint64_t kPerBurst = 8;
+  for (std::uint64_t b = 0; b < kBursts; ++b) {
+    std::vector<std::byte> out;
+    for (std::uint64_t k = 0; k < kPerBurst; ++k) {
+      const std::uint64_t id = b * kPerBurst + k;
+      wire::append_predict_request(out, /*tenant_id=*/1, id, prototypes[id]);
+    }
+    send_prefix(fd, out, out.size());
+    const auto frames = read_frames(fd, kPerBurst, std::chrono::seconds(10));
+    ASSERT_EQ(frames.size(), kPerBurst);
+    for (const auto& f : frames) {
+      ASSERT_EQ(f.type, wire::FrameType::kPredictResponse);
+      const auto result = wire::parse_predict_response(f.view());
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->predicted, static_cast<int>(f.request_id));
+    }
+  }
+  EXPECT_EQ(frontend.counters().answered_inline, 0u);
+  EXPECT_EQ(fleet.shard(0).server().stats().completed, kBursts * kPerBurst);
+
+  ::close(fd);
+  frontend.stop();
+  fleet.shutdown();
 }
 
 TEST(Fleet, ReapersWakeTheLoopOnTheirOwnDeadlines) {

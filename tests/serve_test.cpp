@@ -11,12 +11,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +74,27 @@ World make_world(std::uint64_t seed, std::size_t queries_per_class = 30) {
   return w;
 }
 
+/// Same answer, bit for bit: prediction, confidence bits, flags, version.
+void expect_same_answer(const Response& got, const Response& want,
+                        std::size_t i) {
+  EXPECT_EQ(got.predicted, want.predicted) << "query " << i;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.confidence),
+            std::bit_cast<std::uint64_t>(want.confidence))
+      << "query " << i;
+  EXPECT_EQ(got.trusted, want.trusted) << "query " << i;
+  EXPECT_EQ(got.degraded, want.degraded) << "query " << i;
+  EXPECT_EQ(got.abstained, want.abstained) << "query " << i;
+  EXPECT_EQ(got.model_version, want.model_version) << "query " << i;
+}
+
+/// answer_now on a copy of `queries`: true when it answered, leaving the
+/// answers in `lane`.
+bool answer_copies(Server& server, Server::Lane& lane,
+                   std::span<const hv::BinVec> queries) {
+  std::vector<hv::BinVec> batch(queries.begin(), queries.end());
+  return server.answer_now(lane, batch);
+}
+
 // ---------------------------------------------------------------- queue --
 
 TEST(RequestQueue, FifoAndBounds) {
@@ -98,6 +122,33 @@ TEST(RequestQueue, FifoAndBounds) {
   EXPECT_EQ(out, (std::vector<int>{3, 4, 5, 6}));
   EXPECT_EQ(queue.try_pop_batch(out, 8), 0u);  // empty: returns at once
   EXPECT_EQ(out.size(), 4u);
+}
+
+TEST(RequestQueue, BypassOnlyWhileOpenAndEmptyAndCloseWaitsItOut) {
+  RequestQueue<int> queue(8);
+  ASSERT_TRUE(queue.try_bypass());
+  queue.end_bypass();
+  int v = 1;
+  ASSERT_TRUE(queue.try_push(v));
+  EXPECT_FALSE(queue.try_bypass()) << "a queued item must not be overtaken";
+  std::vector<int> out;
+  ASSERT_EQ(queue.try_pop_batch(out, 8), 1u);
+
+  // A bypass granted before the close outlives it, and wait_bypasses()
+  // returns only once it has ended; none is granted after the close.
+  ASSERT_TRUE(queue.try_bypass());
+  queue.close();
+  EXPECT_FALSE(queue.try_bypass());
+  std::atomic<bool> waited{false};
+  std::thread closer([&] {
+    queue.wait_bypasses();
+    waited.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(waited.load());
+  queue.end_bypass();
+  closer.join();
+  EXPECT_TRUE(waited.load());
 }
 
 TEST(RequestQueue, CloseDrainsThenExhausts) {
@@ -295,6 +346,39 @@ TEST(Server, BitIdenticalToDirectInference) {
   EXPECT_EQ(stats.submitted, world.queries.size());
   EXPECT_EQ(stats.completed, world.queries.size());
   EXPECT_EQ(stats.rejected, 0u);
+
+  // answer_now runs the workers' batch code on this thread: the same
+  // answers, bit for bit, and each call counts as one batch with no queue
+  // wait, whose end-to-end time is its service time.
+  server.drain();
+  server.reset_stats();
+  Server::Lane lane;
+  std::size_t batches = 0;
+  for (std::size_t first = 0; first < world.queries.size();
+       first += config.max_batch) {
+    const std::size_t n =
+        std::min(config.max_batch, world.queries.size() - first);
+    ASSERT_TRUE(answer_copies(
+        server, lane, std::span(world.queries).subspan(first, n)));
+    ++batches;
+    ASSERT_EQ(lane.responses().size(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+      expect_same_answer(lane.responses()[j], responses[first + j],
+                         first + j);
+    }
+  }
+  const auto inline_stats = server.stats();
+  EXPECT_EQ(inline_stats.submitted, world.queries.size());
+  EXPECT_EQ(inline_stats.completed, world.queries.size());
+  EXPECT_EQ(inline_stats.batches, batches);
+  EXPECT_EQ(inline_stats.queue_wait.count, world.queries.size());
+  EXPECT_EQ(inline_stats.queue_wait.mean_ns, 0.0);
+  EXPECT_EQ(inline_stats.end_to_end.mean_ns, inline_stats.service.mean_ns);
+  // Larger than one batch: a worker would not take it in one go either.
+  EXPECT_FALSE(answer_copies(
+      server, lane,
+      std::span(world.queries).first(config.max_batch + 1)));
+  EXPECT_EQ(server.stats().submitted, world.queries.size());
 }
 
 TEST(Server, ManyWorkersStayBitIdentical) {
@@ -856,12 +940,245 @@ TEST(Server, ShutdownMidLingerAnswersEveryAcceptedRequest) {
   for (std::size_t i = 0; i < 6; ++i) {
     futures.push_back(server.submit(world.queries[i]));
   }
+  // A lingering server asked its workers to hold batches open: answering
+  // on arrival would defeat that, so answer_now refuses and counts nothing.
+  Server::Lane lane;
+  EXPECT_FALSE(answer_copies(server, lane, std::span(world.queries).first(1)));
+  EXPECT_EQ(server.stats().submitted, futures.size());
   // Shut down while the partial batch is (at most) mid-linger: every
   // accepted request must still get a real answer.
   server.shutdown();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto response = futures[i].get();
     EXPECT_EQ(response.predicted, world.labels[i]);
+  }
+}
+
+/// Encodes every feature vector to one fixed query, after waiting for
+/// release(): holds a worker inside its batch for as long as a test needs.
+class HeldEncoder final : public hv::Encoder {
+ public:
+  explicit HeldEncoder(hv::BinVec query) : query_(std::move(query)) {}
+  std::size_t dimension() const noexcept override {
+    return query_.dimension();
+  }
+  std::size_t feature_count() const noexcept override { return 1; }
+  hv::BinVec encode(std::span<const float>) const override {
+    entered_.store(true, std::memory_order_release);
+    while (!released_.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    return query_;
+  }
+  bool entered() const { return entered_.load(std::memory_order_acquire); }
+  void release() const { released_.store(true, std::memory_order_release); }
+
+ private:
+  hv::BinVec query_;
+  mutable std::atomic<bool> entered_{false};
+  mutable std::atomic<bool> released_{false};
+};
+
+TEST(Server, AnswerNowRefusesWhileRequestsAreQueued) {
+  const auto world = make_world(0x11f2);
+  auto encoder = std::make_shared<HeldEncoder>(world.queries[0]);
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.enable_recovery = false;
+  config.encoder = encoder;
+  Server server(world.model, config);
+
+  // The only worker is held inside a batch, so the next request waits in
+  // the queue: answering a later one first would overtake it.
+  auto held = server.submit_features({0.5f});
+  while (!encoder->entered()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  auto queued = server.submit(world.queries[1]);
+  ASSERT_EQ(server.stats().queue_depth, 1u);
+  Server::Lane lane;
+  EXPECT_FALSE(answer_copies(server, lane, std::span(world.queries).first(2)));
+  const auto refused = server.stats();
+  EXPECT_EQ(refused.submitted, 2u);
+  EXPECT_EQ(refused.batches, 1u);
+
+  encoder->release();
+  EXPECT_EQ(held.get().predicted, world.labels[0]);
+  EXPECT_EQ(queued.get().predicted, world.labels[1]);
+  server.drain();
+  // An empty queue again: the same call now answers.
+  EXPECT_TRUE(answer_copies(server, lane, std::span(world.queries).first(2)));
+  EXPECT_EQ(server.stats().submitted, 4u);
+}
+
+TEST(Server, AnswerNowQuarantinesAndAbstainsLikeTheWorkers) {
+  const auto world = make_world(0x11f3);
+  const auto queries = std::span(world.queries).first(8);
+
+  // Rung (b): light random damage drifts every chunk past the threshold
+  // and the sentinel quarantines the worst half.
+  ServerConfig degraded_config;
+  degraded_config.worker_threads = 1;
+  degraded_config.enable_recovery = false;
+  degraded_config.sentinel.enabled = true;
+  degraded_config.sentinel.period = std::chrono::milliseconds(0);
+  degraded_config.sentinel.chunk_drift_threshold = 0.01;
+  degraded_config.sentinel.bad_streak = 1;
+  degraded_config.sentinel.good_streak = 1000;
+  degraded_config.sentinel.breaker_floor = 0.0;
+  degraded_config.canaries.assign(world.queries.begin(),
+                                  world.queries.begin() + 20);
+  degraded_config.canary_labels.assign(world.labels.begin(),
+                                       world.labels.begin() + 20);
+  Server degraded(world.model, degraded_config);
+  degraded.inject_faults(0.05, fault::AttackMode::kRandom, 7);
+  degraded.sentinel()->run_round();
+  ASSERT_GT(degraded.stats().quarantined_chunks, 0u);
+  const auto masked = degraded.predict_all(queries);
+  Server::Lane lane;
+  ASSERT_TRUE(answer_copies(degraded, lane, queries));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(lane.responses()[i].degraded) << i;
+    expect_same_answer(lane.responses()[i], masked[i], i);
+  }
+  EXPECT_EQ(degraded.stats().degraded_responses, 2 * queries.size());
+
+  // Rung (c): canaries that are never right trip the breaker and keep it
+  // open; the whole batch abstains, unscored.
+  ServerConfig breaker_config;
+  breaker_config.worker_threads = 1;
+  breaker_config.enable_recovery = false;
+  breaker_config.sentinel.enabled = true;
+  breaker_config.sentinel.period = std::chrono::milliseconds(0);
+  breaker_config.sentinel.breaker_floor = 0.9;
+  breaker_config.sentinel.breaker_window = 1;
+  breaker_config.sentinel.breaker_reload_retries = 1;
+  breaker_config.sentinel.breaker_backoff = std::chrono::milliseconds(1);
+  breaker_config.canaries.assign(world.queries.begin(),
+                                 world.queries.begin() + 20);
+  breaker_config.canary_labels.assign(20, -7);
+  Server tripped(world.model, breaker_config);
+  tripped.sentinel()->run_round();
+  ASSERT_TRUE(tripped.breaker_open());
+  const auto shed = tripped.predict_all(queries);
+  Server::Lane tripped_lane;
+  ASSERT_TRUE(answer_copies(tripped, tripped_lane, queries));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(tripped_lane.responses()[i].abstained) << i;
+    EXPECT_EQ(tripped_lane.responses()[i].predicted, -1) << i;
+    expect_same_answer(tripped_lane.responses()[i], shed[i], i);
+  }
+  EXPECT_EQ(tripped.stats().abstained_responses, 2 * queries.size());
+}
+
+/// A thousand classes at D = 16,384: scoring a query takes far longer
+/// than handing it to a worker. One query in four is a clean prototype,
+/// answered with trust and offered to the scrubber; the rest are random.
+struct WideWorld {
+  model::HdcModel model;
+  std::vector<hv::BinVec> queries;
+};
+
+WideWorld make_wide_world(std::size_t queries) {
+  constexpr std::size_t kWideDim = 16384;
+  constexpr std::size_t kManyClasses = 1024;
+  util::Xoshiro256 rng(0xd5);
+  std::vector<hv::BinVec> prototypes;
+  std::vector<int> labels;
+  for (std::size_t c = 0; c < kManyClasses; ++c) {
+    prototypes.push_back(hv::BinVec::random(kWideDim, rng));
+    labels.push_back(static_cast<int>(c));
+  }
+  model::HdcConfig model_config;
+  model_config.retrain_epochs = 0;
+  WideWorld w{model::HdcModel::train(prototypes, labels, kManyClasses,
+                                     model_config),
+              {}};
+  for (std::size_t i = 0; i < queries; ++i) {
+    w.queries.push_back(i % 4 == 0 ? prototypes[i]
+                                   : hv::BinVec::random(kWideDim, rng));
+  }
+  return w;
+}
+
+TEST(Server, InlinePaysOnlyWhenScoringBeatsTheMeasuredHandOff) {
+  const auto world = make_world(0x11f4);
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.enable_recovery = false;
+  Server fresh(world.model, config);
+  // Nothing measured: a fresh server's first batch goes to a worker.
+  EXPECT_FALSE(fresh.inline_pays(1));
+  Server::Lane lane;
+  ASSERT_TRUE(answer_copies(fresh, lane, std::span(world.queries).first(1)));
+  EXPECT_FALSE(fresh.inline_pays(1)) << "service measured, hand-off not yet";
+
+  // A worker that lingers holds every request it wakes for at least the
+  // linger before scoring it, so this server's hand-off costs 20 ms and
+  // a small batch of a five-class model is far cheaper.
+  config.batch_linger = std::chrono::milliseconds(20);
+  Server lingering(world.model, config);
+  // Only a request that arrives while the worker waits is a sample, so
+  // give the worker a moment to get there.
+  for (int i = 0; i < 10 && !lingering.inline_pays(1); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(lingering.submit(world.queries[0]).get().predicted,
+              world.labels[0]);
+  }
+  EXPECT_TRUE(lingering.inline_pays(1));
+  EXPECT_FALSE(lingering.inline_pays(1'000'000))
+      << "a million queries take longer than one hand-off";
+  lingering.reset_stats();
+  EXPECT_FALSE(lingering.inline_pays(1)) << "reset forgets the measurements";
+
+  // A heavy model: scoring a batch costs far more than a wake-up, so its
+  // batches stay with the workers.
+  const auto wide = make_wide_world(8);
+  config.batch_linger = {};
+  Server heavy(wide.model, config);
+  for (const auto& query : wide.queries) {
+    heavy.submit(query).get();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_FALSE(heavy.inline_pays(config.max_batch));
+}
+
+TEST(Server, ShutdownWaitsOutAnInlineBatchBeforeStoppingTheScrubber) {
+  // Inline batches slow enough to straddle a shutdown, each with trusted
+  // answers to offer the scrubber. shutdown() must not stop the scrubber
+  // under a running batch: its offers would land in a stopped ring, and
+  // drain() would wait for them forever.
+  const auto wide = make_wide_world(8);
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.max_batch = wide.queries.size();
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Server server(wide.model, config);
+    std::atomic<bool> stop{false};
+    std::atomic<int> batches{0};
+    std::thread loop([&] {
+      Server::Lane lane;
+      while (!stop.load()) {
+        if (answer_copies(server, lane, wide.queries)) batches.fetch_add(1);
+      }
+    });
+    while (batches.load() < 2) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    server.shutdown();
+    const auto at_shutdown = server.stats().submitted;
+    stop.store(true);
+    loop.join();
+
+    const auto s = server.stats();
+    EXPECT_EQ(s.submitted, at_shutdown)
+        << "nothing may be answered after shutdown()";
+    EXPECT_EQ(s.completed, s.submitted);
+    EXPECT_GT(s.scrub_offered, 0u);
+    EXPECT_EQ(s.scrub_processed, s.scrub_offered)
+        << "an offer landed in the stopped scrubber's ring";
+    if (s.scrub_processed == s.scrub_offered) server.drain();
   }
 }
 
@@ -989,6 +1306,11 @@ TEST(Server, TrySubmitToCompletesIntoTheQueue) {
       w.queries[0], std::chrono::steady_clock::time_point::max(), queue, 1));
   queue->drain(out);
   EXPECT_TRUE(out.empty()) << "a refused submission completes nothing";
+  // Nor does anything start on the caller's thread after shutdown.
+  const auto submitted = server.stats().submitted;
+  Server::Lane lane;
+  EXPECT_FALSE(answer_copies(server, lane, std::span(w.queries).first(1)));
+  EXPECT_EQ(server.stats().submitted, submitted);
 }
 
 }  // namespace
