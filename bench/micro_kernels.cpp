@@ -157,14 +157,13 @@ void register_isa_benchmarks() {
   static util::Xoshiro256 rng(7);
   static const auto a = hv::BinVec::random(kDim, rng);
   static const auto b = hv::BinVec::random(kDim, rng);
-  static std::vector<hv::BinVec> planes_store;
-  static std::vector<const std::uint64_t*> planes;
-  if (planes.empty()) {
-    for (int i = 0; i < 26; ++i) {
-      planes_store.push_back(hv::BinVec::random(kDim, rng));
+  static const mem::PlaneArena planes = [] {
+    mem::PlaneArena arena(26, kDim);
+    for (std::size_t p = 0; p < arena.num_planes(); ++p) {
+      arena.store_plane(p, hv::BinVec::random(kDim, rng));
     }
-    for (const auto& p : planes_store) planes.push_back(p.words().data());
-  }
+    return arena;
+  }();
   static std::vector<hv::BinVec> queries_store;
   static std::vector<const std::uint64_t*> queries;
   if (queries.empty()) {
@@ -202,16 +201,16 @@ void register_isa_benchmarks() {
 
     benchmark::RegisterBenchmark(
         ("BM_KernelHammingMatrix/" + suffix).c_str(),
-        [ops, words](benchmark::State& state) {
-          std::vector<std::uint32_t> out(queries.size() * planes.size());
+        [ops](benchmark::State& state) {
+          std::vector<std::uint32_t> out(queries.size() * planes.num_planes());
           for (auto _ : state) {
-            ops->hamming_matrix(queries.data(), queries.size(), planes.data(),
-                                planes.size(), words, out.data());
+            ops->hamming_matrix_arena(queries.data(), queries.size(),
+                                      planes.view(), out.data());
             benchmark::DoNotOptimize(out.data());
           }
           // One "item" = one query/plane Hamming distance.
           state.SetItemsProcessed(state.iterations() * queries.size() *
-                                  planes.size());
+                                  planes.num_planes());
         });
   }
 }

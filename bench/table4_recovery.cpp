@@ -140,8 +140,9 @@ int main() {
         auto agreement = [&](const model::HdcModel& m) {
           double total = 0.0;
           for (std::size_t c = 0; c < m.num_classes(); ++c) {
-            total += hv::similarity(m.class_vector(c).planes[0],
-                                    clean_model.class_vector(c).planes[0]);
+            total += hv::similarity(
+                m.class_vector(c).planes[0].to_binvec(),
+                clean_model.class_vector(c).planes[0].to_binvec());
           }
           return total / static_cast<double>(m.num_classes());
         };

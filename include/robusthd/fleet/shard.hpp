@@ -49,8 +49,8 @@ struct ShardStats {
   double canary_accuracy = 0.0;
   std::uint64_t model_version = 0;
   double p99_ms = 0.0;  ///< shard-local end-to-end p99
-  /// Plane-arena footprint of this shard's live snapshot (0 == arena-less)
-  /// and whether the kernel granted the hugepage request — the per-shard
+  /// Plane-arena footprint of this shard's live snapshot in bytes and
+  /// whether the kernel granted the hugepage request — the per-shard
   /// NUMA/THP placement signal.
   std::size_t arena_bytes = 0;
   bool arena_hugepage = false;

@@ -76,7 +76,7 @@ class BinVec {
  private:
   std::size_t dim_ = 0;
   /// 64-byte-aligned storage: vector loads in the SIMD kernels never split
-  /// a cache line, even on the non-arena (per-BinVec) fallback path.
+  /// a cache line — queries are scored straight from this storage.
   util::AlignedU64Vec words_;
 };
 

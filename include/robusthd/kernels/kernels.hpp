@@ -12,9 +12,11 @@
 //   * hamming         — popcount(a XOR b)
 //   * hamming_masked  — Hamming over a word range with first/last-word
 //                       masks (the chunked-detector primitive)
-//   * hamming_matrix  — blocked queries x planes distance matrix: a batch
-//                       of queries is scored in one pass over the stored
-//                       class planes instead of Q*K independent scans
+//   * hamming_matrix_arena{,_masked}
+//                     — tiled queries x planes distance matrix over a
+//                       PlaneSet (a model's arena): a batch of queries is
+//                       scored in one pass over the stored class planes
+//                       instead of Q*K independent scans
 //   * crc32c          — the Castagnoli CRC behind RHD2 blobs, WAL records
 //                       and wire frames
 //
@@ -79,45 +81,24 @@ struct Ops {
                                 std::size_t n, std::uint64_t first_mask,
                                 std::uint64_t last_mask);
 
-  /// Blocked distance matrix: out[q * num_planes + p] =
-  /// hamming(queries[q], planes[p], words). Queries are tiled so each
-  /// stored plane is streamed once per query block rather than once per
-  /// query — the batched associative-search kernel.
-  void (*hamming_matrix)(const std::uint64_t* const* queries,
-                         std::size_t num_queries,
-                         const std::uint64_t* const* planes,
-                         std::size_t num_planes, std::size_t words,
-                         std::uint32_t* out);
-
-  /// hamming_matrix with an arbitrary per-word mask applied to both
-  /// operands: out[q * num_planes + p] = popcount((queries[q] XOR
-  /// planes[p]) AND mask) over `words` words. This is the quarantine
-  /// primitive of the serving runtime's graceful-degradation ladder:
-  /// excluded dimension ranges (e.g. chunks a health sentinel flagged bad)
-  /// are zeroed in `mask`, so the associative search simply never reads
-  /// them — TCAM-style segment exclusion on the batched kernel. A mask of
-  /// all ones is bit-identical to hamming_matrix.
-  void (*hamming_matrix_masked)(const std::uint64_t* const* queries,
-                                std::size_t num_queries,
-                                const std::uint64_t* const* planes,
-                                std::size_t num_planes, std::size_t words,
-                                const std::uint64_t* mask,
-                                std::uint32_t* out);
-
-  /// hamming_matrix over an arena PlaneSet: same output contract
-  /// (out[q * planes.planes + p]), but plane rows are reached by stride
-  /// arithmetic instead of a pointer-table gather, the word dimension is
-  /// walked in L2-resident tiles across all planes, and the next tile of
-  /// each plane row is software-prefetched while the current one is being
-  /// consumed. Bit-identical to hamming_matrix on the same plane contents
-  /// for every tile size.
+  /// Distance matrix over an arena PlaneSet: out[q * planes.planes + p] =
+  /// hamming(queries[q], planes.plane(p), planes.words). Plane rows are
+  /// reached by stride arithmetic, the word dimension is walked in
+  /// L2-resident tiles across all planes (each plane tile is read once per
+  /// query group, not once per query), and the next tile of each plane row
+  /// is software-prefetched while the current one is being consumed.
+  /// Integer partial sums make every tile size give the same result.
   void (*hamming_matrix_arena)(const std::uint64_t* const* queries,
                                std::size_t num_queries, const PlaneSet& planes,
                                std::uint32_t* out);
 
   /// Masked variant of hamming_matrix_arena: `mask` holds planes.words
-  /// words ANDed into every XOR (the quarantine primitive). Bit-identical
-  /// to hamming_matrix_masked on the same plane contents.
+  /// words ANDed into every XOR, so out[q * planes.planes + p] =
+  /// popcount((queries[q] XOR plane p) AND mask). This is the quarantine
+  /// primitive of the serving runtime's degradation ladder: excluded
+  /// dimension ranges (chunks a health sentinel flagged bad) are zeroed in
+  /// `mask`, so the search never reads them — TCAM-style segment
+  /// exclusion. An all-ones mask gives hamming_matrix_arena's result.
   void (*hamming_matrix_arena_masked)(const std::uint64_t* const* queries,
                                       std::size_t num_queries,
                                       const PlaneSet& planes,
@@ -164,24 +145,6 @@ inline std::size_t hamming_masked(const std::uint64_t* a,
                                   std::uint64_t first_mask,
                                   std::uint64_t last_mask) {
   return ops().hamming_masked(a, b, n, first_mask, last_mask);
-}
-
-inline void hamming_matrix(const std::uint64_t* const* queries,
-                           std::size_t num_queries,
-                           const std::uint64_t* const* planes,
-                           std::size_t num_planes, std::size_t words,
-                           std::uint32_t* out) {
-  ops().hamming_matrix(queries, num_queries, planes, num_planes, words, out);
-}
-
-inline void hamming_matrix_masked(const std::uint64_t* const* queries,
-                                  std::size_t num_queries,
-                                  const std::uint64_t* const* planes,
-                                  std::size_t num_planes, std::size_t words,
-                                  const std::uint64_t* mask,
-                                  std::uint32_t* out) {
-  ops().hamming_matrix_masked(queries, num_queries, planes, num_planes, words,
-                              mask, out);
 }
 
 inline void hamming_matrix_arena(const std::uint64_t* const* queries,

@@ -4,10 +4,8 @@
 // The associative memory of a deployed HDC model is k (or k * precision)
 // fixed-length bit planes that every hot loop streams together: batched
 // scoring, the recovery engine's chunk sweep, the sentinel's drift diff.
-// Storing each plane as its own heap vector makes that stream a pointer-
-// table gather over scattered allocations with no alignment or locality
-// guarantee. The arena instead owns *all* planes of one model snapshot in
-// a single 64-byte-aligned allocation (optionally hugepage-backed via
+// The arena is the model's only plane store: it owns *all* planes of one
+// model snapshot in a single 64-byte-aligned allocation (optionally hugepage-backed via
 // madvise(MADV_HUGEPAGE), with graceful fallback when transparent
 // hugepages are unavailable):
 //
@@ -16,8 +14,8 @@
 // The stride is the word count rounded up to 8 (one 512-bit vector /
 // cache line), so every plane row starts cache-line-aligned and the
 // padding words stay zero. Tiling is a property of the *kernels*, not the
-// layout: plane(i) stays a plain contiguous row (existing callers keep
-// working), while the arena-native kernels (kernels::hamming_matrix_arena)
+// layout: plane(i) stays a plain contiguous row, while the arena kernels
+// (kernels::hamming_matrix_arena)
 // walk the word dimension in tiles sized so one tile of all k planes fits
 // in L2 — the in-memory-HDC "associative memory as one array" view with
 // cache blocking on top. Integer popcount partial sums make every tile
@@ -103,11 +101,6 @@ class PlaneArena {
   void store_plane(std::size_t p, const hv::BinVec& v) noexcept;
   /// Copies plane row p back out into a BinVec of the arena's dimension.
   void load_plane(std::size_t p, hv::BinVec& out) const noexcept;
-  /// Copies the word range [word_begin, word_end) of `src`'s storage into
-  /// the same range of plane row p — the one-tile republish primitive: a
-  /// scrubber repair confined to one chunk moves only that chunk's words.
-  void store_words(std::size_t p, std::size_t word_begin,
-                   std::size_t word_end, const std::uint64_t* src) noexcept;
 
  private:
   void allocate(const PlaneArenaConfig& config);

@@ -8,36 +8,24 @@
 // Inference is plane-weighted Hamming similarity; for the 1-bit model this
 // is exactly the paper's Hamming-distance check.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "robusthd/fault/memory.hpp"
 #include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/binvec.hpp"
 #include "robusthd/mem/plane_arena.hpp"
+#include "robusthd/util/bitops.hpp"
 
 namespace robusthd::model {
-
-/// Which physical layout the hot scoring paths read the model from.
-/// kArena (the default) routes batched scoring, masked scoring and the
-/// chunk sweep through the model's contiguous tiled mem::PlaneArena
-/// mirror whenever it is in sync; kRowMajor forces the historical
-/// per-BinVec pointer-table path. Results are bit-identical either way —
-/// the toggle exists for A/B benchmarking (bench --layout / serve-bench
-/// --layout) and as an escape hatch.
-enum class ScoringLayout { kArena, kRowMajor };
-
-/// Process-wide layout toggle (atomic; relaxed). Reads the
-/// ROBUSTHD_LAYOUT env var ("rowmajor"/"arena") on first use.
-void set_scoring_layout(ScoringLayout layout) noexcept;
-ScoringLayout scoring_layout() noexcept;
 
 /// Reusable buffers for the blocked batch-scoring path (one per thread;
 /// capacities persist across batches, so steady-state scoring performs no
 /// allocations).
 struct ScoreWorkspace {
-  std::vector<const std::uint64_t*> plane_ptrs;  ///< flattened class planes
   std::vector<const std::uint64_t*> query_ptrs;
   std::vector<std::uint32_t> distances;  ///< q x (k * planes) row-major
   std::vector<double> scores;            ///< q x k row-major
@@ -55,23 +43,105 @@ struct HdcConfig {
   std::uint64_t seed = 0xcafe;
 };
 
-/// One class hypervector, stored as weighted binary planes
-/// (plane p carries weight 2^p; 1-bit models have a single plane).
+/// One class hypervector as owned weighted binary planes (plane p carries
+/// weight 2^p; 1-bit models have a single plane) — the value type models
+/// are built from (from_planes). A built model stores no ClassVector: its
+/// planes live in the arena and class_vector() returns views of them.
 struct ClassVector {
   std::vector<hv::BinVec> planes;
 };
 
-/// Trained HDC model: k class hypervectors over dimension D.
+/// One stored plane: a view of its arena row's live words (never the
+/// padding). A mutable view writes straight into the row, so scoring sees
+/// every write at once. Views are cheap values, valid while the model that
+/// made them is alive and not reassigned to a different shape.
+template <bool Mutable>
+class PlaneView {
+ public:
+  using Word = std::conditional_t<Mutable, std::uint64_t, const std::uint64_t>;
+
+  PlaneView(Word* words, std::size_t dimension) noexcept
+      : words_(words), dim_(dimension) {}
+
+  std::span<const std::uint64_t> words() const noexcept {
+    return {words_, word_count()};
+  }
+  std::size_t word_count() const noexcept {
+    return util::words_for_bits(dim_);
+  }
+  std::size_t dimension() const noexcept { return dim_; }
+  bool get(std::size_t i) const noexcept { return util::get_bit(words(), i); }
+
+  /// Copies the plane out into an owning vector.
+  hv::BinVec to_binvec() const {
+    hv::BinVec out(dim_);
+    std::copy(words_, words_ + word_count(), out.mutable_words().begin());
+    return out;
+  }
+
+  std::span<std::uint64_t> mutable_words() const noexcept
+    requires Mutable
+  {
+    return {words_, word_count()};
+  }
+  void set(std::size_t i, bool v) const noexcept
+    requires Mutable
+  {
+    util::set_bit(mutable_words(), i, v);
+  }
+  void flip(std::size_t i) const noexcept
+    requires Mutable
+  {
+    util::flip_bit(mutable_words(), i);
+  }
+  /// Clears bits beyond dimension() in the final word (after raw writes).
+  void mask_tail() const noexcept
+    requires Mutable
+  {
+    if (dim_ % 64 != 0) words_[word_count() - 1] &= util::low_mask(dim_ % 64);
+  }
+
+ private:
+  Word* words_;
+  std::size_t dim_;
+};
+
+/// The planes of one class: consecutive arena rows, indexed by plane.
+template <bool Mutable>
+class PlaneViews {
+ public:
+  using Word = typename PlaneView<Mutable>::Word;
+
+  PlaneViews(Word* first, std::size_t count, std::size_t stride_words,
+             std::size_t dimension) noexcept
+      : first_(first), count_(count), stride_(stride_words), dim_(dimension) {}
+
+  std::size_t size() const noexcept { return count_; }
+  PlaneView<Mutable> operator[](std::size_t p) const noexcept {
+    return {first_ + p * stride_, dim_};
+  }
+
+ private:
+  Word* first_;
+  std::size_t count_;
+  std::size_t stride_;
+  std::size_t dim_;
+};
+
+/// What class_vector() returns: the class's planes, viewed in place.
+template <bool Mutable>
+struct ClassView {
+  PlaneViews<Mutable> planes;
+};
+
+/// Trained HDC model: k class hypervectors over dimension D. All planes
+/// live in one mem::PlaneArena: class c, plane p is row
+/// c * precision_bits() + p. Scoring, recovery, fault injection and
+/// persistence all read and write those rows, so there is no second copy
+/// to keep in step.
 class HdcModel {
  public:
   HdcModel() = default;
-  ~HdcModel() = default;
-  /// Copying re-establishes the arena mirror when the source's is stale,
-  /// so every snapshot published by value scores through the arena.
-  HdcModel(const HdcModel& other);
-  HdcModel& operator=(const HdcModel& other);
-  HdcModel(HdcModel&&) noexcept = default;
-  HdcModel& operator=(HdcModel&&) noexcept = default;
 
   /// Single-pass bundling + retraining over pre-encoded training data.
   static HdcModel train(std::span<const hv::BinVec> encoded,
@@ -84,63 +154,46 @@ class HdcModel {
       std::span<const hv::SignedAccumulator> accumulators,
       unsigned precision_bits = 1);
 
-  /// Rebuilds a model from deployed class planes (deserialisation).
-  static HdcModel from_planes(std::vector<ClassVector> classes,
+  /// Rebuilds a model from deployed class planes (deserialisation). Throws
+  /// std::invalid_argument unless there is at least one class, every
+  /// class holds exactly `precision_bits` planes, and every plane has the
+  /// same nonzero dimension.
+  static HdcModel from_planes(std::span<const ClassVector> classes,
                               unsigned precision_bits);
 
-  std::size_t num_classes() const noexcept { return classes_.size(); }
-  std::size_t dimension() const noexcept { return dim_; }
+  std::size_t num_classes() const noexcept {
+    return arena_.num_planes() / precision_bits_;
+  }
+  std::size_t dimension() const noexcept { return arena_.dimension(); }
   unsigned precision_bits() const noexcept { return precision_bits_; }
 
-  const ClassVector& class_vector(std::size_t cls) const noexcept {
-    return classes_[cls];
+  /// The planes of one class, viewed in their arena rows. The mutable
+  /// overload's views write into the rows.
+  ClassView<false> class_vector(std::size_t cls) const noexcept {
+    return {{arena_.plane(row(cls, 0)), precision_bits_,
+             arena_.stride_words(), arena_.dimension()}};
   }
-  /// Mutable class access invalidates the arena mirror (the caller may
-  /// rewrite plane bits); scoring falls back to the row-major path until
-  /// sync_arena() re-establishes coherence.
-  ClassVector& class_vector(std::size_t cls) noexcept {
-    arena_valid_ = false;
-    return classes_[cls];
-  }
-
-  /// Mutable access to one plane *without* invalidating the arena — for
-  /// the recovery engine's repair path, which substitutes a bit range and
-  /// then republishes exactly that range via sync_arena_range(). The
-  /// caller owns coherence: mutate, then sync the touched range.
-  hv::BinVec& plane_for_repair(std::size_t cls, std::size_t plane) noexcept {
-    return classes_[cls].planes[plane];
+  ClassView<true> class_vector(std::size_t cls) noexcept {
+    return {{arena_.plane(row(cls, 0)), precision_bits_,
+             arena_.stride_words(), arena_.dimension()}};
   }
 
-  /// Read-only packed words of one class plane — the arena row when the
-  /// mirror is live (so chunk diffs stream the same contiguous storage the
-  /// scoring kernels do), the BinVec storage otherwise. Content is
-  /// identical either way.
+  /// Read-only packed words of one class plane (its arena row).
   std::span<const std::uint64_t> plane_words(std::size_t cls,
-                                             std::size_t plane) const noexcept;
+                                             std::size_t plane) const noexcept {
+    return {arena_.plane(row(cls, plane)), arena_.words()};
+  }
 
-  /// Rebuilds the arena mirror from the stored class planes. Ragged
-  /// hand-built models (unequal plane counts) stay arena-less and score
-  /// through the row-major path.
-  void sync_arena();
-
-  /// Propagates the bit range [bit_begin, bit_end) of one plane into the
-  /// arena — the one-chunk republish primitive behind in-service repair.
-  /// Falls back to a full sync when the mirror is stale.
-  void sync_arena_range(std::size_t cls, std::size_t plane,
-                        std::size_t bit_begin, std::size_t bit_end);
-
-  /// True when the arena mirror matches the stored planes bit-for-bit.
-  bool arena_valid() const noexcept { return arena_valid_; }
-  /// The arena itself (geometry/diagnostics: bytes, tile width, hugepage
-  /// backing). Empty until the first sync_arena().
+  /// The plane store (geometry/diagnostics: bytes, tile width, hugepage
+  /// backing). Empty only for a default-constructed model.
   const mem::PlaneArena& arena() const noexcept { return arena_; }
 
   /// Normalised similarity score per class, each in [0, 1]
   /// (1-bit: 1 - hamming/D).
   std::vector<double> scores(const hv::BinVec& query) const;
 
-  /// Batched scores: one blocked pass over the stored class planes
-  /// (kernels::hamming_matrix) scores every query against every class.
+  /// Batched scores: one tiled pass over the arena
+  /// (kernels::hamming_matrix_arena) scores every query against every class.
   /// Results land in ws.scores (row q holds scores(*queries[q])), bit-
   /// identical to the per-query path. The plane-weighted multi-precision
   /// models run through the same kernel — every plane is one more row of
@@ -196,25 +249,26 @@ class HdcModel {
   std::vector<fault::MemoryRegion> memory_regions();
 
  private:
+  HdcModel(std::size_t num_classes, std::size_t dimension,
+           unsigned precision_bits);
+
+  std::size_t row(std::size_t cls, std::size_t plane) const noexcept {
+    return cls * precision_bits_ + plane;
+  }
+
   /// Shared scoring core: writes classes() doubles at `out`.
   void chunk_scores_into(const hv::BinVec& query, std::size_t begin,
                          std::size_t end, double* out) const;
 
-  /// True when the hot paths should read the arena mirror: it is in sync
-  /// and the process-wide layout toggle selects it.
-  bool use_arena() const noexcept {
-    return arena_valid_ && scoring_layout() == ScoringLayout::kArena;
-  }
+  /// Turns ws.distances (q rows of k * planes) into ws.scores, normalised
+  /// over `kept_dims` dimensions.
+  void weigh_distances(std::size_t q, std::size_t kept_dims,
+                       ScoreWorkspace& ws) const;
 
-  std::size_t dim_ = 0;
   unsigned precision_bits_ = 1;
-  std::vector<ClassVector> classes_;
-  /// Contiguous tiled mirror of classes_ (row c * precision + p holds
-  /// class c, plane p). The BinVec planes stay authoritative — fault
-  /// injection, serialisation and recovery all mutate them — and the
-  /// arena tracks them under the arena_valid_ flag.
+  /// num_classes() * precision_bits_ rows of dimension() bits; a moved-from
+  /// or default model has no rows, so it reports no classes.
   mem::PlaneArena arena_;
-  bool arena_valid_ = false;
 };
 
 }  // namespace robusthd::model

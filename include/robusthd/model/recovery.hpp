@@ -190,7 +190,7 @@ class RecoveryEngine {
 
   /// Applies the probabilistic substitution of `bits` into the class plane
   /// over [begin, end); returns the number of bits that actually changed.
-  std::size_t substitute(hv::BinVec& plane, const hv::BinVec& bits,
+  std::size_t substitute(PlaneView<true> plane, const hv::BinVec& bits,
                          std::size_t begin, std::size_t end);
 
   HdcModel& model_;

@@ -201,8 +201,8 @@ struct ScrubberCounters {
 };
 
 /// One contiguous span of plane words rewritten since the last snapshot
-/// publication — `sync_arena_range` granularity, in words. What the
-/// persistence layer journals as a WAL plane delta.
+/// publication, in whole words. What the persistence layer journals as a
+/// WAL plane delta.
 struct RepairedRange {
   std::size_t cls = 0;
   std::size_t plane = 0;

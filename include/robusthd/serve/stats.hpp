@@ -212,8 +212,8 @@ struct ServerStats {
   bool breaker_open = false;           ///< instantaneous breaker state
   std::uint64_t reload_retries = 0;    ///< breaker last-good reload attempts
 
-  // Memory layout of the live snapshot (mem::PlaneArena mirror).
-  std::size_t arena_bytes = 0;  ///< arena allocation size; 0 == arena-less
+  // Plane store of the live snapshot (its mem::PlaneArena).
+  std::size_t arena_bytes = 0;  ///< arena allocation size in bytes
   bool arena_hugepage = false;  ///< MADV_HUGEPAGE accepted by the kernel
 
   // Durability (robusthd::persist epoch log; docs/serialization.md). All

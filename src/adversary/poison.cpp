@@ -44,10 +44,10 @@ std::vector<hv::BinVec> PoisonCampaign::craft_wave() {
   for (std::size_t t = 0; t < k; ++t) {
     if (!config_.all_classes && t != config_.target_class) continue;
     const std::size_t rival = (t + 1) % k;
-    const auto& victim_plane = reference_.class_vector(t).planes[0];
-    const auto& rival_plane = reference_.class_vector(rival).planes[0];
+    const auto victim_plane = reference_.class_vector(t).planes[0];
+    const auto rival_plane = reference_.class_vector(rival).planes[0];
     for (std::size_t q = 0; q < config_.queries_per_class; ++q) {
-      hv::BinVec query = victim_plane;
+      hv::BinVec query = victim_plane.to_binvec();
       // Sparse noise outside the payload keeps the queries distinct (so
       // they read as a traffic stream, not one repeated vector) while the
       // payload itself stays bit-exact across the wave — the engine's
@@ -101,11 +101,11 @@ std::size_t PoisonCampaign::wrong_bits(const model::HdcModel& blessed,
   const std::size_t k =
       std::min(blessed.num_classes(), current.num_classes());
   for (std::size_t c = 0; c < k; ++c) {
-    const auto& a = blessed.class_vector(c).planes;
-    const auto& b = current.class_vector(c).planes;
-    const std::size_t planes = std::min(a.size(), b.size());
+    const std::size_t planes =
+        std::min(blessed.precision_bits(), current.precision_bits());
     for (std::size_t p = 0; p < planes; ++p) {
-      bits += hv::hamming(a[p], b[p]);
+      bits += util::hamming(blessed.plane_words(c, p),
+                            current.plane_words(c, p));
     }
   }
   return bits;

@@ -6,9 +6,8 @@ namespace robusthd::core {
 
 EccProtectedModel::EccProtectedModel(model::HdcModel& model) : model_(model) {
   for (std::size_t c = 0; c < model_.num_classes(); ++c) {
-    for (const auto& plane : model_.class_vector(c).planes) {
-      const auto words = plane.words();
-      planes_.emplace_back(std::as_bytes(words));
+    for (std::size_t p = 0; p < model_.precision_bits(); ++p) {
+      planes_.emplace_back(std::as_bytes(model_.plane_words(c, p)));
     }
   }
 }
@@ -42,10 +41,11 @@ mem::EccProtectedMemory::ScrubReport EccProtectedModel::scrub_and_refresh() {
   mem::EccProtectedMemory::ScrubReport total;
   std::size_t slot = 0;
   for (std::size_t c = 0; c < model_.num_classes(); ++c) {
-    for (auto& plane : model_.class_vector(c).planes) {
-      auto words = plane.mutable_words();
-      auto bytes = std::as_writable_bytes(words);
-      const auto report = planes_[slot].read_all(bytes);
+    const auto planes = model_.class_vector(c).planes;
+    for (std::size_t p = 0; p < planes.size(); ++p) {
+      const auto plane = planes[p];
+      const auto report =
+          planes_[slot].read_all(std::as_writable_bytes(plane.mutable_words()));
       plane.mask_tail();
       total.clean += report.clean;
       total.corrected += report.corrected;

@@ -211,10 +211,9 @@ ValidatedBlob validate(std::span<const std::byte> blob) {
 /// Appends every class plane's raw words (the payload both formats share).
 void append_planes(std::vector<std::byte>& out, const model::HdcModel& model) {
   for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    for (const auto& plane : model.class_vector(c).planes) {
-      const auto words = plane.words();
-      const auto* p = reinterpret_cast<const std::byte*>(words.data());
-      out.insert(out.end(), p, p + words.size_bytes());
+    for (std::size_t p = 0; p < model.precision_bits(); ++p) {
+      const auto bytes = std::as_bytes(model.plane_words(c, p));
+      out.insert(out.end(), bytes.begin(), bytes.end());
     }
   }
 }

@@ -1,5 +1,6 @@
 // AVX2 kernels: Harley–Seal carry-save popcount (Muła/Kurz/Lemire) for the
-// long reductions, PSHUFB nibble popcount for the blocked matrix kernel.
+// long reductions, PSHUFB nibble popcount for the blocked arena matrix
+// kernels.
 // This TU is the only place compiled with -mavx2; it is reached strictly
 // through the runtime dispatcher, so building it never makes the library
 // require AVX2 at load time.
@@ -122,171 +123,6 @@ std::size_t hamming_masked_avx2(const std::uint64_t* a, const std::uint64_t* b,
   std::size_t total = word_popcount((a[0] ^ b[0]) & first_mask) +
                       word_popcount((a[n - 1] ^ b[n - 1]) & last_mask);
   return total + hamming_avx2(a + 1, b + 1, n - 2);
-}
-
-void hamming_matrix_avx2(const std::uint64_t* const* queries,
-                         std::size_t num_queries,
-                         const std::uint64_t* const* planes,
-                         std::size_t num_planes, std::size_t words,
-                         std::uint32_t* out) {
-  constexpr std::size_t kBlock = 4;
-  const std::size_t vecs = words / 4;
-  std::size_t q = 0;
-  for (; q + kBlock <= num_queries; q += kBlock) {
-    const std::uint64_t* q0 = queries[q + 0];
-    const std::uint64_t* q1 = queries[q + 1];
-    const std::uint64_t* q2 = queries[q + 2];
-    const std::uint64_t* q3 = queries[q + 3];
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* plane = planes[p];
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      __m256i acc3 = _mm256_setzero_si256();
-      for (std::size_t v = 0; v < vecs; ++v) {
-        // One plane load serves all four queries in the block.
-        const __m256i pw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(plane + 4 * v));
-        acc0 = _mm256_add_epi64(
-            acc0, popcount256(_mm256_xor_si256(
-                      _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(q0 + 4 * v)),
-                      pw)));
-        acc1 = _mm256_add_epi64(
-            acc1, popcount256(_mm256_xor_si256(
-                      _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(q1 + 4 * v)),
-                      pw)));
-        acc2 = _mm256_add_epi64(
-            acc2, popcount256(_mm256_xor_si256(
-                      _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(q2 + 4 * v)),
-                      pw)));
-        acc3 = _mm256_add_epi64(
-            acc3, popcount256(_mm256_xor_si256(
-                      _mm256_loadu_si256(
-                          reinterpret_cast<const __m256i*>(q3 + 4 * v)),
-                      pw)));
-      }
-      std::uint64_t d0 = hsum256(acc0), d1 = hsum256(acc1),
-                    d2 = hsum256(acc2), d3 = hsum256(acc3);
-      for (std::size_t w = vecs * 4; w < words; ++w) {
-        const std::uint64_t pw = plane[w];
-        d0 += word_popcount(q0[w] ^ pw);
-        d1 += word_popcount(q1[w] ^ pw);
-        d2 += word_popcount(q2[w] ^ pw);
-        d3 += word_popcount(q3[w] ^ pw);
-      }
-      out[(q + 0) * num_planes + p] = static_cast<std::uint32_t>(d0);
-      out[(q + 1) * num_planes + p] = static_cast<std::uint32_t>(d1);
-      out[(q + 2) * num_planes + p] = static_cast<std::uint32_t>(d2);
-      out[(q + 3) * num_planes + p] = static_cast<std::uint32_t>(d3);
-    }
-  }
-  for (; q < num_queries; ++q) {
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      out[q * num_planes + p] =
-          static_cast<std::uint32_t>(hamming_avx2(queries[q], planes[p],
-                                                  words));
-    }
-  }
-}
-
-void hamming_matrix_masked_avx2(const std::uint64_t* const* queries,
-                                std::size_t num_queries,
-                                const std::uint64_t* const* planes,
-                                std::size_t num_planes, std::size_t words,
-                                const std::uint64_t* mask,
-                                std::uint32_t* out) {
-  constexpr std::size_t kBlock = 4;
-  const std::size_t vecs = words / 4;
-  std::size_t q = 0;
-  for (; q + kBlock <= num_queries; q += kBlock) {
-    const std::uint64_t* q0 = queries[q + 0];
-    const std::uint64_t* q1 = queries[q + 1];
-    const std::uint64_t* q2 = queries[q + 2];
-    const std::uint64_t* q3 = queries[q + 3];
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* plane = planes[p];
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      __m256i acc3 = _mm256_setzero_si256();
-      for (std::size_t v = 0; v < vecs; ++v) {
-        // One plane load serves all four queries; the quarantine mask is
-        // ANDed into each XOR so excluded words never reach the popcount.
-        const __m256i pw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(plane + 4 * v));
-        const __m256i mw = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(mask + 4 * v));
-        acc0 = _mm256_add_epi64(
-            acc0, popcount256(_mm256_and_si256(
-                      _mm256_xor_si256(
-                          _mm256_loadu_si256(
-                              reinterpret_cast<const __m256i*>(q0 + 4 * v)),
-                          pw),
-                      mw)));
-        acc1 = _mm256_add_epi64(
-            acc1, popcount256(_mm256_and_si256(
-                      _mm256_xor_si256(
-                          _mm256_loadu_si256(
-                              reinterpret_cast<const __m256i*>(q1 + 4 * v)),
-                          pw),
-                      mw)));
-        acc2 = _mm256_add_epi64(
-            acc2, popcount256(_mm256_and_si256(
-                      _mm256_xor_si256(
-                          _mm256_loadu_si256(
-                              reinterpret_cast<const __m256i*>(q2 + 4 * v)),
-                          pw),
-                      mw)));
-        acc3 = _mm256_add_epi64(
-            acc3, popcount256(_mm256_and_si256(
-                      _mm256_xor_si256(
-                          _mm256_loadu_si256(
-                              reinterpret_cast<const __m256i*>(q3 + 4 * v)),
-                          pw),
-                      mw)));
-      }
-      std::uint64_t d0 = hsum256(acc0), d1 = hsum256(acc1),
-                    d2 = hsum256(acc2), d3 = hsum256(acc3);
-      for (std::size_t w = vecs * 4; w < words; ++w) {
-        const std::uint64_t pw = plane[w];
-        const std::uint64_t mw = mask[w];
-        d0 += word_popcount((q0[w] ^ pw) & mw);
-        d1 += word_popcount((q1[w] ^ pw) & mw);
-        d2 += word_popcount((q2[w] ^ pw) & mw);
-        d3 += word_popcount((q3[w] ^ pw) & mw);
-      }
-      out[(q + 0) * num_planes + p] = static_cast<std::uint32_t>(d0);
-      out[(q + 1) * num_planes + p] = static_cast<std::uint32_t>(d1);
-      out[(q + 2) * num_planes + p] = static_cast<std::uint32_t>(d2);
-      out[(q + 3) * num_planes + p] = static_cast<std::uint32_t>(d3);
-    }
-  }
-  for (; q < num_queries; ++q) {
-    const std::uint64_t* qw = queries[q];
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* plane = planes[p];
-      const std::size_t n = words;
-      const std::size_t tail_vecs = n / 4;
-      std::uint64_t total = harley_seal(
-          [&](std::size_t i) {
-            const __m256i vq = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(qw + 4 * i));
-            const __m256i vp = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(plane + 4 * i));
-            const __m256i vm = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(mask + 4 * i));
-            return _mm256_and_si256(_mm256_xor_si256(vq, vp), vm);
-          },
-          tail_vecs);
-      for (std::size_t w = tail_vecs * 4; w < n; ++w) {
-        total += word_popcount((qw[w] ^ plane[w]) & mask[w]);
-      }
-      out[q * num_planes + p] = static_cast<std::uint32_t>(total);
-    }
-  }
 }
 
 // Arena kernels: stride-addressed plane rows, tile-outer traversal so one
@@ -479,8 +315,6 @@ void hamming_matrix_arena_masked_avx2(const std::uint64_t* const* queries,
 constexpr Ops kAvx2Ops{popcount_avx2,
                        hamming_avx2,
                        hamming_masked_avx2,
-                       hamming_matrix_avx2,
-                       hamming_matrix_masked_avx2,
                        hamming_matrix_arena_avx2,
                        hamming_matrix_arena_masked_avx2,
                        crc32c_sse42};

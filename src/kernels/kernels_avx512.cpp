@@ -77,183 +77,6 @@ std::size_t hamming_masked_avx512(const std::uint64_t* a,
   return total + hamming_avx512(a + 1, b + 1, n - 2);
 }
 
-void hamming_matrix_avx512(const std::uint64_t* const* queries,
-                           std::size_t num_queries,
-                           const std::uint64_t* const* planes,
-                           std::size_t num_planes, std::size_t words,
-                           std::uint32_t* out) {
-  constexpr std::size_t kBlock = 4;
-  const std::size_t vecs = words / 8;
-  const __mmask8 tail =
-      words % 8 != 0 ? tail_mask(words % 8) : static_cast<__mmask8>(0);
-  std::size_t q = 0;
-  for (; q + kBlock <= num_queries; q += kBlock) {
-    const std::uint64_t* q0 = queries[q + 0];
-    const std::uint64_t* q1 = queries[q + 1];
-    const std::uint64_t* q2 = queries[q + 2];
-    const std::uint64_t* q3 = queries[q + 3];
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* plane = planes[p];
-      __m512i acc0 = _mm512_setzero_si512();
-      __m512i acc1 = _mm512_setzero_si512();
-      __m512i acc2 = _mm512_setzero_si512();
-      __m512i acc3 = _mm512_setzero_si512();
-      for (std::size_t v = 0; v < vecs; ++v) {
-        // One plane load is XOR-popcounted against all four queries.
-        const __m512i pw = _mm512_loadu_si512(plane + 8 * v);
-        acc0 = _mm512_add_epi64(
-            acc0, _mm512_popcnt_epi64(
-                      _mm512_xor_si512(_mm512_loadu_si512(q0 + 8 * v), pw)));
-        acc1 = _mm512_add_epi64(
-            acc1, _mm512_popcnt_epi64(
-                      _mm512_xor_si512(_mm512_loadu_si512(q1 + 8 * v), pw)));
-        acc2 = _mm512_add_epi64(
-            acc2, _mm512_popcnt_epi64(
-                      _mm512_xor_si512(_mm512_loadu_si512(q2 + 8 * v), pw)));
-        acc3 = _mm512_add_epi64(
-            acc3, _mm512_popcnt_epi64(
-                      _mm512_xor_si512(_mm512_loadu_si512(q3 + 8 * v), pw)));
-      }
-      if (tail) {
-        const std::size_t off = vecs * 8;
-        const __m512i pw = _mm512_maskz_loadu_epi64(tail, plane + off);
-        acc0 = _mm512_add_epi64(
-            acc0, _mm512_popcnt_epi64(_mm512_xor_si512(
-                      _mm512_maskz_loadu_epi64(tail, q0 + off), pw)));
-        acc1 = _mm512_add_epi64(
-            acc1, _mm512_popcnt_epi64(_mm512_xor_si512(
-                      _mm512_maskz_loadu_epi64(tail, q1 + off), pw)));
-        acc2 = _mm512_add_epi64(
-            acc2, _mm512_popcnt_epi64(_mm512_xor_si512(
-                      _mm512_maskz_loadu_epi64(tail, q2 + off), pw)));
-        acc3 = _mm512_add_epi64(
-            acc3, _mm512_popcnt_epi64(_mm512_xor_si512(
-                      _mm512_maskz_loadu_epi64(tail, q3 + off), pw)));
-      }
-      out[(q + 0) * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc0));
-      out[(q + 1) * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc1));
-      out[(q + 2) * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc2));
-      out[(q + 3) * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc3));
-    }
-  }
-  for (; q < num_queries; ++q) {
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      out[q * num_planes + p] = static_cast<std::uint32_t>(
-          hamming_avx512(queries[q], planes[p], words));
-    }
-  }
-}
-
-void hamming_matrix_masked_avx512(const std::uint64_t* const* queries,
-                                  std::size_t num_queries,
-                                  const std::uint64_t* const* planes,
-                                  std::size_t num_planes, std::size_t words,
-                                  const std::uint64_t* mask,
-                                  std::uint32_t* out) {
-  constexpr std::size_t kBlock = 4;
-  const std::size_t vecs = words / 8;
-  const __mmask8 tail =
-      words % 8 != 0 ? tail_mask(words % 8) : static_cast<__mmask8>(0);
-  std::size_t q = 0;
-  for (; q + kBlock <= num_queries; q += kBlock) {
-    const std::uint64_t* q0 = queries[q + 0];
-    const std::uint64_t* q1 = queries[q + 1];
-    const std::uint64_t* q2 = queries[q + 2];
-    const std::uint64_t* q3 = queries[q + 3];
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* plane = planes[p];
-      __m512i acc0 = _mm512_setzero_si512();
-      __m512i acc1 = _mm512_setzero_si512();
-      __m512i acc2 = _mm512_setzero_si512();
-      __m512i acc3 = _mm512_setzero_si512();
-      for (std::size_t v = 0; v < vecs; ++v) {
-        // One plane + one mask load serve all four queries; excluded words
-        // are zeroed before the popcount.
-        const __m512i pw = _mm512_loadu_si512(plane + 8 * v);
-        const __m512i mw = _mm512_loadu_si512(mask + 8 * v);
-        acc0 = _mm512_add_epi64(
-            acc0, _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(_mm512_loadu_si512(q0 + 8 * v), pw),
-                      mw)));
-        acc1 = _mm512_add_epi64(
-            acc1, _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(_mm512_loadu_si512(q1 + 8 * v), pw),
-                      mw)));
-        acc2 = _mm512_add_epi64(
-            acc2, _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(_mm512_loadu_si512(q2 + 8 * v), pw),
-                      mw)));
-        acc3 = _mm512_add_epi64(
-            acc3, _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(_mm512_loadu_si512(q3 + 8 * v), pw),
-                      mw)));
-      }
-      if (tail) {
-        const std::size_t off = vecs * 8;
-        const __m512i pw = _mm512_maskz_loadu_epi64(tail, plane + off);
-        const __m512i mw = _mm512_maskz_loadu_epi64(tail, mask + off);
-        acc0 = _mm512_add_epi64(
-            acc0, _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(
-                          _mm512_maskz_loadu_epi64(tail, q0 + off), pw),
-                      mw)));
-        acc1 = _mm512_add_epi64(
-            acc1, _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(
-                          _mm512_maskz_loadu_epi64(tail, q1 + off), pw),
-                      mw)));
-        acc2 = _mm512_add_epi64(
-            acc2, _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(
-                          _mm512_maskz_loadu_epi64(tail, q2 + off), pw),
-                      mw)));
-        acc3 = _mm512_add_epi64(
-            acc3, _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(
-                          _mm512_maskz_loadu_epi64(tail, q3 + off), pw),
-                      mw)));
-      }
-      out[(q + 0) * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc0));
-      out[(q + 1) * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc1));
-      out[(q + 2) * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc2));
-      out[(q + 3) * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc3));
-    }
-  }
-  for (; q < num_queries; ++q) {
-    const std::uint64_t* qw = queries[q];
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* plane = planes[p];
-      __m512i acc = _mm512_setzero_si512();
-      std::size_t i = 0;
-      for (; i + 8 <= words; i += 8) {
-        const __m512i x = _mm512_and_si512(
-            _mm512_xor_si512(_mm512_loadu_si512(qw + i),
-                             _mm512_loadu_si512(plane + i)),
-            _mm512_loadu_si512(mask + i));
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
-      }
-      if (i < words) {
-        const __mmask8 m = tail_mask(words - i);
-        const __m512i x = _mm512_and_si512(
-            _mm512_xor_si512(_mm512_maskz_loadu_epi64(m, qw + i),
-                             _mm512_maskz_loadu_epi64(m, plane + i)),
-            _mm512_maskz_loadu_epi64(m, mask + i));
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
-      }
-      out[q * num_planes + p] =
-          static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc));
-    }
-  }
-}
-
 // Arena kernels: stride-addressed plane rows, tile-outer traversal so one
 // tile of every plane stays L2-resident across query groups, next-tile
 // software prefetch on the final query group of each tile. The arena's
@@ -436,8 +259,6 @@ void hamming_matrix_arena_masked_avx512(const std::uint64_t* const* queries,
 constexpr Ops kAvx512Ops{popcount_avx512,
                          hamming_avx512,
                          hamming_masked_avx512,
-                         hamming_matrix_avx512,
-                         hamming_matrix_masked_avx512,
                          hamming_matrix_arena_avx512,
                          hamming_matrix_arena_masked_avx512,
                          crc32c_sse42};

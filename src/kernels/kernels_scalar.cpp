@@ -2,11 +2,10 @@
 // variant is tested bit-for-bit against. Compiled with the project's
 // baseline flags only, so it runs on any x86-64 (or non-x86) host.
 //
-// The matrix kernel still blocks queries (4 at a time) so a stored plane
-// word is loaded once per block instead of once per query: even without
-// wider registers, the blocked layout roughly halves memory traffic on
-// large batches, and it keeps the traversal order identical to the SIMD
-// variants.
+// The matrix kernels block queries (4 at a time) so a stored plane word
+// is loaded once per block instead of once per query: even without
+// wider registers, the blocked traversal roughly halves memory traffic on
+// large batches.
 
 #include "kernels_internal.hpp"
 
@@ -43,90 +42,10 @@ std::size_t hamming_masked_scalar(const std::uint64_t* a,
   return total;
 }
 
-void hamming_matrix_scalar(const std::uint64_t* const* queries,
-                           std::size_t num_queries,
-                           const std::uint64_t* const* planes,
-                           std::size_t num_planes, std::size_t words,
-                           std::uint32_t* out) {
-  constexpr std::size_t kBlock = 4;
-  std::size_t q = 0;
-  for (; q + kBlock <= num_queries; q += kBlock) {
-    const std::uint64_t* q0 = queries[q + 0];
-    const std::uint64_t* q1 = queries[q + 1];
-    const std::uint64_t* q2 = queries[q + 2];
-    const std::uint64_t* q3 = queries[q + 3];
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* plane = planes[p];
-      std::size_t d0 = 0, d1 = 0, d2 = 0, d3 = 0;
-      for (std::size_t w = 0; w < words; ++w) {
-        const std::uint64_t pw = plane[w];
-        d0 += word_popcount(q0[w] ^ pw);
-        d1 += word_popcount(q1[w] ^ pw);
-        d2 += word_popcount(q2[w] ^ pw);
-        d3 += word_popcount(q3[w] ^ pw);
-      }
-      out[(q + 0) * num_planes + p] = static_cast<std::uint32_t>(d0);
-      out[(q + 1) * num_planes + p] = static_cast<std::uint32_t>(d1);
-      out[(q + 2) * num_planes + p] = static_cast<std::uint32_t>(d2);
-      out[(q + 3) * num_planes + p] = static_cast<std::uint32_t>(d3);
-    }
-  }
-  for (; q < num_queries; ++q) {
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      out[q * num_planes + p] =
-          static_cast<std::uint32_t>(hamming_scalar(queries[q], planes[p],
-                                                    words));
-    }
-  }
-}
-
-void hamming_matrix_masked_scalar(const std::uint64_t* const* queries,
-                                  std::size_t num_queries,
-                                  const std::uint64_t* const* planes,
-                                  std::size_t num_planes, std::size_t words,
-                                  const std::uint64_t* mask,
-                                  std::uint32_t* out) {
-  constexpr std::size_t kBlock = 4;
-  std::size_t q = 0;
-  for (; q + kBlock <= num_queries; q += kBlock) {
-    const std::uint64_t* q0 = queries[q + 0];
-    const std::uint64_t* q1 = queries[q + 1];
-    const std::uint64_t* q2 = queries[q + 2];
-    const std::uint64_t* q3 = queries[q + 3];
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* plane = planes[p];
-      std::size_t d0 = 0, d1 = 0, d2 = 0, d3 = 0;
-      for (std::size_t w = 0; w < words; ++w) {
-        const std::uint64_t pw = plane[w];
-        const std::uint64_t mw = mask[w];
-        d0 += word_popcount((q0[w] ^ pw) & mw);
-        d1 += word_popcount((q1[w] ^ pw) & mw);
-        d2 += word_popcount((q2[w] ^ pw) & mw);
-        d3 += word_popcount((q3[w] ^ pw) & mw);
-      }
-      out[(q + 0) * num_planes + p] = static_cast<std::uint32_t>(d0);
-      out[(q + 1) * num_planes + p] = static_cast<std::uint32_t>(d1);
-      out[(q + 2) * num_planes + p] = static_cast<std::uint32_t>(d2);
-      out[(q + 3) * num_planes + p] = static_cast<std::uint32_t>(d3);
-    }
-  }
-  for (; q < num_queries; ++q) {
-    for (std::size_t p = 0; p < num_planes; ++p) {
-      const std::uint64_t* qw = queries[q];
-      const std::uint64_t* plane = planes[p];
-      std::size_t d = 0;
-      for (std::size_t w = 0; w < words; ++w) {
-        d += word_popcount((qw[w] ^ plane[w]) & mask[w]);
-      }
-      out[q * num_planes + p] = static_cast<std::uint32_t>(d);
-    }
-  }
-}
-
-// Arena kernels: same 4-query blocking, but plane rows come from stride
-// arithmetic on one contiguous base and the word dimension is walked
-// tile-by-tile across all planes, so a tile of the whole plane set stays
-// L2-resident across query blocks. Per-tile partial distances are integer
+// Arena kernels: queries are blocked 4 at a time so a plane word is loaded
+// once per block, plane rows come from stride arithmetic on one contiguous
+// base, and the word dimension is walked tile-by-tile across all planes,
+// so a tile of the whole plane set stays L2-resident across query blocks. Per-tile partial distances are integer
 // sums accumulated into `out`, so any tile split is bit-identical to the
 // untiled traversal.
 void hamming_matrix_arena_scalar(const std::uint64_t* const* queries,
@@ -260,8 +179,6 @@ std::uint32_t crc32c_scalar(const void* data, std::size_t n,
 constexpr Ops kScalarOps{popcount_scalar,
                          hamming_scalar,
                          hamming_masked_scalar,
-                         hamming_matrix_scalar,
-                         hamming_matrix_masked_scalar,
                          hamming_matrix_arena_scalar,
                          hamming_matrix_arena_masked_scalar,
                          crc32c_scalar};

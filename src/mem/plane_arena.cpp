@@ -199,13 +199,4 @@ void PlaneArena::load_plane(std::size_t p, hv::BinVec& out) const noexcept {
               words_ * sizeof(std::uint64_t));
 }
 
-void PlaneArena::store_words(std::size_t p, std::size_t word_begin,
-                             std::size_t word_end,
-                             const std::uint64_t* src) noexcept {
-  assert(p < planes_);
-  assert(word_begin <= word_end && word_end <= words_);
-  std::memcpy(plane(p) + word_begin, src + word_begin,
-              (word_end - word_begin) * sizeof(std::uint64_t));
-}
-
 }  // namespace robusthd::mem

@@ -1,43 +1,16 @@
 #include "robusthd/model/hdc_model.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "robusthd/kernels/kernels.hpp"
 #include "robusthd/util/parallel.hpp"
 #include "robusthd/util/rng.hpp"
 
 namespace robusthd::model {
-
-namespace {
-
-/// Layout toggle backing store. Function-local static so the env lookup
-/// happens on first use regardless of static-init order.
-std::atomic<int>& layout_flag() {
-  static std::atomic<int> flag{[] {
-    if (const char* v = std::getenv("ROBUSTHD_LAYOUT")) {
-      if (std::string_view(v) == "rowmajor") {
-        return static_cast<int>(ScoringLayout::kRowMajor);
-      }
-    }
-    return static_cast<int>(ScoringLayout::kArena);
-  }()};
-  return flag;
-}
-
-}  // namespace
-
-void set_scoring_layout(ScoringLayout layout) noexcept {
-  layout_flag().store(static_cast<int>(layout), std::memory_order_relaxed);
-}
-
-ScoringLayout scoring_layout() noexcept {
-  return static_cast<ScoringLayout>(
-      layout_flag().load(std::memory_order_relaxed));
-}
 
 namespace {
 
@@ -51,9 +24,9 @@ struct NearestTwo {
   std::size_t second_distance = std::numeric_limits<std::size_t>::max();
 };
 
-/// Scans a distance row produced by the matrix kernel; tie-breaking
-/// (lowest index wins) matches the historical per-pair loop exactly.
-NearestTwo nearest_two(const std::uint32_t* distances, std::size_t classes) {
+/// Scans a row of per-class distances; tie-breaking: the lowest index
+/// wins.
+NearestTwo nearest_two(const std::size_t* distances, std::size_t classes) {
   NearestTwo out;
   for (std::size_t c = 0; c < classes; ++c) {
     const std::size_t d = distances[c];
@@ -72,85 +45,10 @@ NearestTwo nearest_two(const std::uint32_t* distances, std::size_t classes) {
 
 }  // namespace
 
-HdcModel::HdcModel(const HdcModel& other)
-    : dim_(other.dim_),
-      precision_bits_(other.precision_bits_),
-      classes_(other.classes_),
-      arena_(other.arena_valid_ ? other.arena_ : mem::PlaneArena()),
-      arena_valid_(other.arena_valid_) {
-  if (!arena_valid_) sync_arena();
-}
-
-HdcModel& HdcModel::operator=(const HdcModel& other) {
-  if (this == &other) return *this;
-  dim_ = other.dim_;
-  precision_bits_ = other.precision_bits_;
-  classes_ = other.classes_;
-  if (other.arena_valid_) {
-    // Geometry-matching assignments (scrubber resync, snapshot republish)
-    // reuse the existing allocation: one memcpy, no mmap churn.
-    arena_ = other.arena_;
-    arena_valid_ = true;
-  } else {
-    arena_valid_ = false;
-    sync_arena();
-  }
-  return *this;
-}
-
-void HdcModel::sync_arena() {
-  arena_valid_ = false;
-  const std::size_t ppc = classes_.empty() ? 0 : classes_[0].planes.size();
-  if (dim_ == 0 || ppc == 0) {
-    arena_ = mem::PlaneArena();
-    return;
-  }
-  for (const auto& cls : classes_) {
-    if (cls.planes.size() != ppc) {
-      arena_ = mem::PlaneArena();
-      return;
-    }
-    for (const auto& plane : cls.planes) {
-      if (plane.dimension() != dim_) {
-        arena_ = mem::PlaneArena();
-        return;
-      }
-    }
-  }
-  const std::size_t rows = classes_.size() * ppc;
-  if (arena_.num_planes() != rows || arena_.dimension() != dim_) {
-    arena_ = mem::PlaneArena(rows, dim_);
-  }
-  std::size_t row = 0;
-  for (const auto& cls : classes_) {
-    for (const auto& plane : cls.planes) arena_.store_plane(row++, plane);
-  }
-  arena_valid_ = true;
-}
-
-void HdcModel::sync_arena_range(std::size_t cls, std::size_t plane,
-                                std::size_t bit_begin, std::size_t bit_end) {
-  if (!arena_valid_) {
-    sync_arena();
-    return;
-  }
-  if (bit_begin >= bit_end) return;
-  assert(bit_end <= dim_);
-  const std::size_t row = cls * classes_[0].planes.size() + plane;
-  const std::size_t word_begin = bit_begin >> 6;
-  const std::size_t word_end = ((bit_end - 1) >> 6) + 1;
-  arena_.store_words(row, word_begin, word_end,
-                     classes_[cls].planes[plane].words().data());
-}
-
-std::span<const std::uint64_t> HdcModel::plane_words(
-    std::size_t cls, std::size_t plane) const noexcept {
-  if (use_arena()) {
-    const std::size_t row = cls * classes_[0].planes.size() + plane;
-    return {arena_.plane(row), arena_.words()};
-  }
-  return classes_[cls].planes[plane].words();
-}
+HdcModel::HdcModel(std::size_t num_classes, std::size_t dimension,
+                   unsigned precision_bits)
+    : precision_bits_(precision_bits),
+      arena_(num_classes * precision_bits, dimension) {}
 
 HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
                          std::span<const int> labels,
@@ -158,13 +56,11 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
   assert(!encoded.empty());
   assert(encoded.size() == labels.size());
 
-  HdcModel model;
-  model.dim_ = encoded[0].dimension();
-  model.precision_bits_ = std::max(config.precision_bits, 1u);
+  const std::size_t dim = encoded[0].dimension();
 
   // Pass 1: bundle every training hypervector into its class accumulator.
   std::vector<hv::SignedAccumulator> accs(num_classes,
-                                          hv::SignedAccumulator(model.dim_));
+                                          hv::SignedAccumulator(dim));
   for (std::size_t i = 0; i < encoded.size(); ++i) {
     accs[static_cast<std::size_t>(labels[i])].add(encoded[i]);
   }
@@ -178,25 +74,19 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
   signs.reserve(num_classes);
   for (const auto& acc : accs) signs.push_back(acc.sign());
 
-  // The epoch loop scores each sample against every sign snapshot through
-  // the 1 x k distance-matrix kernel; sign refreshes reallocate the word
-  // storage, so the pointer table entry is refreshed alongside.
-  std::vector<const std::uint64_t*> sign_ptrs(num_classes);
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    sign_ptrs[c] = signs[c].words().data();
-  }
-  std::vector<std::uint32_t> distances(num_classes);
-  const std::size_t words = util::words_for_bits(model.dim_);
+  std::vector<std::size_t> distances(num_classes);
+  const std::size_t words = util::words_for_bits(dim);
 
   const auto min_margin = static_cast<std::size_t>(
-      config.retrain_margin * static_cast<double>(model.dim_));
+      config.retrain_margin * static_cast<double>(dim));
   for (std::size_t epoch = 0; epoch < config.retrain_epochs; ++epoch) {
     std::size_t updates = 0;
     for (std::size_t i = 0; i < encoded.size(); ++i) {
       const int truth = labels[i];
       const std::uint64_t* query = encoded[i].words().data();
-      kernels::hamming_matrix(&query, 1, sign_ptrs.data(), num_classes,
-                              words, distances.data());
+      for (std::size_t c = 0; c < num_classes; ++c) {
+        distances[c] = kernels::hamming(query, signs[c].words().data(), words);
+      }
       const auto nearest = nearest_two(distances.data(), num_classes);
       const bool wrong = nearest.best != truth;
       const bool thin_margin =
@@ -207,12 +97,10 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
         const int rival = wrong ? nearest.best : nearest.second;
         accs[t].add(encoded[i], +1);
         signs[t] = accs[t].sign();
-        sign_ptrs[t] = signs[t].words().data();
         if (rival >= 0) {
           const auto g = static_cast<std::size_t>(rival);
           accs[g].add(encoded[i], -1);
           signs[g] = accs[g].sign();
-          sign_ptrs[g] = signs[g].words().data();
         }
         ++updates;
       }
@@ -220,63 +108,73 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
     if (updates == 0) break;
   }
 
-  model.classes_.reserve(num_classes);
-  for (auto& acc : accs) {
-    ClassVector cv;
-    cv.planes = acc.quantize_planes(model.precision_bits_);
-    model.classes_.push_back(std::move(cv));
-  }
-  model.sync_arena();
-  return model;
+  return from_accumulators(accs, config.precision_bits);
 }
 
 HdcModel HdcModel::from_accumulators(
     std::span<const hv::SignedAccumulator> accumulators,
     unsigned precision_bits) {
   assert(!accumulators.empty());
-  HdcModel model;
-  model.dim_ = accumulators[0].dimension();
-  model.precision_bits_ = std::max(precision_bits, 1u);
-  model.classes_.reserve(accumulators.size());
-  for (const auto& acc : accumulators) {
-    ClassVector cv;
-    cv.planes = acc.quantize_planes(model.precision_bits_);
-    model.classes_.push_back(std::move(cv));
+  const unsigned bits = std::max(precision_bits, 1u);
+  HdcModel model(accumulators.size(), accumulators[0].dimension(), bits);
+  for (std::size_t c = 0; c < accumulators.size(); ++c) {
+    const auto planes = accumulators[c].quantize_planes(bits);
+    for (unsigned p = 0; p < bits; ++p) {
+      model.arena_.store_plane(model.row(c, p), planes[p]);
+    }
   }
-  model.sync_arena();
   return model;
 }
 
-HdcModel HdcModel::from_planes(std::vector<ClassVector> classes,
+HdcModel HdcModel::from_planes(std::span<const ClassVector> classes,
                                unsigned precision_bits) {
-  assert(!classes.empty() && !classes[0].planes.empty());
-  HdcModel model;
-  model.dim_ = classes[0].planes[0].dimension();
-  model.precision_bits_ = std::max(precision_bits, 1u);
-  model.classes_ = std::move(classes);
-  model.sync_arena();
+  if (classes.empty()) {
+    throw std::invalid_argument("from_planes: no classes");
+  }
+  const std::size_t dim =
+      classes[0].planes.empty() ? 0 : classes[0].planes[0].dimension();
+  for (const auto& cls : classes) {
+    if (cls.planes.empty()) {
+      throw std::invalid_argument("from_planes: a class has no planes");
+    }
+    if (cls.planes.size() != precision_bits) {
+      throw std::invalid_argument(
+          "from_planes: plane count " + std::to_string(cls.planes.size()) +
+          " differs from precision_bits " + std::to_string(precision_bits));
+    }
+    for (const auto& plane : cls.planes) {
+      if (plane.dimension() == 0 || plane.dimension() != dim) {
+        throw std::invalid_argument(
+            "from_planes: planes must share one nonzero dimension");
+      }
+    }
+  }
+  HdcModel model(classes.size(), dim, precision_bits);
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    for (unsigned p = 0; p < precision_bits; ++p) {
+      model.arena_.store_plane(model.row(c, p), classes[c].planes[p]);
+    }
+  }
   return model;
 }
 
 std::vector<double> HdcModel::scores(const hv::BinVec& query) const {
-  return chunk_scores(query, 0, dim_);
+  return chunk_scores(query, 0, dimension());
 }
 
 void HdcModel::chunk_scores_into(const hv::BinVec& query, std::size_t begin,
                                  std::size_t end, double* out) const {
+  const std::size_t k = num_classes();
   const std::size_t width = end - begin;
   if (width == 0) {
-    std::fill(out, out + classes_.size(), 0.0);
+    std::fill(out, out + k, 0.0);
     return;
   }
   const double denom = static_cast<double>(width) *
                        static_cast<double>((1u << precision_bits_) - 1);
-  // plane_words() serves the arena row when the mirror is live, so the
-  // chunk sweep streams the same contiguous storage as batched scoring;
-  // the span-level hamming_range is bit-identical on either storage.
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
+  for (std::size_t c = 0; c < k; ++c) {
     double score = 0.0;
-    for (std::size_t p = 0; p < classes_[c].planes.size(); ++p) {
+    for (std::size_t p = 0; p < precision_bits_; ++p) {
       const std::size_t matches =
           width - hv::hamming_range(query.words(), plane_words(c, p), begin,
                                     end);
@@ -289,166 +187,78 @@ void HdcModel::chunk_scores_into(const hv::BinVec& query, std::size_t begin,
 std::vector<double> HdcModel::chunk_scores(const hv::BinVec& query,
                                            std::size_t begin,
                                            std::size_t end) const {
-  std::vector<double> out(classes_.size(), 0.0);
+  std::vector<double> out(num_classes(), 0.0);
   chunk_scores_into(query, begin, end, out.data());
   return out;
 }
 
 void HdcModel::chunk_scores_all(const hv::BinVec& query, std::size_t chunks,
                                 std::vector<double>& out) const {
-  out.resize(chunks * classes_.size());
+  const std::size_t k = num_classes();
+  const std::size_t dim = dimension();
+  out.resize(chunks * k);
   for (std::size_t c = 0; c < chunks; ++c) {
     // Same partition as RecoveryEngine::chunk_range.
-    const std::size_t begin = c * dim_ / chunks;
-    const std::size_t end = (c + 1) * dim_ / chunks;
-    chunk_scores_into(query, begin, end, out.data() + c * classes_.size());
+    const std::size_t begin = c * dim / chunks;
+    const std::size_t end = (c + 1) * dim / chunks;
+    chunk_scores_into(query, begin, end, out.data() + c * k);
   }
 }
 
 void HdcModel::scores_batch(std::span<const hv::BinVec* const> queries,
                             ScoreWorkspace& ws) const {
-  const std::size_t k = classes_.size();
   const std::size_t q = queries.size();
-  ws.scores.resize(q * k);
-  if (q == 0 || k == 0) return;
-
-  const std::size_t planes_per_class = classes_[0].planes.size();
-  const std::size_t total_planes = k * planes_per_class;
+  ws.scores.resize(q * num_classes());
+  if (q == 0 || num_classes() == 0) return;
   ws.query_ptrs.resize(q);
   for (std::size_t i = 0; i < q; ++i) {
     ws.query_ptrs[i] = queries[i]->words().data();
   }
-  ws.distances.resize(q * total_planes);
-
-  if (use_arena()) {
-    // Arena fast path: one tiled pass over the contiguous mirror (row
-    // c * planes + p == pointer-table slot c * planes + p, so the distance
-    // matrix is laid out identically to the row-major path below).
-    kernels::hamming_matrix_arena(ws.query_ptrs.data(), q, arena_.view(),
-                                  ws.distances.data());
-  } else {
-    // Flatten the stored model into one plane-pointer table (plane-major
-    // per class, matching the p-ascending weight accumulation below).
-    ws.plane_ptrs.clear();
-    for (const auto& cls : classes_) {
-      if (cls.planes.size() != planes_per_class) {
-        // Ragged plane counts (hand-built models): take the exact
-        // per-query path rather than a padded matrix.
-        for (std::size_t i = 0; i < q; ++i) {
-          chunk_scores_into(*queries[i], 0, dim_, ws.scores.data() + i * k);
-        }
-        return;
-      }
-      for (const auto& plane : cls.planes) {
-        ws.plane_ptrs.push_back(plane.words().data());
-      }
-    }
-    // One blocked pass over the model scores the whole batch.
-    kernels::hamming_matrix(ws.query_ptrs.data(), q, ws.plane_ptrs.data(),
-                            total_planes, util::words_for_bits(dim_),
-                            ws.distances.data());
-  }
-
-  // Plane-weighted combination — operation order matches chunk_scores_into
-  // exactly, so the scores are bit-identical to the per-query path.
-  const double denom = static_cast<double>(dim_) *
-                       static_cast<double>((1u << precision_bits_) - 1);
-  for (std::size_t i = 0; i < q; ++i) {
-    const std::uint32_t* row = ws.distances.data() + i * total_planes;
-    double* out = ws.scores.data() + i * k;
-    for (std::size_t c = 0; c < k; ++c) {
-      double score = 0.0;
-      for (std::size_t p = 0; p < planes_per_class; ++p) {
-        const std::size_t matches = dim_ - row[c * planes_per_class + p];
-        score += static_cast<double>(1u << p) * static_cast<double>(matches);
-      }
-      out[c] = score / denom;
-    }
-  }
+  ws.distances.resize(q * arena_.num_planes());
+  // One tiled pass over the arena scores the whole batch; row
+  // c * planes + p of the arena is column c * planes + p of the matrix.
+  kernels::hamming_matrix_arena(ws.query_ptrs.data(), q, arena_.view(),
+                                ws.distances.data());
+  weigh_distances(q, dimension(), ws);
 }
 
 void HdcModel::scores_batch_masked(std::span<const hv::BinVec* const> queries,
                                    std::span<const std::uint64_t> mask,
                                    std::size_t kept_dims,
                                    ScoreWorkspace& ws) const {
-  const std::size_t k = classes_.size();
   const std::size_t q = queries.size();
-  const std::size_t words = util::words_for_bits(dim_);
-  ws.scores.resize(q * k);
-  if (q == 0 || k == 0) return;
+  ws.scores.resize(q * num_classes());
+  if (q == 0 || num_classes() == 0) return;
   if (kept_dims == 0) {
     std::fill(ws.scores.begin(), ws.scores.end(), 0.0);
     return;
   }
-
-  const std::size_t planes_per_class = classes_[0].planes.size();
-  const bool arena_path = use_arena();
-  ws.plane_ptrs.clear();
-  bool ragged = false;
-  if (!arena_path) {
-    for (const auto& cls : classes_) {
-      if (cls.planes.size() != planes_per_class) {
-        ragged = true;
-        break;
-      }
-      for (const auto& plane : cls.planes) {
-        ws.plane_ptrs.push_back(plane.words().data());
-      }
-    }
-  }
-  const double denom = static_cast<double>(kept_dims) *
-                       static_cast<double>((1u << precision_bits_) - 1);
-  if (ragged) {
-    // Ragged plane counts (hand-built models): exact per-pair path through
-    // the same masked kernel, one cell at a time.
-    for (std::size_t i = 0; i < q; ++i) {
-      const std::uint64_t* qw = queries[i]->words().data();
-      double* out = ws.scores.data() + i * k;
-      for (std::size_t c = 0; c < k; ++c) {
-        double score = 0.0;
-        for (std::size_t p = 0; p < classes_[c].planes.size(); ++p) {
-          const std::uint64_t* pw = classes_[c].planes[p].words().data();
-          std::uint32_t d = 0;
-          kernels::ops().hamming_matrix_masked(&qw, 1, &pw, 1, words,
-                                               mask.data(), &d);
-          const std::size_t matches = kept_dims - d;
-          score += static_cast<double>(1u << p) * static_cast<double>(matches);
-        }
-        out[c] = score / denom;
-      }
-    }
-    return;
-  }
-  const std::size_t total_planes = k * planes_per_class;
-
   ws.query_ptrs.resize(q);
   for (std::size_t i = 0; i < q; ++i) {
     ws.query_ptrs[i] = queries[i]->words().data();
   }
+  ws.distances.resize(q * arena_.num_planes());
+  kernels::hamming_matrix_arena_masked(ws.query_ptrs.data(), q, arena_.view(),
+                                       mask.data(), ws.distances.data());
+  weigh_distances(q, kept_dims, ws);
+}
 
-  ws.distances.resize(q * total_planes);
-  if (arena_path) {
-    // Arena fast path: tiled masked pass over the contiguous mirror —
-    // quarantine-masked scoring keeps the layout win.
-    kernels::hamming_matrix_arena_masked(ws.query_ptrs.data(), q,
-                                         arena_.view(), mask.data(),
-                                         ws.distances.data());
-  } else {
-    kernels::hamming_matrix_masked(ws.query_ptrs.data(), q,
-                                   ws.plane_ptrs.data(), total_planes, words,
-                                   mask.data(), ws.distances.data());
-  }
-
-  // Same combination as scores_batch with kept_dims substituted for dim_:
-  // identical float operation order, so an all-ones mask reproduces the
-  // unmasked scores bit-for-bit.
+void HdcModel::weigh_distances(std::size_t q, std::size_t kept_dims,
+                               ScoreWorkspace& ws) const {
+  // Plane-weighted combination — operation order matches chunk_scores_into
+  // exactly, so the scores are bit-identical to the per-query path (and an
+  // all-ones mask reproduces the unmasked scores).
+  const std::size_t k = num_classes();
+  const std::size_t planes = precision_bits_;
+  const double denom = static_cast<double>(kept_dims) *
+                       static_cast<double>((1u << precision_bits_) - 1);
   for (std::size_t i = 0; i < q; ++i) {
-    const std::uint32_t* row = ws.distances.data() + i * total_planes;
+    const std::uint32_t* distances = ws.distances.data() + i * k * planes;
     double* out = ws.scores.data() + i * k;
     for (std::size_t c = 0; c < k; ++c) {
       double score = 0.0;
-      for (std::size_t p = 0; p < planes_per_class; ++p) {
-        const std::size_t matches = kept_dims - row[c * planes_per_class + p];
+      for (std::size_t p = 0; p < planes; ++p) {
+        const std::size_t matches = kept_dims - distances[c * planes + p];
         score += static_cast<double>(1u << p) * static_cast<double>(matches);
       }
       out[c] = score / denom;
@@ -465,15 +275,13 @@ int HdcModel::predict(const hv::BinVec& query) const {
 std::vector<int> HdcModel::predict_batch(std::span<const hv::BinVec> queries,
                                          std::size_t max_threads) const {
   std::vector<int> out(queries.size());
-  const std::size_t k = classes_.size();
-  // Queries are scored in blocks through the distance-matrix kernel; the
-  // block argmax matches predict()'s max_element (first maximum wins), so
+  const std::size_t k = num_classes();
+  // Queries are scored in blocks through the arena kernel; the block
+  // argmax matches predict()'s max_element (first maximum wins), so
   // results stay bit-identical to the serial per-query loop regardless of
-  // block size or thread count.
-  // The arena path scores much larger blocks: the tile loop lives inside
-  // the kernel, so one call streams each plane tile from memory once for
-  // the whole block instead of once per 32 queries.
-  const std::size_t kBlock = use_arena() ? 256 : 32;
+  // block size or thread count. The tile loop lives inside the kernel, so
+  // one call streams each plane tile from memory once for the whole block.
+  constexpr std::size_t kBlock = 256;
   const std::size_t blocks = (queries.size() + kBlock - 1) / kBlock;
   util::parallel_for(
       blocks,
@@ -508,18 +316,15 @@ double HdcModel::evaluate(std::span<const hv::BinVec> queries,
 }
 
 std::vector<fault::MemoryRegion> HdcModel::memory_regions() {
-  // The regions hand out writable views of the BinVec planes — any fault
-  // campaign through them leaves the arena mirror stale, so drop it until
-  // the owner resyncs (the scrubber does so before republishing).
-  arena_valid_ = false;
+  // Writable views of the arena rows' live words, class-major: a fault
+  // campaign lands in the one store that scoring reads.
   std::vector<fault::MemoryRegion> regions;
-  regions.reserve(classes_.size() * precision_bits_);
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    for (std::size_t p = 0; p < classes_[c].planes.size(); ++p) {
-      auto words = classes_[c].planes[p].mutable_words();
+  regions.reserve(arena_.num_planes());
+  for (std::size_t c = 0; c < num_classes(); ++c) {
+    for (std::size_t p = 0; p < precision_bits_; ++p) {
       regions.push_back(fault::MemoryRegion{
-          std::as_writable_bytes(words), 1,
-          "class" + std::to_string(c) + "/plane" + std::to_string(p)});
+          std::as_writable_bytes(class_vector(c).planes[p].mutable_words()),
+          1, "class" + std::to_string(c) + "/plane" + std::to_string(p)});
     }
   }
   return regions;

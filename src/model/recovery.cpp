@@ -64,7 +64,7 @@ void RecoveryEngine::restore_state(const RecoveryEngineState& state) {
   }
 }
 
-std::size_t RecoveryEngine::substitute(hv::BinVec& plane,
+std::size_t RecoveryEngine::substitute(PlaneView<true> plane,
                                        const hv::BinVec& bits,
                                        std::size_t begin, std::size_t end) {
   std::size_t changed = 0;
@@ -131,10 +131,8 @@ ObserveResult RecoveryEngine::observe(const hv::BinVec& query) {
   result.trusted = true;
 
   const auto winner = static_cast<std::size_t>(conf.predicted);
-  // plane_for_repair keeps the arena mirror live through the (common)
-  // no-repair exit paths below; when a substitution does land, the touched
-  // bit range is propagated explicitly via sync_arena_range.
-  auto& class_plane = model_.plane_for_repair(winner, 0);
+  // Repairs write straight into the class's arena row.
+  const auto class_plane = model_.class_vector(winner).planes[0];
 
   // Health watchdog: repairs must never make the model worse. Track the
   // population mean of per-class winning similarities; a sustained drop
@@ -275,9 +273,6 @@ ObserveResult RecoveryEngine::observe(const hv::BinVec& query) {
       result.substituted_bits += substitute(class_plane, majority, begin, end);
     }
     if (result.substituted_bits > 0) {
-      // One-chunk republish into the arena mirror: scoring stays on the
-      // fast path across in-service repairs.
-      model_.sync_arena_range(winner, 0, begin, end);
       result.repaired_class = winner;
       result.repaired_begin = begin;
       result.repaired_end = end;

@@ -28,9 +28,8 @@ constexpr std::size_t kMaxSegmentBytes = std::size_t{1} << 28;
 std::uint32_t model_state_crc(const model::HdcModel& model) noexcept {
   std::uint32_t crc = 0;
   for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    const auto& planes = model.class_vector(c).planes;
-    for (const auto& plane : planes) {
-      const auto words = plane.words();
+    for (std::size_t p = 0; p < model.precision_bits(); ++p) {
+      const auto words = model.plane_words(c, p);
       crc = util::crc32c(words.data(), words.size() * sizeof(std::uint64_t),
                          crc);
     }
@@ -227,7 +226,6 @@ std::optional<Recovered> recover_dir(const std::string& dir) {
       rec.stats.state_crc_ok =
           model_state_crc(rec.model) == replayer.last_close->state_crc;
     }
-    rec.model.sync_arena();
     rec.model_version = replayer.max_version;
     rec.engine_state = std::move(replayer.committed_state);
     return rec;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "robusthd/util/bitops.hpp"
-
 namespace robusthd::serve {
 
 ChaosAgent::ChaosAgent(ModelSnapshot& snapshot, Scrubber* scrubber,
@@ -48,15 +46,11 @@ void ChaosAgent::tick() {
   }
 
   if (total_bits_ == 0) {
-    // The attack surface of the live model: every stored plane word,
-    // padding included — the same surface memory_regions() exposes.
+    // The attack surface of the live model: every live plane word, the
+    // last word's tail bits included — the surface memory_regions()
+    // exposes.
     const auto model = snapshot_.acquire();
-    const std::size_t words = util::words_for_bits(model->dimension());
-    std::size_t planes = 0;
-    for (std::size_t c = 0; c < model->num_classes(); ++c) {
-      planes += model->class_vector(c).planes.size();
-    }
-    total_bits_ = planes * words * 64;
+    total_bits_ = model->arena().num_planes() * model->arena().words() * 64;
     if (total_bits_ == 0) return;
   }
 
@@ -82,11 +76,7 @@ void ChaosAgent::tick() {
       // aim at the class's plane 0 (binary models have exactly one).
       const auto model = snapshot_.acquire();
       if (cls < model->num_classes()) {
-        std::size_t region = 0;
-        for (std::size_t c = 0; c < cls; ++c) {
-          region += model->class_vector(c).planes.size();
-        }
-        target_plane = region;
+        target_plane = cls * model->precision_bits();
       }
     }
   }

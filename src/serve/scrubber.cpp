@@ -168,8 +168,7 @@ void Scrubber::note_repair(const model::ObserveResult& result) {
       result.repaired_class == model::ObserveResult::kNoRepair) {
     return;
   }
-  // Bit range -> word range, the same resolution sync_arena_range used
-  // to republish the repair into the arena.
+  // Bit range -> the arena words the repair rewrote.
   const std::size_t word_begin = result.repaired_begin / 64;
   const std::size_t word_end = util::words_for_bits(result.repaired_end);
   pending_ranges_.push_back(
@@ -230,10 +229,6 @@ void Scrubber::run_commands() {
             regions, cmd.flips, cmd.mode, cmd.target_plane,
             cmd.cluster_fraction, rng);
       }
-      // The injector wrote through the BinVec regions, leaving the arena
-      // mirror stale; rebuild it so the engine's own scoring and the
-      // published copy both stay on the arena fast path.
-      working_.sync_arena();
       // Publish immediately: serving workers must see the damage the same
       // way deployed hardware would — recovery races real traffic. The
       // publish is conditional: losing to a concurrent reload discards

@@ -203,20 +203,15 @@ void Sentinel::run_round_locked() {
   const std::size_t k = reference_.num_classes();
   const std::size_t m = config_.chunks;
   const std::size_t dim = reference_.dimension();
+  const std::size_t planes =
+      std::min(reference_.precision_bits(), model->precision_bits());
   for (std::size_t cls = 0; cls < k; ++cls) {
-    const auto& ref_planes = reference_.class_vector(cls).planes;
-    const auto& live_planes = model->class_vector(cls).planes;
-    const std::size_t planes = std::min(ref_planes.size(),
-                                        live_planes.size());
     for (std::size_t c = 0; c < m; ++c) {
       const std::size_t begin = c * dim / m;
       const std::size_t end = (c + 1) * dim / m;
       const std::size_t width = end - begin;
       std::size_t drifted = 0;
       for (std::size_t p = 0; p < planes; ++p) {
-        // plane_words streams the arena rows of both models when their
-        // mirrors are live — same contiguous storage the scoring kernels
-        // read, identical counts either way.
         drifted += hv::hamming_range(reference_.plane_words(cls, p),
                                      model->plane_words(cls, p), begin, end);
       }

@@ -4,6 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <initializer_list>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "robusthd/fault/injector.hpp"
 #include "robusthd/util/rng.hpp"
 
 namespace robusthd::model {
@@ -150,11 +159,181 @@ TEST(HdcModel, MemoryRegionsCoverAllPlanes) {
 TEST(HdcModel, RegionWritesReachTheModel) {
   const auto toy = make_toy(2, 10, 0.05, 8);
   auto model = HdcModel::train(toy.samples, toy.labels, 2, {});
-  const auto before = model.class_vector(0).planes[0];
+  const auto before = model.class_vector(0).planes[0].to_binvec();
   auto regions = model.memory_regions();
   // Flip one byte of class 0's plane through the region view.
   regions[0].bytes[0] ^= std::byte{0xFF};
-  EXPECT_NE(model.class_vector(0).planes[0], before);
+  EXPECT_NE(model.class_vector(0).planes[0].to_binvec(), before);
+}
+
+/// A hand-built model of random planes (from_planes).
+HdcModel random_model(std::size_t classes, std::size_t dim, unsigned planes,
+                      util::Xoshiro256& rng) {
+  std::vector<ClassVector> cvs(classes);
+  for (auto& cv : cvs) {
+    for (unsigned p = 0; p < planes; ++p) {
+      cv.planes.push_back(hv::BinVec::random(dim, rng));
+    }
+  }
+  return HdcModel::from_planes(cvs, planes);
+}
+
+TEST(HdcModel, MemoryRegionsAreTheArenaRowsClassMajor) {
+  util::Xoshiro256 rng(20);
+  constexpr std::size_t kOddDim = 700;  // 11 live words, stride 16
+  auto model = random_model(4, kOddDim, 3, rng);
+  const auto regions = model.memory_regions();
+  const std::size_t words = util::words_for_bits(kOddDim);
+  ASSERT_EQ(regions.size(), 4u * 3u);
+  std::size_t bits = 0;
+  for (std::size_t c = 0; c < 4; ++c) {
+    for (std::size_t p = 0; p < 3; ++p) {
+      const auto& r = regions[c * 3 + p];
+      EXPECT_EQ(r.name, "class" + std::to_string(c) + "/plane" +
+                            std::to_string(p));
+      EXPECT_EQ(r.value_bits, 1u);
+      // The live words of row c * planes + p, never the padding.
+      EXPECT_EQ(static_cast<const void*>(r.bytes.data()),
+                static_cast<const void*>(model.arena().plane(c * 3 + p)));
+      EXPECT_EQ(r.bytes.size(), words * sizeof(std::uint64_t));
+      bits += r.bit_count();
+    }
+  }
+  EXPECT_EQ(bits, 4u * 3u * words * 64u);
+}
+
+TEST(HdcModel, CampaignStaysInsideTheRegions) {
+  util::Xoshiro256 rng(21);
+  constexpr std::size_t kOddDim = 700;
+  auto model = random_model(5, kOddDim, 2, rng);
+  const auto clean = model;
+  const auto& arena = model.arena();
+  ASSERT_GT(arena.stride_words(), arena.words());  // there is padding
+  auto regions = model.memory_regions();
+  util::Xoshiro256 attack(22);
+  const auto report = fault::BitFlipInjector::inject(
+      regions, 0.5, fault::AttackMode::kRandom, attack);
+  EXPECT_EQ(report.flipped, fault::total_bits(regions) / 2);
+  std::size_t changed = 0;
+  for (std::size_t row = 0; row < arena.num_planes(); ++row) {
+    for (std::size_t w = arena.words(); w < arena.stride_words(); ++w) {
+      ASSERT_EQ(arena.plane(row)[w], 0u) << "padding row " << row;
+    }
+    changed += util::hamming(
+        std::span<const std::uint64_t>(arena.plane(row), arena.words()),
+        std::span<const std::uint64_t>(clean.arena().plane(row),
+                                       arena.words()));
+  }
+  // Every flip landed in a live word.
+  EXPECT_EQ(changed, report.flipped);
+}
+
+TEST(HdcModel, ScoringSeesWritesAtOnce) {
+  util::Xoshiro256 rng(23);
+  auto model = random_model(4, kDim, 2, rng);
+  std::vector<hv::BinVec> queries;
+  std::vector<const hv::BinVec*> ptrs;
+  for (int q = 0; q < 9; ++q) queries.push_back(hv::BinVec::random(kDim, rng));
+  for (const auto& q : queries) ptrs.push_back(&q);
+  ScoreWorkspace before;
+  model.scores_batch(ptrs, before);
+
+  // Write through a mutable view and through a fault region, then score
+  // with no other call in between.
+  const auto plane = model.class_vector(1).planes[1];
+  for (std::size_t i = 0; i < kDim; i += 3) plane.flip(i);
+  model.class_vector(3).planes[0].set(5, !model.class_vector(3).planes[0].get(5));
+  auto regions = model.memory_regions();
+  regions[0].bytes[17] ^= std::byte{0x5A};
+
+  ScoreWorkspace after;
+  model.scores_batch(ptrs, after);
+  EXPECT_NE(after.scores, before.scores);
+  // The same bits in a freshly built model score the same.
+  std::vector<ClassVector> copies(model.num_classes());
+  for (std::size_t c = 0; c < model.num_classes(); ++c) {
+    for (std::size_t p = 0; p < 2; ++p) {
+      copies[c].planes.push_back(model.class_vector(c).planes[p].to_binvec());
+    }
+  }
+  ScoreWorkspace rebuilt;
+  HdcModel::from_planes(copies, 2).scores_batch(ptrs, rebuilt);
+  EXPECT_EQ(after.scores, rebuilt.scores);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto expected = model.scores(queries[i]);
+    for (std::size_t c = 0; c < model.num_classes(); ++c) {
+      EXPECT_EQ(after.scores[i * model.num_classes() + c], expected[c]);
+    }
+  }
+}
+
+TEST(HdcModel, DefaultAndMovedFromModelsHaveNoClasses) {
+  EXPECT_EQ(HdcModel().num_classes(), 0u);
+  util::Xoshiro256 rng(25);
+  auto model = random_model(3, 100, 2, rng);
+  const HdcModel moved = std::move(model);
+  EXPECT_EQ(moved.num_classes(), 3u);
+  EXPECT_EQ(moved.dimension(), 100u);
+  // The class count and dimension are read from the arena, which the
+  // move emptied.
+  EXPECT_EQ(model.num_classes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(model.dimension(), 0u);
+  EXPECT_TRUE(model.memory_regions().empty());
+}
+
+// ---- from_planes shape checks --------------------------------------------
+
+std::vector<ClassVector> planes_of(std::initializer_list<std::size_t> counts,
+                                   std::size_t dim) {
+  util::Xoshiro256 rng(24);
+  std::vector<ClassVector> cvs;
+  for (const auto n : counts) {
+    ClassVector cv;
+    for (std::size_t p = 0; p < n; ++p) {
+      cv.planes.push_back(hv::BinVec::random(dim, rng));
+    }
+    cvs.push_back(std::move(cv));
+  }
+  return cvs;
+}
+
+TEST(HdcModelFromPlanes, AcceptsAWellFormedModel) {
+  const auto model = HdcModel::from_planes(planes_of({2, 2, 2}, 100), 2);
+  EXPECT_EQ(model.num_classes(), 3u);
+  EXPECT_EQ(model.dimension(), 100u);
+  EXPECT_EQ(model.precision_bits(), 2u);
+}
+
+TEST(HdcModelFromPlanes, RejectsNoClasses) {
+  EXPECT_THROW(HdcModel::from_planes({}, 1), std::invalid_argument);
+}
+
+TEST(HdcModelFromPlanes, RejectsAClassWithNoPlanes) {
+  EXPECT_THROW(HdcModel::from_planes(planes_of({1, 0, 1}, 100), 1),
+               std::invalid_argument);
+}
+
+TEST(HdcModelFromPlanes, RejectsUnequalPlaneCounts) {
+  EXPECT_THROW(HdcModel::from_planes(planes_of({2, 1}, 100), 2),
+               std::invalid_argument);
+}
+
+TEST(HdcModelFromPlanes, RejectsPlaneCountOtherThanPrecision) {
+  EXPECT_THROW(HdcModel::from_planes(planes_of({2, 2}, 100), 1),
+               std::invalid_argument);
+  EXPECT_THROW(HdcModel::from_planes(planes_of({1, 1}, 100), 3),
+               std::invalid_argument);
+}
+
+TEST(HdcModelFromPlanes, RejectsMixedDimensions) {
+  auto cvs = planes_of({2, 2}, 100);
+  cvs[1].planes[1] = hv::BinVec(101);
+  EXPECT_THROW(HdcModel::from_planes(cvs, 2), std::invalid_argument);
+}
+
+TEST(HdcModelFromPlanes, RejectsDimensionZero) {
+  EXPECT_THROW(HdcModel::from_planes(planes_of({1, 1}, 0), 1),
+               std::invalid_argument);
 }
 
 TEST(HdcModel, EmptyQuerySetScoresZero) {

@@ -3,8 +3,10 @@
 // Every available ISA tier (scalar / AVX2 / AVX-512) is checked bit-for-bit
 // against a naive per-word reference on awkward dimensions (sub-word,
 // exactly one word, word+1, and the paper-scale 10k), on adversarial word
-// patterns (all-zeros, all-ones), and at the odd query/plane counts that
-// exercise the 4-query block tails of the distance-matrix kernel. The
+// patterns (all-zeros, all-ones), and — for the arena distance-matrix
+// kernels — at query counts that hit every query-group rim and at tile
+// budgets that split a plane into several tiles, ragged last tile
+// included. The
 // higher layers that were rewired onto the kernels (BinVec rotation and
 // ranged Hamming, batch scoring, zero-allocation encoding, the crossbar
 // cost cross-check) are then held to the same standard: bit-identical to
@@ -17,12 +19,15 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/binvec.hpp"
 #include "robusthd/hv/encoder.hpp"
+#include "robusthd/mem/plane_arena.hpp"
 #include "robusthd/model/hdc_model.hpp"
 #include "robusthd/pim/gpu_ref.hpp"
 #include "robusthd/pim/hdc_kernels.hpp"
@@ -150,40 +155,78 @@ TEST(KernelEquivalence, HammingMaskedAllIsas) {
   }
 }
 
-TEST(KernelEquivalence, HammingMatrixAllIsas) {
-  util::Xoshiro256 rng(0x7ab1e);
-  // Odd query/plane counts hit the 4-query block tail and the per-plane
-  // remainder paths of every variant.
-  const std::array<std::pair<std::size_t, std::size_t>, 6> shapes = {{
-      {1, 1}, {1, 7}, {3, 2}, {4, 4}, {5, 3}, {9, 11}}};
+/// Tile budgets for the arena matrix tests: the default (one tile covers
+/// a plane of up to 512 words), 4 KiB and 512 B. At D = 10,000 with 5
+/// planes the small budgets give 2 tiles of 96 words (the second ragged)
+/// and 20 tiles of 8 words, so tile offsets, next-tile prefetch and a
+/// ragged last tile all run.
+constexpr std::array<std::size_t, 3> kTileBytes = {std::size_t{1} << 20,
+                                                   4096, 512};
+
+mem::PlaneArena random_arena(std::size_t planes, std::size_t dim,
+                             std::size_t tile_bytes, util::Xoshiro256& rng) {
+  mem::PlaneArenaConfig config;
+  config.l2_tile_bytes = tile_bytes;
+  config.hugepages = false;
+  mem::PlaneArena arena(planes, dim, config);
+  for (std::size_t p = 0; p < planes; ++p) {
+    arena.store_plane(p, hv::BinVec::random(dim, rng));
+  }
+  return arena;
+}
+
+/// Runs `check(ops, arena, queries)` over every ISA, plane dimension,
+/// plane count, tile budget and query count the matrix tests cover.
+template <typename Check>
+void for_each_arena_shape(util::Xoshiro256& rng, Check&& check) {
   for (const auto isa : kAllIsas) {
     const auto* ops = kernels::ops_for(isa);
     if (ops == nullptr) continue;
-    for (const std::size_t words : {1, 2, 5, 17, 157}) {
-      for (const auto [nq, np] : shapes) {
-        std::vector<std::vector<std::uint64_t>> qs, ps;
-        std::vector<const std::uint64_t*> qp, pp;
-        for (std::size_t i = 0; i < nq; ++i) {
-          qs.push_back(random_words(words, rng));
-          qp.push_back(qs.back().data());
-        }
-        for (std::size_t i = 0; i < np; ++i) {
-          ps.push_back(random_words(words, rng));
-          pp.push_back(ps.back().data());
-        }
-        std::vector<std::uint32_t> out(nq * np, 0xdeadbeef);
-        ops->hamming_matrix(qp.data(), nq, pp.data(), np, words, out.data());
-        for (std::size_t q = 0; q < nq; ++q) {
-          for (std::size_t p = 0; p < np; ++p) {
-            EXPECT_EQ(out[q * np + p],
-                      ref_hamming(qp[q], pp[p], words))
-                << kernels::isa_name(isa) << " words=" << words << " q=" << q
-                << " p=" << p;
+    for (const std::size_t dim : {64, 65, 300, 1088, 10000}) {
+      for (const std::size_t planes : {1, 5, 11}) {
+        for (const std::size_t tile_bytes : kTileBytes) {
+          const auto arena = random_arena(planes, dim, tile_bytes, rng);
+          // 1, 4 and 13 queries: the single-query rim, one exact block,
+          // and the 8-, 4- and 1-query rims together.
+          for (const std::size_t nq : {1, 4, 13}) {
+            std::vector<std::vector<std::uint64_t>> queries;
+            for (std::size_t i = 0; i < nq; ++i) {
+              queries.push_back(random_words(arena.words(), rng));
+            }
+            check(*ops, arena, queries);
           }
         }
       }
     }
   }
+}
+
+std::string shape_name(const mem::PlaneArena& arena, std::size_t nq) {
+  return "dim=" + std::to_string(arena.dimension()) +
+         " planes=" + std::to_string(arena.num_planes()) +
+         " tile=" + std::to_string(arena.tile_words()) +
+         " tiles=" + std::to_string(arena.num_tiles()) +
+         " queries=" + std::to_string(nq);
+}
+
+TEST(KernelEquivalence, HammingMatrixAllIsas) {
+  util::Xoshiro256 rng(0x7ab1e);
+  for_each_arena_shape(rng, [](const kernels::Ops& ops,
+                               const mem::PlaneArena& arena,
+                               const auto& queries) {
+    std::vector<const std::uint64_t*> qp;
+    for (const auto& q : queries) qp.push_back(q.data());
+    const std::size_t np = arena.num_planes();
+    std::vector<std::uint32_t> out(qp.size() * np, 0xdeadbeef);
+    ops.hamming_matrix_arena(qp.data(), qp.size(), arena.view(), out.data());
+    for (std::size_t q = 0; q < qp.size(); ++q) {
+      for (std::size_t p = 0; p < np; ++p) {
+        ASSERT_EQ(out[q * np + p],
+                  ref_hamming(qp[q], arena.plane(p), arena.words()))
+            << shape_name(arena, qp.size()) << " q=" << q << " p=" << p;
+      }
+    }
+  });
 }
 
 TEST(KernelEquivalence, HammingMatrixMaskedAllIsas) {
@@ -196,56 +239,39 @@ TEST(KernelEquivalence, HammingMatrixMaskedAllIsas) {
     }
     return total;
   };
-  const std::array<std::pair<std::size_t, std::size_t>, 6> shapes = {{
-      {1, 1}, {1, 7}, {3, 2}, {4, 4}, {5, 3}, {9, 11}}};
-  for (const auto isa : kAllIsas) {
-    const auto* ops = kernels::ops_for(isa);
-    if (ops == nullptr) continue;
-    for (const std::size_t words : {1, 2, 5, 17, 157}) {
-      // Random mask plus the two degenerate masks: all-ones must reproduce
-      // the unmasked matrix kernel exactly; all-zeros must return 0.
-      const auto random_mask = random_words(words, rng);
-      const std::vector<std::uint64_t> ones(words, ~0ULL);
-      const std::vector<std::uint64_t> zeros(words, 0ULL);
-      for (const auto [nq, np] : shapes) {
-        std::vector<std::vector<std::uint64_t>> qs, ps;
-        std::vector<const std::uint64_t*> qp, pp;
-        for (std::size_t i = 0; i < nq; ++i) {
-          qs.push_back(random_words(words, rng));
-          qp.push_back(qs.back().data());
+  for_each_arena_shape(rng, [&](const kernels::Ops& ops,
+                                const mem::PlaneArena& arena,
+                                const auto& queries) {
+    std::vector<const std::uint64_t*> qp;
+    for (const auto& q : queries) qp.push_back(q.data());
+    const std::size_t words = arena.words();
+    const std::size_t np = arena.num_planes();
+    // Random mask plus the two degenerate masks: all-ones must reproduce
+    // the unmasked kernel exactly; all-zeros must return 0.
+    const auto random_mask = random_words(words, rng);
+    const std::vector<std::uint64_t> ones(words, ~0ULL);
+    const std::vector<std::uint64_t> zeros(words, 0ULL);
+    for (const auto* mask : {&random_mask, &ones, &zeros}) {
+      std::vector<std::uint32_t> out(qp.size() * np, 0xdeadbeef);
+      ops.hamming_matrix_arena_masked(qp.data(), qp.size(), arena.view(),
+                                      mask->data(), out.data());
+      for (std::size_t q = 0; q < qp.size(); ++q) {
+        for (std::size_t p = 0; p < np; ++p) {
+          ASSERT_EQ(out[q * np + p],
+                    ref_masked(qp[q], arena.plane(p), mask->data(), words))
+              << shape_name(arena, qp.size()) << " q=" << q << " p=" << p;
         }
-        for (std::size_t i = 0; i < np; ++i) {
-          ps.push_back(random_words(words, rng));
-          pp.push_back(ps.back().data());
-        }
-        for (const auto* mask :
-             {&random_mask, static_cast<const std::vector<std::uint64_t>*>(
-                                &ones),
-              static_cast<const std::vector<std::uint64_t>*>(&zeros)}) {
-          std::vector<std::uint32_t> out(nq * np, 0xdeadbeef);
-          ops->hamming_matrix_masked(qp.data(), nq, pp.data(), np, words,
-                                     mask->data(), out.data());
-          for (std::size_t q = 0; q < nq; ++q) {
-            for (std::size_t p = 0; p < np; ++p) {
-              EXPECT_EQ(out[q * np + p],
-                        ref_masked(qp[q], pp[p], mask->data(), words))
-                  << kernels::isa_name(isa) << " words=" << words
-                  << " q=" << q << " p=" << p;
-            }
-          }
-        }
-        // All-ones mask == the unmasked matrix kernel, element for element.
-        std::vector<std::uint32_t> masked_out(nq * np, 0);
-        std::vector<std::uint32_t> plain_out(nq * np, 1);
-        ops->hamming_matrix_masked(qp.data(), nq, pp.data(), np, words,
-                                   ones.data(), masked_out.data());
-        ops->hamming_matrix(qp.data(), nq, pp.data(), np, words,
-                            plain_out.data());
-        EXPECT_EQ(masked_out, plain_out)
-            << kernels::isa_name(isa) << " words=" << words;
       }
     }
-  }
+    // All-ones mask == the unmasked kernel, element for element.
+    std::vector<std::uint32_t> masked_out(qp.size() * np, 0);
+    std::vector<std::uint32_t> plain_out(qp.size() * np, 1);
+    ops.hamming_matrix_arena_masked(qp.data(), qp.size(), arena.view(),
+                                    ones.data(), masked_out.data());
+    ops.hamming_matrix_arena(qp.data(), qp.size(), arena.view(),
+                             plain_out.data());
+    EXPECT_EQ(masked_out, plain_out) << shape_name(arena, qp.size());
+  });
 }
 
 // ---- BinVec paths rewired onto the kernels ------------------------------
@@ -460,14 +486,49 @@ model::HdcModel tiny_model(std::size_t dim, std::size_t classes,
   return model::HdcModel::from_accumulators(accs, precision);
 }
 
+/// Naive masked scores: per-bit match counts over the kept dimensions,
+/// combined in the same order as HdcModel::scores_batch_masked.
+std::vector<double> ref_masked_scores(const model::HdcModel& m,
+                                      const hv::BinVec& query,
+                                      std::span<const std::uint64_t> mask,
+                                      std::size_t kept) {
+  const unsigned planes = m.precision_bits();
+  const double denom = static_cast<double>(kept) *
+                       static_cast<double>((1u << planes) - 1);
+  std::vector<double> out(m.num_classes());
+  for (std::size_t c = 0; c < m.num_classes(); ++c) {
+    double score = 0.0;
+    for (unsigned p = 0; p < planes; ++p) {
+      const auto plane = m.class_vector(c).planes[p];
+      std::size_t matches = 0;
+      for (std::size_t i = 0; i < m.dimension(); ++i) {
+        matches += util::get_bit(mask, i) && plane.get(i) == query.get(i);
+      }
+      score += static_cast<double>(1u << p) * static_cast<double>(matches);
+    }
+    out[c] = score / denom;
+  }
+  return out;
+}
+
 TEST(ModelKernels, ScoresBatchBitIdenticalToScores) {
   util::Xoshiro256 rng(0x5c02e);
-  for (const unsigned precision : {1u, 2u, 3u}) {
-    const auto m = tiny_model(1000, 6, precision, rng);
+  // (dim, classes, precision, queries): small odd shapes, and D = 10,000
+  // with 70 queries at precision 3, which crosses the arena kernel's
+  // 8/4/1 query-group rims with three weighted planes per class.
+  struct Shape {
+    std::size_t dim, classes;
+    unsigned precision;
+    std::size_t queries;
+  };
+  for (const auto& shape : {Shape{1000, 6, 1, 11}, Shape{1000, 6, 2, 11},
+                            Shape{1000, 6, 3, 11}, Shape{10000, 5, 1, 70},
+                            Shape{10000, 5, 3, 70}}) {
+    const auto m = tiny_model(shape.dim, shape.classes, shape.precision, rng);
     std::vector<hv::BinVec> queries;
     std::vector<const hv::BinVec*> ptrs;
-    for (int i = 0; i < 11; ++i) {  // odd count: exercises block tails
-      queries.push_back(hv::BinVec::random(1000, rng));
+    for (std::size_t i = 0; i < shape.queries; ++i) {
+      queries.push_back(hv::BinVec::random(shape.dim, rng));
     }
     for (const auto& q : queries) ptrs.push_back(&q);
     model::ScoreWorkspace ws;
@@ -477,7 +538,31 @@ TEST(ModelKernels, ScoresBatchBitIdenticalToScores) {
       for (std::size_t c = 0; c < m.num_classes(); ++c) {
         // Bit-identical doubles, not approximately equal.
         ASSERT_EQ(ws.scores[i * m.num_classes() + c], expected[c])
-            << "precision=" << precision << " q=" << i << " c=" << c;
+            << "dim=" << shape.dim << " precision=" << shape.precision
+            << " q=" << i << " c=" << c;
+      }
+    }
+
+    // Quarantine mask excluding chunks in the middle (a word-aligned run
+    // and a run that starts and ends inside words).
+    const std::size_t words = util::words_for_bits(shape.dim);
+    std::vector<std::uint64_t> mask(words, ~0ULL);
+    if (shape.dim % 64 != 0) mask[words - 1] = util::low_mask(shape.dim % 64);
+    for (std::size_t i = shape.dim / 3; i < shape.dim / 2; ++i) {
+      util::set_bit(mask, i, false);
+    }
+    for (std::size_t i = 6 * shape.dim / 10 + 5; i < 7 * shape.dim / 10 + 3;
+         ++i) {
+      util::set_bit(mask, i, false);
+    }
+    const std::size_t kept = util::popcount(mask);
+    m.scores_batch_masked(ptrs, mask, kept, ws);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const auto expected = ref_masked_scores(m, queries[i], mask, kept);
+      for (std::size_t c = 0; c < m.num_classes(); ++c) {
+        ASSERT_EQ(ws.scores[i * m.num_classes() + c], expected[c])
+            << "masked dim=" << shape.dim << " precision=" << shape.precision
+            << " q=" << i << " c=" << c;
       }
     }
   }
@@ -485,15 +570,26 @@ TEST(ModelKernels, ScoresBatchBitIdenticalToScores) {
 
 TEST(ModelKernels, PredictBatchBitIdenticalToSerialPredict) {
   util::Xoshiro256 rng(0xba7c4);
-  for (const unsigned precision : {1u, 2u}) {
-    const auto m = tiny_model(513, 5, precision, rng);
+  struct Shape {
+    std::size_t dim, classes;
+    unsigned precision;
+  };
+  for (const auto& shape : {Shape{513, 5, 1}, Shape{513, 5, 2},
+                            Shape{10000, 5, 3}}) {
+    const auto m = tiny_model(shape.dim, shape.classes, shape.precision, rng);
     std::vector<hv::BinVec> queries;
-    for (int i = 0; i < 70; ++i) {  // > 2 blocks of 32, with a tail
-      queries.push_back(hv::BinVec::random(513, rng));
+    // 300 queries: one full 256-query block and a ragged second block,
+    // each crossing the kernel's 8/4/1 query-group rims.
+    for (int i = 0; i < 300; ++i) {
+      queries.push_back(hv::BinVec::random(shape.dim, rng));
     }
-    const auto batched = m.predict_batch(queries);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(batched[i], m.predict(queries[i])) << "q=" << i;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+      const auto batched = m.predict_batch(queries, threads);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(batched[i], m.predict(queries[i]))
+            << "dim=" << shape.dim << " precision=" << shape.precision
+            << " threads=" << threads << " q=" << i;
+      }
     }
   }
 }
@@ -524,19 +620,17 @@ TEST(PimKernels, HammingMatrixMatchesCrossbarSearch) {
   const std::size_t dim = 96;  // keep the functional simulator small
   const std::size_t classes = 4;
   pim::CrossbarHdcUnit unit(dim, classes);
-  std::vector<hv::BinVec> stored;
-  std::vector<const std::uint64_t*> planes;
+  mem::PlaneArena planes(classes, dim);
   for (std::size_t c = 0; c < classes; ++c) {
-    stored.push_back(hv::BinVec::random(dim, rng));
-    unit.load_class(c, stored.back());
-    planes.push_back(stored.back().words().data());
+    const auto stored = hv::BinVec::random(dim, rng);
+    unit.load_class(c, stored);
+    planes.store_plane(c, stored);
   }
   const auto query = hv::BinVec::random(dim, rng);
   const auto in_memory = unit.hamming_search(query);
   const std::uint64_t* qp = query.words().data();
   std::vector<std::uint32_t> simd(classes);
-  kernels::hamming_matrix(&qp, 1, planes.data(), classes,
-                          query.words().size(), simd.data());
+  kernels::hamming_matrix_arena(&qp, 1, planes.view(), simd.data());
   ASSERT_EQ(in_memory.size(), classes);
   for (std::size_t c = 0; c < classes; ++c) {
     EXPECT_EQ(in_memory[c], simd[c]) << "class " << c;

@@ -363,7 +363,6 @@ TEST(EpochLog, ReplayIsBitIdenticalToTheLastClosedEpoch) {
   EXPECT_TRUE(rec->stats.state_crc_ok);
   EXPECT_FALSE(rec->stats.torn_tail);
   EXPECT_EQ(rec->model_version, 20u);
-  model.sync_arena();
   EXPECT_TRUE(models_bit_identical(rec->model, model));
   remove_tree(dir);
 }
@@ -418,7 +417,6 @@ TEST(EpochLog, UnterminatedEpochIsDiscardedOnReplay) {
   const auto rec = recover_dir(dir);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->stats.discarded_records, 1u);
-  model.sync_arena();
   EXPECT_TRUE(models_bit_identical(rec->model, model));  // delta NOT applied
   remove_tree(dir);
 }
@@ -456,7 +454,6 @@ TEST(EpochLog, RotationFencesStalePublications) {
   const auto rec = recover_dir(dir);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->generation, 1u);
-  model_b.sync_arena();
   EXPECT_TRUE(models_bit_identical(rec->model, model_b));
   remove_tree(dir);
 }
@@ -494,7 +491,6 @@ TEST(EpochLog, CompactionFoldsTheWalIntoAFreshBase) {
   ASSERT_TRUE(rec.has_value());
   EXPECT_TRUE(rec->stats.state_crc_ok);
   EXPECT_GE(rec->generation, 1u);
-  model.sync_arena();
   EXPECT_TRUE(models_bit_identical(rec->model, model));
   remove_tree(dir);
 }
@@ -522,7 +518,7 @@ TEST(ServerPersist, GracefulShutdownRecoversBitIdentical) {
   util::Xoshiro256 rng(43);
   std::vector<hv::BinVec> queries;
   for (int i = 0; i < 60; ++i) {
-    auto q = model.class_vector(rng.next() % kClasses).planes[0];
+    auto q = model.class_vector(rng.next() % kClasses).planes[0].to_binvec();
     for (std::size_t d = 0; d < kDim; ++d) {
       if (rng.bernoulli(0.04)) q.flip(d);
     }
@@ -567,7 +563,6 @@ TEST(ServerPersist, ReloadRotatesTheGenerationAndRecoversTheNewModel) {
     server.shutdown();
   }
   auto recovered = serve::Server::recover(dir, persist_server_config(dir));
-  model_b.sync_arena();
   EXPECT_TRUE(models_bit_identical(*recovered->current_model(), model_b));
   EXPECT_GT(recovered->stats().replay_records, 0u);
   recovered->shutdown();
@@ -593,9 +588,7 @@ TEST(ServerPersist, ReloadRacingRecoveredServerIsClean) {
   });
   util::Xoshiro256 rng(61);
   for (int i = 0; i < 100; ++i) {
-    // Const access: the reloader thread is concurrently copying `model`,
-    // and the mutable class_vector overload writes the arena-valid flag.
-    auto q = std::as_const(model).class_vector(rng.next() % kClasses).planes[0];
+    auto q = model.class_vector(rng.next() % kClasses).planes[0].to_binvec();
     (void)recovered->submit(std::move(q)).get();
   }
   reloader.join();

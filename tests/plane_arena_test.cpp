@@ -4,21 +4,27 @@
 // and per-row alignment, vector-multiple and set-de-aliased stride, L1/L2
 // tile geometry), the hugepage request plumbing and its graceful
 // fallback, BinVec round-trips through store/load, the arena kernels'
-// bit-identity with the row-major matrix kernels on every available ISA
-// (awkward dimensions, all-ones and random masks), and the model-level
-// coherence contract: layout-toggled scoring, copy/move semantics,
-// invalidation on mutable class access, and ranged republish after an
-// in-place repair.
+// bit-identity with per-pair Hamming over the source vectors on every
+// available ISA (awkward dimensions, all-ones and random masks), and the
+// model-level contract: the factories fill the arena, and snapshot copies
+// that are written through views and fault regions while other threads
+// score published snapshots stay coherent (the TSan case).
 #include "robusthd/mem/plane_arena.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "robusthd/fault/injector.hpp"
 #include "robusthd/hv/binvec.hpp"
 #include "robusthd/kernels/kernels.hpp"
 #include "robusthd/model/hdc_model.hpp"
@@ -155,26 +161,6 @@ TEST(PlaneArenaTest, StoreLoadRoundTrip) {
   }
 }
 
-TEST(PlaneArenaTest, StoreWordsUpdatesOnlyRange) {
-  util::Xoshiro256 rng(3);
-  std::vector<hv::BinVec> sources;
-  auto arena = make_arena(3, 10000, rng, sources);
-  auto mutated = sources[1];
-  for (std::size_t w = 40; w < 60; ++w) {
-    mutated.mutable_words()[w] = ~sources[1].words()[w];
-  }
-  // Republish a range that covers the mutation but not the whole plane.
-  arena.store_words(1, 40, 60, mutated.words().data());
-  hv::BinVec out;
-  arena.load_plane(1, out);
-  EXPECT_EQ(out, mutated);
-  // Neighbouring planes untouched.
-  arena.load_plane(0, out);
-  EXPECT_EQ(out, sources[0]);
-  arena.load_plane(2, out);
-  EXPECT_EQ(out, sources[2]);
-}
-
 // ---- kernel equivalence -------------------------------------------------
 
 TEST(PlaneArenaTest, ArenaKernelMatchesRowMajorEveryIsa) {
@@ -185,21 +171,24 @@ TEST(PlaneArenaTest, ArenaKernelMatchesRowMajorEveryIsa) {
     const auto arena = make_arena(planes, dim, rng, sources);
 
     std::vector<hv::BinVec> queries_store;
-    std::vector<const std::uint64_t*> queries, rows;
+    std::vector<const std::uint64_t*> queries;
     // 13 queries: exercises the 8-, 4-, and single-query group rims.
     for (std::size_t q = 0; q < 13; ++q) {
       queries_store.push_back(hv::BinVec::random(dim, rng));
     }
     for (const auto& q : queries_store) queries.push_back(q.words().data());
-    for (const auto& s : sources) rows.push_back(s.words().data());
 
+    // The reference: per-pair Hamming over the row-major source vectors.
+    std::vector<std::uint32_t> want;
+    for (const auto& q : queries_store) {
+      for (const auto& s : sources) {
+        want.push_back(static_cast<std::uint32_t>(hv::hamming(q, s)));
+      }
+    }
     for (const auto isa : kAllIsas) {
       const auto* ops = kernels::ops_for(isa);
       if (ops == nullptr) continue;
-      std::vector<std::uint32_t> want(queries.size() * planes, 0xdead);
       std::vector<std::uint32_t> got(queries.size() * planes, 0xbeef);
-      ops->hamming_matrix(queries.data(), queries.size(), rows.data(), planes,
-                          arena.words(), want.data());
       ops->hamming_matrix_arena(queries.data(), queries.size(), arena.view(),
                                 got.data());
       EXPECT_EQ(got, want) << kernels::isa_name(isa) << " dim " << dim;
@@ -216,12 +205,11 @@ TEST(PlaneArenaTest, MaskedArenaKernelMatchesRowMajorEveryIsa) {
     const auto arena = make_arena(planes, dim, rng, sources);
 
     std::vector<hv::BinVec> queries_store;
-    std::vector<const std::uint64_t*> queries, rows;
+    std::vector<const std::uint64_t*> queries;
     for (std::size_t q = 0; q < 9; ++q) {
       queries_store.push_back(hv::BinVec::random(dim, rng));
     }
     for (const auto& q : queries_store) queries.push_back(q.words().data());
-    for (const auto& s : sources) rows.push_back(s.words().data());
 
     // All-ones (within the dimension) and a random quarantine-style mask.
     util::AlignedU64Vec all_ones(words, ~0ull);
@@ -231,13 +219,22 @@ TEST(PlaneArenaTest, MaskedArenaKernelMatchesRowMajorEveryIsa) {
     random_mask[words - 1] &= all_ones[words - 1];
 
     for (const auto* mask : {&all_ones, &random_mask}) {
+      // The reference: per-pair masked Hamming over the row-major sources.
+      std::vector<std::uint32_t> want;
+      for (const auto& q : queries_store) {
+        for (const auto& src : sources) {
+          std::uint32_t d = 0;
+          for (std::size_t w = 0; w < words; ++w) {
+            d += static_cast<std::uint32_t>(std::popcount(
+                (q.words()[w] ^ src.words()[w]) & (*mask)[w]));
+          }
+          want.push_back(d);
+        }
+      }
       for (const auto isa : kAllIsas) {
         const auto* ops = kernels::ops_for(isa);
         if (ops == nullptr) continue;
-        std::vector<std::uint32_t> want(queries.size() * planes, 1);
         std::vector<std::uint32_t> got(queries.size() * planes, 2);
-        ops->hamming_matrix_masked(queries.data(), queries.size(), rows.data(),
-                                   planes, words, mask->data(), want.data());
         ops->hamming_matrix_arena_masked(queries.data(), queries.size(),
                                          arena.view(), mask->data(),
                                          got.data());
@@ -289,19 +286,7 @@ TEST(PlaneArenaTest, MoveTransfersOwnership) {
   EXPECT_EQ(out, sources[1]);
 }
 
-// ---- model coherence ----------------------------------------------------
-
-class ScopedLayout {
- public:
-  explicit ScopedLayout(model::ScoringLayout layout)
-      : prev_(model::scoring_layout()) {
-    model::set_scoring_layout(layout);
-  }
-  ~ScopedLayout() { model::set_scoring_layout(prev_); }
-
- private:
-  model::ScoringLayout prev_;
-};
+// ---- model storage ------------------------------------------------------
 
 model::HdcModel random_model(std::size_t classes, std::size_t dim,
                              unsigned precision_bits, util::Xoshiro256& rng) {
@@ -313,152 +298,97 @@ model::HdcModel random_model(std::size_t classes, std::size_t dim,
     }
     cvs.push_back(std::move(cv));
   }
-  return model::HdcModel::from_planes(std::move(cvs), precision_bits);
+  return model::HdcModel::from_planes(cvs, precision_bits);
 }
 
 TEST(PlaneArenaModelTest, FactoriesEstablishTheArena) {
   util::Xoshiro256 rng(8);
-  const auto m = random_model(6, 10000, 2, rng);
-  EXPECT_TRUE(m.arena_valid());
+  std::vector<model::ClassVector> cvs(6);
+  for (auto& cv : cvs) {
+    for (int p = 0; p < 2; ++p) {
+      cv.planes.push_back(hv::BinVec::random(10000, rng));
+    }
+  }
+  const auto m = model::HdcModel::from_planes(cvs, 2);
   EXPECT_EQ(m.arena().num_planes(), 12u);
   EXPECT_EQ(m.arena().dimension(), 10000u);
-}
-
-TEST(PlaneArenaModelTest, LayoutsScoreBitIdentically) {
-  util::Xoshiro256 rng(9);
-  for (unsigned precision : {1u, 3u}) {
-    const auto m = random_model(5, 10000, precision, rng);
-    std::vector<hv::BinVec> queries;
-    // 70 queries: crosses the arena block's 8/4/1 group rims.
-    for (int q = 0; q < 70; ++q) {
-      queries.push_back(hv::BinVec::random(10000, rng));
+  // Class c, plane p lives in row c * planes + p.
+  hv::BinVec row;
+  for (std::size_t c = 0; c < cvs.size(); ++c) {
+    for (std::size_t p = 0; p < 2; ++p) {
+      m.arena().load_plane(c * 2 + p, row);
+      EXPECT_EQ(row, cvs[c].planes[p]) << "class " << c << " plane " << p;
     }
-    std::vector<const hv::BinVec*> ptrs;
-    for (const auto& q : queries) ptrs.push_back(&q);
-
-    model::ScoreWorkspace rowmajor_ws, arena_ws;
-    std::vector<int> rowmajor_pred, arena_pred;
-    {
-      ScopedLayout layout(model::ScoringLayout::kRowMajor);
-      m.scores_batch(ptrs, rowmajor_ws);
-      rowmajor_pred = m.predict_batch(queries, 1);
-    }
-    {
-      ScopedLayout layout(model::ScoringLayout::kArena);
-      m.scores_batch(ptrs, arena_ws);
-      arena_pred = m.predict_batch(queries, 1);
-    }
-    EXPECT_EQ(arena_ws.scores, rowmajor_ws.scores) << "precision " << precision;
-    EXPECT_EQ(arena_pred, rowmajor_pred);
   }
 }
 
-TEST(PlaneArenaModelTest, MaskedLayoutsScoreBitIdentically) {
-  util::Xoshiro256 rng(10);
-  const auto m = random_model(4, 10000, 1, rng);
-  const std::size_t words = util::words_for_bits(10000);
+// Readers score whichever snapshot is published while a writer copies it,
+// damages the copy through mutable plane views and memory_regions(), and
+// publishes the copy. Each reader checks its batch against per-query
+// scores of the snapshot it holds: a copy that shared storage with its
+// source, or a write that leaked into a published snapshot, breaks the
+// match (and shows up as a race under TSan).
+TEST(PlaneArenaModelTest, SnapshotCopiesWrittenWhileReadersScore) {
+  constexpr std::size_t kDim = 4000;
+  util::Xoshiro256 rng(14);
   std::vector<hv::BinVec> queries;
-  for (int q = 0; q < 9; ++q) queries.push_back(hv::BinVec::random(10000, rng));
+  for (int q = 0; q < 24; ++q) queries.push_back(hv::BinVec::random(kDim, rng));
   std::vector<const hv::BinVec*> ptrs;
   for (const auto& q : queries) ptrs.push_back(&q);
 
-  util::AlignedU64Vec mask(words, ~0ull);
-  mask[words - 1] = util::low_mask(10000 % 64);
-  // Quarantine a chunk in the middle.
-  for (std::size_t w = 50; w < 80; ++w) mask[w] = 0;
-  std::size_t kept = 0;
-  for (const auto w : mask) kept += std::popcount(w);
+  std::mutex publish_mutex;
+  auto published =
+      std::make_shared<const model::HdcModel>(random_model(5, kDim, 1, rng));
+  const auto acquire = [&] {
+    const std::lock_guard<std::mutex> lock(publish_mutex);
+    return published;
+  };
 
-  model::ScoreWorkspace rowmajor_ws, arena_ws;
-  {
-    ScopedLayout layout(model::ScoringLayout::kRowMajor);
-    m.scores_batch_masked(ptrs, mask, kept, rowmajor_ws);
-  }
-  {
-    ScopedLayout layout(model::ScoringLayout::kArena);
-    m.scores_batch_masked(ptrs, mask, kept, arena_ws);
-  }
-  EXPECT_EQ(arena_ws.scores, rowmajor_ws.scores);
-}
-
-TEST(PlaneArenaModelTest, MutableAccessInvalidatesAndSyncRestores) {
-  util::Xoshiro256 rng(11);
-  auto m = random_model(3, 4000, 1, rng);
-  ASSERT_TRUE(m.arena_valid());
-
-  auto& cv = m.class_vector(1);
-  EXPECT_FALSE(m.arena_valid());
-  cv.planes[0].flip(123);
-
-  // Stale mirror: scoring still works (row-major fallback) and matches a
-  // freshly synced arena bit-for-bit.
-  const auto query = hv::BinVec::random(4000, rng);
-  const auto stale_scores = m.scores(query);
-  m.sync_arena();
-  ASSERT_TRUE(m.arena_valid());
-  ScopedLayout layout(model::ScoringLayout::kArena);
-  EXPECT_EQ(m.scores(query), stale_scores);
-  EXPECT_EQ(m.plane_words(1, 0)[1], cv.planes[0].words()[1]);
-}
-
-TEST(PlaneArenaModelTest, RangedRepublishAfterRepair) {
-  util::Xoshiro256 rng(12);
-  auto m = random_model(3, 10000, 1, rng);
-  ASSERT_TRUE(m.arena_valid());
-
-  // In-place repair of bits [3200, 4800) of class 2, plane 0 — the
-  // recovery engine's pattern: mutate via plane_for_repair, republish
-  // exactly the touched range.
-  auto& plane = m.plane_for_repair(2, 0);
-  for (std::size_t bit = 3200; bit < 4800; ++bit) {
-    if (rng.next() & 1) plane.flip(bit);
-  }
-  EXPECT_TRUE(m.arena_valid());  // not invalidated by design
-  m.sync_arena_range(2, 0, 3200, 4800);
-
-  // The arena row now matches the repaired plane everywhere.
-  const auto arena_words = m.plane_words(2, 0);
-  for (std::size_t w = 0; w < arena_words.size(); ++w) {
-    ASSERT_EQ(arena_words[w], plane.words()[w]) << "word " << w;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> batches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      model::ScoreWorkspace ws;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto snapshot = acquire();
+        snapshot->scores_batch(ptrs, ws);
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const auto expected = snapshot->scores(queries[i]);
+          if (!std::equal(expected.begin(), expected.end(),
+                          ws.scores.begin() + static_cast<std::ptrdiff_t>(
+                                                  i * expected.size()))) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        batches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
   }
 
-  // And both layouts agree on scores after the repair.
-  const auto query = hv::BinVec::random(10000, rng);
-  std::vector<double> rowmajor_scores, arena_scores;
-  {
-    ScopedLayout layout(model::ScoringLayout::kRowMajor);
-    rowmajor_scores = m.scores(query);
+  util::Xoshiro256 writer_rng(15);
+  for (int round = 0; round < 40; ++round) {
+    model::HdcModel copy = *acquire();
+    const auto plane = copy.class_vector(round % 5).planes[0];
+    for (int f = 0; f < 64; ++f) plane.flip(writer_rng.next() % kDim);
+    auto regions = copy.memory_regions();
+    fault::BitFlipInjector::inject(regions, 0.01, fault::AttackMode::kRandom,
+                                   writer_rng);
+    // The regions cover whole words, so the campaign may set bits past D
+    // in a plane's last word. Batch scoring reads whole words and
+    // per-query scoring stops at D, so clear them before comparing.
+    for (std::size_t c = 0; c < copy.num_classes(); ++c) {
+      copy.class_vector(c).planes[0].mask_tail();
+    }
+    auto next = std::make_shared<const model::HdcModel>(std::move(copy));
+    const std::lock_guard<std::mutex> lock(publish_mutex);
+    published = std::move(next);
   }
-  {
-    ScopedLayout layout(model::ScoringLayout::kArena);
-    arena_scores = m.scores(query);
-  }
-  EXPECT_EQ(arena_scores, rowmajor_scores);
-}
-
-TEST(PlaneArenaModelTest, CopySyncsStaleMirror) {
-  util::Xoshiro256 rng(13);
-  auto m = random_model(3, 4000, 1, rng);
-  m.class_vector(0).planes[0].flip(7);  // invalidate
-  ASSERT_FALSE(m.arena_valid());
-
-  // Copy-construction re-establishes the mirror (snapshot publication).
-  const model::HdcModel copy(m);
-  EXPECT_TRUE(copy.arena_valid());
-  EXPECT_EQ(copy.plane_words(0, 0)[0], m.class_vector(0).planes[0].words()[0]);
-
-  // Copy-assignment from a valid source stays valid.
-  model::HdcModel assigned;
-  assigned = copy;
-  EXPECT_TRUE(assigned.arena_valid());
-
-  // Ragged models stay arena-less and score row-major.
-  std::vector<model::ClassVector> ragged(2);
-  ragged[0].planes.push_back(hv::BinVec::random(1000, rng));
-  ragged[0].planes.push_back(hv::BinVec::random(1000, rng));
-  ragged[1].planes.push_back(hv::BinVec::random(1000, rng));
-  auto ragged_model = model::HdcModel::from_planes(std::move(ragged), 2);
-  EXPECT_FALSE(ragged_model.arena_valid());
+  while (batches.load() < 8) std::this_thread::yield();
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

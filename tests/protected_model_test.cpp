@@ -26,8 +26,8 @@ TEST(EccProtectedModel, CleanScrubIsIdentity) {
   EXPECT_EQ(report.corrected, 0u);
   EXPECT_EQ(report.uncorrectable, 0u);
   for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    EXPECT_EQ(model.class_vector(c).planes[0],
-              snapshot.class_vector(c).planes[0]);
+    EXPECT_EQ(model.class_vector(c).planes[0].to_binvec(),
+              snapshot.class_vector(c).planes[0].to_binvec());
   }
 }
 
@@ -57,8 +57,8 @@ TEST(EccProtectedModel, RepairsTraceLevelErrors) {
   EXPECT_EQ(report.uncorrectable, 0u);
   // Model fully restored.
   for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    EXPECT_EQ(hv::hamming_range(model.class_vector(c).planes[0],
-                                snapshot.class_vector(c).planes[0], 0,
+    EXPECT_EQ(hv::hamming_range(model.plane_words(c, 0),
+                                snapshot.plane_words(c, 0), 0,
                                 model.dimension()),
               0u);
   }
@@ -75,11 +75,45 @@ TEST(EccProtectedModel, PercentBerLeavesResidualDamage) {
   EXPECT_GT(report.uncorrectable, report.clean / 4);
   std::size_t residual = 0;
   for (std::size_t c = 0; c < model.num_classes(); ++c) {
-    residual += hv::hamming_range(model.class_vector(c).planes[0],
-                                  snapshot.class_vector(c).planes[0], 0,
+    residual += hv::hamming_range(model.plane_words(c, 0),
+                                  snapshot.plane_words(c, 0), 0,
                                   model.dimension());
   }
   EXPECT_GT(residual, 0u);
+}
+
+TEST(EccProtectedModel, ScrubbedModelScoresItsOwnBits) {
+  auto model = small_model();
+  EccProtectedModel protect(model);
+  util::Xoshiro256 rng(3);
+  auto regions = protect.memory_regions();
+  fault::BitFlipInjector::inject_bit_errors(regions, 0.04, rng);
+  protect.scrub_and_refresh();
+
+  // The scrub wrote residual damage into the model's planes; batch and
+  // per-query scoring, and a model rebuilt from copies of the same bits,
+  // all agree.
+  std::vector<hv::BinVec> queries;
+  for (int i = 0; i < 20; ++i) {
+    queries.push_back(hv::BinVec::random(model.dimension(), rng));
+  }
+  std::vector<const hv::BinVec*> ptrs;
+  for (const auto& q : queries) ptrs.push_back(&q);
+  model::ScoreWorkspace ws;
+  model.scores_batch(ptrs, ws);
+  std::vector<model::ClassVector> copies(model.num_classes());
+  for (std::size_t c = 0; c < model.num_classes(); ++c) {
+    copies[c].planes.push_back(model.class_vector(c).planes[0].to_binvec());
+  }
+  model::ScoreWorkspace rebuilt;
+  model::HdcModel::from_planes(copies, 1).scores_batch(ptrs, rebuilt);
+  EXPECT_EQ(ws.scores, rebuilt.scores);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto expected = model.scores(queries[i]);
+    for (std::size_t c = 0; c < model.num_classes(); ++c) {
+      ASSERT_EQ(ws.scores[i * model.num_classes() + c], expected[c]);
+    }
+  }
 }
 
 TEST(EccProtectedModel, AttackSurfaceIncludesChecks) {

@@ -143,10 +143,11 @@ TEST(RecoveryEngine, RepairsClusteredDamage) {
   // generative prototypes).
   double before = 0.0, after = 0.0;
   for (std::size_t c = 0; c < kClasses; ++c) {
-    before += hv::similarity(attacked_model.class_vector(c).planes[0],
-                             clean_model.class_vector(c).planes[0]);
-    after += hv::similarity(world.model.class_vector(c).planes[0],
-                            clean_model.class_vector(c).planes[0]);
+    const auto clean = clean_model.class_vector(c).planes[0].to_binvec();
+    before += hv::similarity(
+        attacked_model.class_vector(c).planes[0].to_binvec(), clean);
+    after +=
+        hv::similarity(world.model.class_vector(c).planes[0].to_binvec(), clean);
   }
   EXPECT_GT(after, before + 0.005 * kClasses);
   // And accuracy did not degrade relative to the attacked model.

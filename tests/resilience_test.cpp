@@ -78,7 +78,7 @@ std::pair<std::size_t, std::size_t> chunk_range(std::size_t c,
 /// Inverts every bit of `cls`'s plane 0 inside chunk `c`.
 void invert_chunk(model::HdcModel& model, std::size_t cls, std::size_t c,
                   std::size_t m) {
-  auto& plane = model.class_vector(cls).planes[0];
+  const auto plane = model.class_vector(cls).planes[0];
   const auto [begin, end] = chunk_range(c, model.dimension(), m);
   for (std::size_t d = begin; d < end; ++d) plane.flip(d);
 }
@@ -496,8 +496,8 @@ TEST(ChaosAgent, BudgetIsExactAndCampaignTerminates) {
   const auto damaged = snapshot.acquire();
   std::size_t changed = 0;
   for (std::size_t c = 0; c < kClasses; ++c) {
-    changed += hv::hamming(world.model.class_vector(c).planes[0],
-                           damaged->class_vector(c).planes[0]);
+    changed += util::hamming(world.model.plane_words(c, 0),
+                             damaged->plane_words(c, 0));
   }
   EXPECT_GT(changed, static_cast<std::size_t>(budget) / 2);
 }
@@ -517,8 +517,8 @@ TEST(ChaosAgent, TargetedCampaignHitsOnlyTheProvidedClassPlane) {
 
   const auto damaged = snapshot.acquire();
   for (std::size_t c = 0; c < kClasses; ++c) {
-    const auto dist = hv::hamming(world.model.class_vector(c).planes[0],
-                                  damaged->class_vector(c).planes[0]);
+    const auto dist = util::hamming(world.model.plane_words(c, 0),
+                                    damaged->plane_words(c, 0));
     if (c == victim) {
       EXPECT_GT(dist, 0u) << "victim plane untouched";
     } else {

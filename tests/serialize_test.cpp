@@ -102,9 +102,10 @@ TEST(Serialize, AttackedModelSurvivesRoundTrip) {
   // Compare the D meaningful bits (deserialisation re-zeros the padding
   // bits of the final word, which the injector may have flipped).
   for (std::size_t c = 0; c < original.model().num_classes(); ++c) {
-    const auto& a = restored.model().class_vector(c).planes[0];
-    const auto& b = original.model().class_vector(c).planes[0];
-    EXPECT_EQ(hv::hamming_range(a, b, 0, a.dimension()), 0u) << c;
+    const auto a = restored.model().plane_words(c, 0);
+    const auto b = original.model().plane_words(c, 0);
+    EXPECT_EQ(hv::hamming_range(a, b, 0, original.model().dimension()), 0u)
+        << c;
   }
 }
 

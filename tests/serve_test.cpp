@@ -578,8 +578,8 @@ TEST(Scrubber, ReproducesOfflineRecoveryEngine) {
   EXPECT_EQ(scrubber.engine().total_substituted_bits(),
             offline.total_substituted_bits());
   for (std::size_t c = 0; c < kClasses; ++c) {
-    EXPECT_EQ(scrubber.working_model().class_vector(c).planes[0],
-              offline_model.class_vector(c).planes[0])
+    EXPECT_EQ(scrubber.working_model().class_vector(c).planes[0].to_binvec(),
+              offline_model.class_vector(c).planes[0].to_binvec())
         << "class " << c;
   }
   EXPECT_GT(scrubber.counters().processed, 0u);
@@ -588,8 +588,8 @@ TEST(Scrubber, ReproducesOfflineRecoveryEngine) {
   ASSERT_GT(snapshot.version(), 0u);
   const auto published = snapshot.acquire();
   for (std::size_t c = 0; c < kClasses; ++c) {
-    EXPECT_EQ(published->class_vector(c).planes[0],
-              offline_model.class_vector(c).planes[0]);
+    EXPECT_EQ(published->class_vector(c).planes[0].to_binvec(),
+              offline_model.class_vector(c).planes[0].to_binvec());
   }
 }
 
@@ -627,12 +627,106 @@ TEST(Server, RepairsInjectedFaultsWhileServing) {
   const auto healed = *server.current_model();
   double before = 0.0, after = 0.0;
   for (std::size_t c = 0; c < kClasses; ++c) {
-    before += hv::similarity(damaged.class_vector(c).planes[0],
-                             clean.class_vector(c).planes[0]);
-    after += hv::similarity(healed.class_vector(c).planes[0],
-                            clean.class_vector(c).planes[0]);
+    const auto clean_plane = clean.class_vector(c).planes[0].to_binvec();
+    before += hv::similarity(damaged.class_vector(c).planes[0].to_binvec(),
+                             clean_plane);
+    after += hv::similarity(healed.class_vector(c).planes[0].to_binvec(),
+                            clean_plane);
   }
   EXPECT_GT(after, before);
+}
+
+// ------------------------------------------------- damaged snapshots --
+//
+// Models whose planes were written after they were built — by
+// Server::inject_faults, or through memory_regions() before serving — must
+// score their own bits: the batch path, the per-query path and a model
+// freshly built from copies of those bits all agree. D is a multiple of
+// 64 so a campaign cannot set bits past D, which only the batch path
+// would read.
+
+constexpr std::size_t kWordDim = 4096;
+
+model::HdcModel random_word_model(util::Xoshiro256& rng) {
+  std::vector<model::ClassVector> classes(kClasses);
+  for (auto& cv : classes) {
+    cv.planes.push_back(hv::BinVec::random(kWordDim, rng));
+  }
+  return model::HdcModel::from_planes(classes, 1);
+}
+
+void expect_scores_own_bits(const model::HdcModel& m,
+                            std::span<const hv::BinVec> queries) {
+  std::vector<const hv::BinVec*> ptrs;
+  for (const auto& q : queries) ptrs.push_back(&q);
+  model::ScoreWorkspace ws;
+  m.scores_batch(ptrs, ws);
+  std::vector<model::ClassVector> copies(m.num_classes());
+  for (std::size_t c = 0; c < m.num_classes(); ++c) {
+    copies[c].planes.push_back(m.class_vector(c).planes[0].to_binvec());
+  }
+  model::ScoreWorkspace rebuilt;
+  model::HdcModel::from_planes(copies, 1).scores_batch(ptrs, rebuilt);
+  EXPECT_EQ(ws.scores, rebuilt.scores);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto expected = m.scores(queries[i]);
+    for (std::size_t c = 0; c < m.num_classes(); ++c) {
+      ASSERT_EQ(ws.scores[i * m.num_classes() + c], expected[c])
+          << "q=" << i << " c=" << c;
+    }
+  }
+}
+
+std::vector<hv::BinVec> random_queries(std::size_t n, util::Xoshiro256& rng) {
+  std::vector<hv::BinVec> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(hv::BinVec::random(kWordDim, rng));
+  }
+  return out;
+}
+
+TEST(Server, InjectedFaultsWithoutRecoveryScoreTheirOwnBits) {
+  util::Xoshiro256 rng(0x57a1e);
+  const auto clean = random_word_model(rng);
+  const auto queries = random_queries(40, rng);
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.enable_recovery = false;
+  Server server(clean, config);
+  server.inject_faults(0.1, fault::AttackMode::kClustered, 7);
+  const auto damaged = server.current_model();
+  std::size_t changed = 0;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    changed += util::hamming(clean.plane_words(c, 0),
+                             damaged->plane_words(c, 0));
+  }
+  EXPECT_GT(changed, 0u);
+  expect_scores_own_bits(*damaged, queries);
+  const auto answers = server.predict_all(queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(answers[i].predicted, damaged->predict(queries[i])) << i;
+  }
+  server.shutdown();
+}
+
+TEST(Server, ModelDamagedThroughRegionsScoresItsOwnBits) {
+  util::Xoshiro256 rng(0x57a1f);
+  auto model = random_word_model(rng);
+  const auto queries = random_queries(40, rng);
+  auto regions = model.memory_regions();
+  util::Xoshiro256 attack(8);
+  fault::BitFlipInjector::inject(regions, 0.1, fault::AttackMode::kRandom,
+                                 attack);
+  ServerConfig config;
+  config.worker_threads = 1;
+  config.enable_recovery = false;
+  Server server(model, config);
+  expect_scores_own_bits(*server.current_model(), queries);
+  const auto answers = server.predict_all(queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(answers[i].predicted, model.predict(queries[i])) << i;
+  }
+  server.shutdown();
 }
 
 // --------------------------------------------------------------- reload --

@@ -146,11 +146,10 @@ const std::vector<CommandSpec>& command_specs() {
        "  --rounds R                    passes over the test queries\n"
        "  --rate R --mode M             optional fault injection\n"
        "  --dimension D                 trained-model dimension (default 4000)\n"
-       "  --layout rowmajor|arena       plane-memory scoring layout (default arena)\n"
        "  --persist-dir DIR             journal publications into a WAL dir\n"
        "                                (recovers from it when state exists)\n",
        {"model", "workers", "rounds", "rate", "mode", "batch", "dimension",
-        "layout", "persist-dir", ROBUSTHD_SPLIT_FLAGS}},
+        "persist-dir", ROBUSTHD_SPLIT_FLAGS}},
       {"chaos", "live-fire soak with in-service chaos + recovery",
        "  --dataset NAME | --csv FILE   traffic source\n"
        "  --model FILE                  serve a stored model (else train one)\n"
@@ -193,13 +192,12 @@ const std::vector<CommandSpec>& command_specs() {
        "  --rate R                      mid-run bit-flip rate (default 0.05)\n"
        "  --gate G                      efficiency floor, exit nonzero below\n"
        "  --seed S                      world seed\n"
-       "  --layout rowmajor|arena       plane-memory scoring layout (default arena)\n"
        "  --net-delay-ms MS             NetChaos: hold every chunk MS ms\n"
        "  --net-drop R                  NetChaos: drop chunks at rate R [0,1]\n"
        "  --net-reset R                 NetChaos: inject RSTs at rate R [0,1]\n"
        "  --partition I                 NetChaos: blackhole shard I mid-run\n",
        {"shards", "clients", "seconds", "dimension", "rate", "gate", "seed",
-        "layout", "net-delay-ms", "net-drop", "net-reset", "partition"}},
+        "net-delay-ms", "net-drop", "net-reset", "partition"}},
       {"info", "print a stored model's shape and format",
        "  --model FILE                  stored model (required)\n",
        {"model"}},
@@ -291,21 +289,6 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
 };
-
-/// Applies --layout rowmajor|arena (default arena). Strict: any other
-/// value is a usage error, so a typo can't silently bench the wrong path.
-void apply_layout_flag(const Args& args) {
-  const auto layout = args.get("layout", "arena");
-  if (layout == "arena") {
-    model::set_scoring_layout(model::ScoringLayout::kArena);
-  } else if (layout == "rowmajor") {
-    model::set_scoring_layout(model::ScoringLayout::kRowMajor);
-  } else {
-    std::fprintf(stderr, "invalid --layout %s (expected rowmajor|arena)\n",
-                 layout.c_str());
-    std::exit(2);
-  }
-}
 
 data::Split load_split(const Args& args) {
   const auto csv = args.get("csv", "");
@@ -420,7 +403,6 @@ int cmd_recover(const Args& args) {
 }
 
 int cmd_serve_bench(const Args& args) {
-  apply_layout_flag(args);
   const auto split = load_split(args);
 
   // Either load a stored model (its encoder re-encodes the queries) or
@@ -1106,7 +1088,6 @@ FleetPoint run_fleet_point(const model::HdcModel& model,
 }
 
 int cmd_fleet_bench(const Args& args) {
-  apply_layout_flag(args);
   // Synthetic tight-cluster world at a serving-friendly dimension (the
   // standalone bench uses the identical geometry).
   const auto dim =
