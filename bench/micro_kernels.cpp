@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the kernels everything else is built
-// on: XOR binding, Hamming distance, record encoding, model prediction and
-// fault injection. These are the operations whose costs the DPIM mapping
-// (pim/accelerator) models analytically — keeping them measured here ties
-// the simulator's op counts to observable software behaviour.
+// on: XOR binding, Hamming distance, record encoding, model prediction,
+// training's bundling and sign kernels, and fault injection. These are the
+// operations whose costs the DPIM mapping (pim/accelerator) models
+// analytically — keeping them measured here ties the simulator's op counts
+// to observable software behaviour.
 
 #include <benchmark/benchmark.h>
 
@@ -195,6 +196,38 @@ void register_isa_benchmarks() {
           for (auto _ : state) {
             benchmark::DoNotOptimize(
                 ops->hamming(a.words().data(), b.words().data(), words));
+          }
+          state.SetItemsProcessed(state.iterations() * kDim);
+        });
+
+    // The training kernels, one class accumulator of kDim counters.
+    benchmark::RegisterBenchmark(
+        ("BM_KernelBundleSigned/" + suffix).c_str(),
+        [ops](benchmark::State& state) {
+          std::vector<std::int32_t> counts(kDim, 0);
+          std::int32_t weight = 1;
+          for (auto _ : state) {
+            ops->bundle_signed(counts.data(), a.words().data(), kDim, weight);
+            weight = -weight;  // keeps the counters bounded
+            benchmark::DoNotOptimize(counts.data());
+            benchmark::ClobberMemory();
+          }
+          state.SetItemsProcessed(state.iterations() * kDim);
+        });
+
+    benchmark::RegisterBenchmark(
+        ("BM_KernelSignPack/" + suffix).c_str(),
+        [ops, words](benchmark::State& state) {
+          // Counters in [-2, 2]: about a fifth tie and take b's bit.
+          std::vector<std::int32_t> counts(kDim);
+          for (auto& c : counts) {
+            c = static_cast<std::int32_t>(rng.range(-2, 2));
+          }
+          std::vector<std::uint64_t> out(words);
+          for (auto _ : state) {
+            ops->sign_pack(counts.data(), kDim, b.words().data(), out.data());
+            benchmark::DoNotOptimize(out.data());
+            benchmark::ClobberMemory();
           }
           state.SetItemsProcessed(state.iterations() * kDim);
         });

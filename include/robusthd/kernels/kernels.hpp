@@ -17,13 +17,18 @@
 //                       PlaneSet (a model's arena): a batch of queries is
 //                       scored in one pass over the stored class planes
 //                       instead of Q*K independent scans
+//   * bundle_signed   — bipolar bundling of a packed vector into int32
+//                       class counters (training's accumulate step)
+//   * sign_pack       — int32 counters to packed sign bits with an
+//                       optional tie-break vector (training's threshold)
 //   * crc32c          — the Castagnoli CRC behind RHD2 blobs, WAL records
 //                       and wire frames
 //
 // Variants: portable scalar (the reference all others are tested against),
 // AVX2 (Harley–Seal carry-save popcount), AVX-512 (VPOPCNTDQ); both SIMD
-// tiers compute crc32c with the SSE4.2 crc32 instruction. Dispatch
-// honours two environment overrides, read once at first use:
+// tiers compute crc32c with the SSE4.2 crc32 instruction, and run the two
+// counter kernels 8 (AVX2) or 16 (AVX-512) dimensions per instruction.
+// Dispatch honours two environment overrides, read once at first use:
 //
 //   ROBUSTHD_FORCE_SCALAR=1       force the scalar reference
 //   ROBUSTHD_ISA=scalar|avx2|avx512   cap the selected ISA
@@ -105,6 +110,20 @@ struct Ops {
                                       const std::uint64_t* mask,
                                       std::uint32_t* out);
 
+  /// Bipolar bundling into int32 counters: for i in [0, dims),
+  /// counts[i] += weight where bit i of `bits` is set and counts[i] -=
+  /// weight where it is clear. `bits` holds ceil(dims / 64) words; bits
+  /// past dims are ignored. Counters wrap modulo 2^32 on every tier.
+  void (*bundle_signed)(std::int32_t* counts, const std::uint64_t* bits,
+                        std::size_t dims, std::int32_t weight);
+
+  /// Sign threshold of int32 counters into packed bits: bit i of `out` is
+  /// counts[i] > 0, and a zero count takes bit i of `tie_break` (0 when
+  /// tie_break is null). Writes ceil(dims / 64) words with every bit past
+  /// dims clear. `out` may alias `tie_break`.
+  void (*sign_pack)(const std::int32_t* counts, std::size_t dims,
+                    const std::uint64_t* tie_break, std::uint64_t* out);
+
   /// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) over bytes
   /// [data, data + n), continuing from `crc`: 0 starts a fresh sum, and
   /// the seed/finalise XORs live inside, so crc32c(b, crc32c(a)) ==
@@ -159,6 +178,16 @@ inline void hamming_matrix_arena_masked(const std::uint64_t* const* queries,
                                         const std::uint64_t* mask,
                                         std::uint32_t* out) {
   ops().hamming_matrix_arena_masked(queries, num_queries, planes, mask, out);
+}
+
+inline void bundle_signed(std::int32_t* counts, const std::uint64_t* bits,
+                          std::size_t dims, std::int32_t weight) {
+  ops().bundle_signed(counts, bits, dims, weight);
+}
+
+inline void sign_pack(const std::int32_t* counts, std::size_t dims,
+                      const std::uint64_t* tie_break, std::uint64_t* out) {
+  ops().sign_pack(counts, dims, tie_break, out);
 }
 
 inline std::uint32_t crc32c(const void* data, std::size_t n,

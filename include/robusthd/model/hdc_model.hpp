@@ -141,23 +141,30 @@ struct ClassView {
 /// to keep in step.
 class HdcModel {
  public:
+  /// Most planes a class can have (the RHD2 format's limit too).
+  static constexpr unsigned kMaxPrecisionBits = 8;
+
   HdcModel() = default;
 
   /// Single-pass bundling + retraining over pre-encoded training data.
+  /// Throws std::invalid_argument, before training, unless
+  /// 1 <= config.precision_bits <= kMaxPrecisionBits.
   static HdcModel train(std::span<const hv::BinVec> encoded,
                         std::span<const int> labels, std::size_t num_classes,
                         const HdcConfig& config = {});
 
   /// Deploys a model directly from per-class accumulators (used by the
-  /// online trainer and by anything that builds its own bundles).
+  /// online trainer and by anything that builds its own bundles). Throws
+  /// std::invalid_argument unless 1 <= precision_bits <= kMaxPrecisionBits.
   static HdcModel from_accumulators(
       std::span<const hv::SignedAccumulator> accumulators,
       unsigned precision_bits = 1);
 
   /// Rebuilds a model from deployed class planes (deserialisation). Throws
   /// std::invalid_argument unless there is at least one class, every
-  /// class holds exactly `precision_bits` planes, and every plane has the
-  /// same nonzero dimension.
+  /// class holds exactly `precision_bits` planes, precision_bits is at
+  /// most kMaxPrecisionBits, and every plane has the same nonzero
+  /// dimension.
   static HdcModel from_planes(std::span<const ClassVector> classes,
                               unsigned precision_bits);
 
@@ -249,8 +256,13 @@ class HdcModel {
   std::vector<fault::MemoryRegion> memory_regions();
 
  private:
+  /// The one constructor every factory goes through; it throws
+  /// std::invalid_argument for a precision outside [1, kMaxPrecisionBits].
   HdcModel(std::size_t num_classes, std::size_t dimension,
            unsigned precision_bits);
+
+  /// Quantises each accumulator into its class's plane rows.
+  void deploy(std::span<const hv::SignedAccumulator> accumulators);
 
   std::size_t row(std::size_t cls, std::size_t plane) const noexcept {
     return cls * precision_bits_ + plane;

@@ -100,7 +100,8 @@ struct Shape {
 /// must fail here, not in operator new.
 void validate_shape(const Shape& shape) {
   if (shape.num_classes == 0 || shape.dimension == 0 ||
-      shape.precision_bits == 0 || shape.precision_bits > 8) {
+      shape.precision_bits == 0 ||
+      shape.precision_bits > model::HdcModel::kMaxPrecisionBits) {
     reject("malformed model header");
   }
   if (shape.dimension > kMaxDimension) {

@@ -25,7 +25,7 @@ std::size_t AssociativeMemory::insert(const BinVec& vector, int label) {
       auto& slot = slots_[best];
       slot.counts.add(vector);
       ++slot.count;
-      slot.vector = slot.counts.sign(&slot.vector);  // ties keep old bits
+      slot.counts.sign_into(slot.vector, &slot.vector);  // ties keep old bits
       return best;
     }
   }

@@ -312,11 +312,67 @@ void hamming_matrix_arena_masked_avx2(const std::uint64_t* const* queries,
   }
 }
 
+// Counter kernels, 8 x int32 lanes per vector. Bundling broadcasts each
+// 32-bit half of a bit word and shifts bit 8g + j into lane j's sign bit
+// (one variable shift per group g), which blendv reads to pick +weight or
+// -weight; signs are a compare and a movemask per 8 dimensions. The
+// partial last word, if any, runs the scalar reference.
+void bundle_signed_avx2(std::int32_t* counts, const std::uint64_t* bits,
+                        std::size_t dims, std::int32_t weight) {
+  const __m256i plus_i = _mm256_set1_epi32(weight);
+  const __m256 plus = _mm256_castsi256_ps(plus_i);
+  const __m256 minus = _mm256_castsi256_ps(
+      _mm256_sub_epi32(_mm256_setzero_si256(), plus_i));
+  const __m256i lane_shift = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
+  const std::size_t full_words = dims / 64;
+  for (std::size_t w = 0; w < full_words; ++w) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      const __m256i half = _mm256_set1_epi32(static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(bits[w] >> (32 * h))));
+      std::int32_t* c = counts + 64 * w + 32 * h;
+      for (std::size_t g = 0; g < 4; ++g) {
+        const __m256i shift = _mm256_sub_epi32(
+            lane_shift, _mm256_set1_epi32(static_cast<std::int32_t>(8 * g)));
+        const __m256 set = _mm256_castsi256_ps(_mm256_sllv_epi32(half, shift));
+        const __m256i step =
+            _mm256_castps_si256(_mm256_blendv_ps(minus, plus, set));
+        auto* p = reinterpret_cast<__m256i*>(c + 8 * g);
+        _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), step));
+      }
+    }
+  }
+  bundle_signed_from(counts, bits, full_words * 64, dims, weight);
+}
+
+void sign_pack_avx2(const std::int32_t* counts, std::size_t dims,
+                    const std::uint64_t* tie_break, std::uint64_t* out) {
+  const __m256i zero = _mm256_setzero_si256();
+  const auto lanes = [](__m256i m) {
+    return static_cast<std::uint64_t>(
+        static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(m))));
+  };
+  const std::size_t full_words = dims / 64;
+  for (std::size_t w = 0; w < full_words; ++w) {
+    const std::int32_t* c = counts + 64 * w;
+    std::uint64_t positive = 0, ties = 0;
+    for (std::size_t g = 0; g < 8; ++g) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 8 * g));
+      positive |= lanes(_mm256_cmpgt_epi32(v, zero)) << (8 * g);
+      ties |= lanes(_mm256_cmpeq_epi32(v, zero)) << (8 * g);
+    }
+    out[w] = positive | (tie_break != nullptr ? tie_break[w] & ties : 0);
+  }
+  sign_pack_from(counts, full_words, dims, tie_break, out);
+}
+
 constexpr Ops kAvx2Ops{popcount_avx2,
                        hamming_avx2,
                        hamming_masked_avx2,
                        hamming_matrix_arena_avx2,
                        hamming_matrix_arena_masked_avx2,
+                       bundle_signed_avx2,
+                       sign_pack_avx2,
                        crc32c_sse42};
 
 }  // namespace

@@ -256,11 +256,54 @@ void hamming_matrix_arena_masked_avx512(const std::uint64_t* const* queries,
   }
 }
 
+// Counter kernels: a 16-bit slice of a bit word is exactly the lane mask
+// of one 16 x int32 vector, so a whole word of dimensions is four blends
+// (bundling) or four compares (signs). The partial last word, if any,
+// runs the scalar reference.
+void bundle_signed_avx512(std::int32_t* counts, const std::uint64_t* bits,
+                          std::size_t dims, std::int32_t weight) {
+  const __m512i plus = _mm512_set1_epi32(weight);
+  const __m512i minus = _mm512_sub_epi32(_mm512_setzero_si512(), plus);
+  const std::size_t full_words = dims / 64;
+  for (std::size_t w = 0; w < full_words; ++w) {
+    const std::uint64_t word = bits[w];
+    std::int32_t* c = counts + 64 * w;
+    for (std::size_t q = 0; q < 4; ++q) {
+      const auto set = static_cast<__mmask16>(word >> (16 * q));
+      const __m512i step = _mm512_mask_blend_epi32(set, minus, plus);
+      _mm512_storeu_si512(
+          c + 16 * q, _mm512_add_epi32(_mm512_loadu_si512(c + 16 * q), step));
+    }
+  }
+  bundle_signed_from(counts, bits, full_words * 64, dims, weight);
+}
+
+void sign_pack_avx512(const std::int32_t* counts, std::size_t dims,
+                      const std::uint64_t* tie_break, std::uint64_t* out) {
+  const __m512i zero = _mm512_setzero_si512();
+  const std::size_t full_words = dims / 64;
+  for (std::size_t w = 0; w < full_words; ++w) {
+    const std::int32_t* c = counts + 64 * w;
+    std::uint64_t positive = 0, ties = 0;
+    for (std::size_t q = 0; q < 4; ++q) {
+      const __m512i v = _mm512_loadu_si512(c + 16 * q);
+      positive |= static_cast<std::uint64_t>(_mm512_cmpgt_epi32_mask(v, zero))
+                  << (16 * q);
+      ties |= static_cast<std::uint64_t>(_mm512_cmpeq_epi32_mask(v, zero))
+              << (16 * q);
+    }
+    out[w] = positive | (tie_break != nullptr ? tie_break[w] & ties : 0);
+  }
+  sign_pack_from(counts, full_words, dims, tie_break, out);
+}
+
 constexpr Ops kAvx512Ops{popcount_avx512,
                          hamming_avx512,
                          hamming_masked_avx512,
                          hamming_matrix_arena_avx512,
                          hamming_matrix_arena_masked_avx512,
+                         bundle_signed_avx512,
+                         sign_pack_avx512,
                          crc32c_sse42};
 
 }  // namespace

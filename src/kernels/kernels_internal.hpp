@@ -4,6 +4,7 @@
 // needs, so the rest of the library keeps the portable baseline ABI and
 // the dispatcher can select at runtime without illegal-instruction risk.
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -41,6 +42,40 @@ inline std::uint64_t masked_word(std::uint64_t x, std::size_t i, std::size_t n,
   if (i == 0) x &= first_mask;
   if (i + 1 == n) x &= last_mask;
   return x;
+}
+
+/// bundle_signed over dimensions [begin, dims): the whole scalar kernel
+/// (begin == 0), and the partial last word of the SIMD tiers. The adds are
+/// unsigned, so a counter wraps exactly as a SIMD lane does.
+inline void bundle_signed_from(std::int32_t* counts, const std::uint64_t* bits,
+                               std::size_t begin, std::size_t dims,
+                               std::int32_t weight) noexcept {
+  const auto plus = static_cast<std::uint32_t>(weight);
+  const std::uint32_t minus = 0u - plus;
+  for (std::size_t i = begin; i < dims; ++i) {
+    const bool bit = ((bits[i / 64] >> (i % 64)) & 1u) != 0;
+    counts[i] = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(counts[i]) + (bit ? plus : minus));
+  }
+}
+
+/// sign_pack over the words [first_word, ceil(dims / 64)): the whole
+/// scalar kernel (first_word == 0), and the partial last word of the SIMD
+/// tiers. Each tie-break word is read before its output word is written,
+/// so `out` may alias `tie_break`.
+inline void sign_pack_from(const std::int32_t* counts, std::size_t first_word,
+                           std::size_t dims, const std::uint64_t* tie_break,
+                           std::uint64_t* out) noexcept {
+  for (std::size_t w = first_word; w * 64 < dims; ++w) {
+    const std::size_t n = std::min<std::size_t>(64, dims - w * 64);
+    const std::int32_t* c = counts + w * 64;
+    std::uint64_t positive = 0, zero = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      positive |= static_cast<std::uint64_t>(c[j] > 0) << j;
+      zero |= static_cast<std::uint64_t>(c[j] == 0) << j;
+    }
+    out[w] = positive | (tie_break != nullptr ? tie_break[w] & zero : 0);
+  }
 }
 
 /// Effective tile width of an arena PlaneSet (0 means untiled).

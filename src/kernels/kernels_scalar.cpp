@@ -149,6 +149,16 @@ void hamming_matrix_arena_masked_scalar(const std::uint64_t* const* queries,
   }
 }
 
+void bundle_signed_scalar(std::int32_t* counts, const std::uint64_t* bits,
+                          std::size_t dims, std::int32_t weight) {
+  bundle_signed_from(counts, bits, 0, dims, weight);
+}
+
+void sign_pack_scalar(const std::int32_t* counts, std::size_t dims,
+                      const std::uint64_t* tie_break, std::uint64_t* out) {
+  sign_pack_from(counts, 0, dims, tie_break, out);
+}
+
 // Reflected Castagnoli polynomial (iSCSI, RFC 3720 appendix B.4).
 constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;
 
@@ -181,6 +191,8 @@ constexpr Ops kScalarOps{popcount_scalar,
                          hamming_masked_scalar,
                          hamming_matrix_arena_scalar,
                          hamming_matrix_arena_masked_scalar,
+                         bundle_signed_scalar,
+                         sign_pack_scalar,
                          crc32c_scalar};
 
 }  // namespace

@@ -40,7 +40,7 @@ int OnlineTrainer::observe(const hv::BinVec& encoded, int label) {
       (1.0 - own_similarity) * config_.weight_resolution));
   if (reinforce > 0) {
     accumulators_[target].add(encoded, reinforce);
-    signs_[target] = accumulators_[target].sign();
+    accumulators_[target].sign_into(signs_[target]);
   }
 
   if (guess.cls != label) {
@@ -53,7 +53,7 @@ int OnlineTrainer::observe(const hv::BinVec& encoded, int label) {
         (1.0 - guess.similarity) * config_.weight_resolution));
     if (repel > 0) {
       accumulators_[wrong].add(encoded, -repel);
-      signs_[wrong] = accumulators_[wrong].sign();
+      accumulators_[wrong].sign_into(signs_[wrong]);
     }
   }
   return guess.cls;

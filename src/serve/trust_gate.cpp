@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+
+#include "robusthd/hv/accumulator.hpp"
 
 namespace robusthd::serve {
 
@@ -21,28 +24,22 @@ TrustGate::TrustGate(const TrustGateConfig& config, std::size_t num_classes,
   // Bit-majority centroid per class over its canaries. The centroid is a
   // denoised exemplar of what the class's queries look like — for HDC
   // encodings the majority of a handful of members already sits close to
-  // the class prototype, chunk by chunk.
+  // the class prototype, chunk by chunk. The bipolar sum of m members is
+  // 2 * ones - m, so its sign is the majority; a tie (even m) stays 0, as
+  // no tie-break is passed. One class's counters are live at a time.
   const std::size_t n = std::min(canaries.size(), canary_labels.size());
-  std::vector<std::uint32_t> members(num_classes, 0);
-  std::vector<std::vector<std::uint32_t>> ones(num_classes);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int label = canary_labels[i];
-    if (label < 0 || static_cast<std::size_t>(label) >= num_classes) continue;
-    if (canaries[i].dimension() != dimension) continue;
-    auto& tally = ones[static_cast<std::size_t>(label)];
-    if (tally.empty()) tally.assign(dimension, 0);
-    for (std::size_t b = 0; b < dimension; ++b) {
-      tally[b] += canaries[i].get(b) ? 1u : 0u;
-    }
-    ++members[static_cast<std::size_t>(label)];
-  }
   for (std::size_t c = 0; c < num_classes; ++c) {
-    if (members[c] == 0) continue;  // centroid stays empty -> check skipped
-    hv::BinVec centroid(dimension);
-    for (std::size_t b = 0; b < dimension; ++b) {
-      if (2 * ones[c][b] > members[c]) centroid.set(b, true);
+    std::optional<hv::SignedAccumulator> sum;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (canary_labels[i] != static_cast<int>(c) ||
+          canaries[i].dimension() != dimension) {
+        continue;
+      }
+      if (!sum) sum.emplace(dimension);
+      sum->add(canaries[i]);
     }
-    centroids_[c] = std::move(centroid);
+    // No members: the centroid stays empty and the check is skipped.
+    if (sum) sum->sign_into(centroids_[c]);
   }
 }
 

@@ -187,6 +187,54 @@ serve::TrustGateConfig gate_config(bool enforce) {
   return config;
 }
 
+TEST(TrustGate, CentroidIsThePerBitMajority) {
+  // Class c gets 2 + c canaries (even counts make ties; c = 4 gets none),
+  // plus canaries the gate must ignore: a label out of range and a
+  // mismatched dimension.
+  util::Xoshiro256 rng(0xce);
+  std::vector<hv::BinVec> canaries;
+  std::vector<int> labels;
+  for (std::size_t c = 0; c + 1 < kClasses; ++c) {
+    for (std::size_t i = 0; i < 2 + c; ++i) {
+      canaries.push_back(hv::BinVec::random(kDim, rng));
+      labels.push_back(static_cast<int>(c));
+    }
+  }
+  canaries.push_back(hv::BinVec::random(kDim, rng));
+  labels.push_back(static_cast<int>(kClasses));
+  canaries.push_back(hv::BinVec::random(kDim + 1, rng));
+  labels.push_back(0);
+  const serve::TrustGate gate(gate_config(true), kClasses, kDim, canaries,
+                              labels);
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    std::size_t members = 0;
+    std::vector<std::size_t> ones(kDim, 0);
+    for (std::size_t i = 0; i < canaries.size(); ++i) {
+      if (labels[i] != static_cast<int>(c) ||
+          canaries[i].dimension() != kDim) {
+        continue;
+      }
+      ++members;
+      for (std::size_t b = 0; b < kDim; ++b) ones[b] += canaries[i].get(b);
+    }
+    ASSERT_EQ(members, c + 1 < kClasses ? 2 + c : 0) << "class " << c;
+    if (members == 0) {
+      EXPECT_TRUE(gate.centroid(c).empty()) << "class " << c;
+      continue;
+    }
+    // Bit b is set iff more than half the members have it; a tie is 0.
+    hv::BinVec expected(kDim);
+    std::size_t ties = 0;
+    for (std::size_t b = 0; b < kDim; ++b) {
+      if (2 * ones[b] > members) expected.set(b, true);
+      ties += 2 * ones[b] == members ? 1 : 0;
+    }
+    EXPECT_EQ(ties > 0, members % 2 == 0) << "class " << c;
+    EXPECT_EQ(gate.centroid(c), expected)
+        << "class " << c << " members " << members << " ties " << ties;
+  }
+}
+
 TEST(TrustGate, AcceptsNaturalTraffic) {
   const auto world = make_world(0xc1);
   serve::TrustGate gate(gate_config(true), kClasses, kDim, world.queries,

@@ -4,15 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "robusthd/data/dataset.hpp"
+#include "robusthd/data/synthetic.hpp"
 #include "robusthd/fault/injector.hpp"
+#include "robusthd/hv/encoder.hpp"
 #include "robusthd/util/rng.hpp"
 
 namespace robusthd::model {
@@ -334,6 +340,166 @@ TEST(HdcModelFromPlanes, RejectsMixedDimensions) {
 TEST(HdcModelFromPlanes, RejectsDimensionZero) {
   EXPECT_THROW(HdcModel::from_planes(planes_of({1, 1}, 0), 1),
                std::invalid_argument);
+}
+
+// ---- the precision a model can store -------------------------------------
+
+/// Every factory refuses `bits` planes per class.
+void expect_precision_rejected(unsigned bits) {
+  const auto toy = make_toy(2, 5, 0.1, 10);
+  HdcConfig config;
+  config.precision_bits = bits;
+  EXPECT_THROW(HdcModel::train(toy.samples, toy.labels, 2, config),
+               std::invalid_argument);
+  const std::vector<hv::SignedAccumulator> accs(2,
+                                                hv::SignedAccumulator(kDim));
+  EXPECT_THROW(HdcModel::from_accumulators(accs, bits), std::invalid_argument);
+  if (bits > 0) {
+    EXPECT_THROW(HdcModel::from_planes(planes_of({bits, bits}, 100), bits),
+                 std::invalid_argument);
+  }
+}
+
+TEST(HdcModel, PrecisionZeroIsRejected) { expect_precision_rejected(0); }
+
+TEST(HdcModel, PrecisionNineIsRejected) {
+  expect_precision_rejected(HdcModel::kMaxPrecisionBits + 1);
+  // The limit itself is storable.
+  const auto toy = make_toy(2, 5, 0.1, 11);
+  HdcConfig config;
+  config.precision_bits = HdcModel::kMaxPrecisionBits;
+  EXPECT_EQ(HdcModel::train(toy.samples, toy.labels, 2, config)
+                .precision_bits(),
+            HdcModel::kMaxPrecisionBits);
+}
+
+// ---- training against a per-dimension reference --------------------------
+
+/// Bipolar class counters, one dimension at a time: the rule the counter
+/// kernels must reproduce.
+using RefCounts = std::vector<std::int32_t>;
+
+void ref_add(RefCounts& counts, const hv::BinVec& bits, std::int32_t weight) {
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] += bits.get(i) ? weight : -weight;
+  }
+}
+
+hv::BinVec ref_sign(const RefCounts& counts) {
+  hv::BinVec out(counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] > 0) out.set(i, true);
+  }
+  return out;
+}
+
+std::size_t ref_distance(const hv::BinVec& a, const hv::BinVec& b) {
+  std::size_t d = 0;
+  for (std::size_t w = 0; w < a.word_count(); ++w) {
+    d += static_cast<std::size_t>(std::popcount(a.words()[w] ^ b.words()[w]));
+  }
+  return d;
+}
+
+struct RefTrained {
+  std::vector<RefCounts> counts;  ///< final counters, one row per class
+  std::size_t updates = 0;        ///< retraining updates over all epochs
+};
+
+/// HdcModel::train's algorithm on per-dimension counters: bundle, then
+/// perceptron retraining against sign snapshots (margin updates included,
+/// the lowest class index wins a distance tie), refreshing the two
+/// touched snapshots after each update.
+RefTrained ref_train(std::span<const hv::BinVec> encoded,
+                     std::span<const int> labels, std::size_t classes,
+                     const HdcConfig& config) {
+  const std::size_t dim = encoded[0].dimension();
+  RefTrained out;
+  out.counts.assign(classes, RefCounts(dim, 0));
+  for (std::size_t i = 0; i < encoded.size(); ++i) {
+    ref_add(out.counts[static_cast<std::size_t>(labels[i])], encoded[i], 1);
+  }
+  std::vector<hv::BinVec> signs;
+  for (const auto& counts : out.counts) signs.push_back(ref_sign(counts));
+  const auto min_margin = static_cast<std::size_t>(
+      config.retrain_margin * static_cast<double>(dim));
+  for (std::size_t epoch = 0; epoch < config.retrain_epochs; ++epoch) {
+    std::size_t updates = 0;
+    for (std::size_t i = 0; i < encoded.size(); ++i) {
+      int best = 0;
+      int second = -1;
+      std::size_t best_d = std::numeric_limits<std::size_t>::max();
+      std::size_t second_d = best_d;
+      for (std::size_t c = 0; c < classes; ++c) {
+        const std::size_t d = ref_distance(encoded[i], signs[c]);
+        if (d < best_d) {
+          second_d = best_d;
+          second = best;
+          best_d = d;
+          best = static_cast<int>(c);
+        } else if (d < second_d) {
+          second_d = d;
+          second = static_cast<int>(c);
+        }
+      }
+      const bool wrong = best != labels[i];
+      if (!wrong && second_d - best_d >= min_margin) continue;
+      const auto truth = static_cast<std::size_t>(labels[i]);
+      ref_add(out.counts[truth], encoded[i], 1);
+      signs[truth] = ref_sign(out.counts[truth]);
+      const int rival = wrong ? best : second;
+      if (rival >= 0) {
+        const auto r = static_cast<std::size_t>(rival);
+        ref_add(out.counts[r], encoded[i], -1);
+        signs[r] = ref_sign(out.counts[r]);
+      }
+      ++updates;
+    }
+    out.updates += updates;
+    if (updates == 0) break;
+  }
+  return out;
+}
+
+TEST(HdcModel, TrainMatchesPerDimensionReference) {
+  // PAMAP-shaped data: 75 features and 5 correlated classes, hard enough
+  // that retraining updates run at every dimension below.
+  const auto split = data::make_synthetic(
+      data::scaled(data::dataset_by_name("PAMAP"), 600, 1), 0x5eed);
+  const std::size_t classes = split.train.num_classes;
+  for (const std::size_t dim : {65, 4096, 10000}) {
+    hv::EncoderConfig encoder_config;
+    encoder_config.dimension = dim;
+    const hv::RecordEncoder encoder(split.train.feature_count(),
+                                    encoder_config);
+    const auto encoded = encoder.encode_all(split.train);
+    const auto ref = ref_train(encoded, split.train.labels, classes, {});
+    ASSERT_GT(ref.updates, 0u) << "D=" << dim;
+    for (const unsigned bits : {1u, 2u, 3u}) {
+      HdcConfig config;
+      config.precision_bits = bits;
+      const auto model =
+          HdcModel::train(encoded, split.train.labels, classes, config);
+      for (std::size_t c = 0; c < classes; ++c) {
+        // 1 bit: the sign. More: the (unchanged) magnitude quantiser over
+        // the reference's counters.
+        std::vector<hv::BinVec> expected;
+        if (bits == 1) {
+          expected.push_back(ref_sign(ref.counts[c]));
+        } else {
+          hv::SignedAccumulator acc(dim);
+          for (std::size_t i = 0; i < dim; ++i) acc.count(i) = ref.counts[c][i];
+          expected = acc.quantize_planes(bits);
+        }
+        for (std::size_t p = 0; p < bits; ++p) {
+          ASSERT_TRUE(std::ranges::equal(model.plane_words(c, p),
+                                         expected[p].words()))
+              << "D=" << dim << " bits=" << bits << " class=" << c
+              << " plane=" << p;
+        }
+      }
+    }
+  }
 }
 
 TEST(HdcModel, EmptyQuerySetScoresZero) {

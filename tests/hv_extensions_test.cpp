@@ -2,6 +2,9 @@
 // associative memory.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "robusthd/hv/alt_encoders.hpp"
 #include "robusthd/hv/assoc.hpp"
 #include "robusthd/hv/sequence.hpp"
@@ -228,6 +231,52 @@ TEST(AssociativeMemory, MergeRespectsLabels) {
   memory.insert(v, 0);
   memory.insert(v, 1);  // same vector, different label -> separate slot
   EXPECT_EQ(memory.size(), 2u);
+}
+
+TEST(AssociativeMemory, TiedMergeKeepsTheOldBits) {
+  AssociativeMemory memory({.dimension = 1000, .merge_radius = 1000});
+  util::Xoshiro256 rng(12);
+  const auto first = BinVec::random(1000, rng);
+  auto second = first;
+  for (std::size_t d = 0; d < 1000; ++d) {
+    if (rng.bernoulli(0.3)) second.flip(d);
+  }
+  ASSERT_GT(hamming(first, second), 0u);
+  memory.insert(first, 3);
+  memory.insert(second, 3);  // the counters are 0 wherever the two differ
+  ASSERT_EQ(memory.size(), 1u);
+  EXPECT_EQ(memory.vector(0), first);
+}
+
+TEST(AssociativeMemory, MergesMatchPerDimensionReference) {
+  for (const std::size_t dim : {65, 1000}) {
+    // A radius of dim merges every same-label insert into slot 0.
+    AssociativeMemory memory({.dimension = dim, .merge_radius = dim});
+    util::Xoshiro256 rng(13);
+    const auto prototype = BinVec::random(dim, rng);
+    std::vector<std::int32_t> counts(dim, 0);
+    BinVec expected;
+    for (int n = 0; n < 12; ++n) {
+      auto sample = prototype;
+      for (std::size_t d = 0; d < dim; ++d) {
+        if (rng.bernoulli(0.35)) sample.flip(d);
+      }
+      memory.insert(sample, 1);
+      for (std::size_t d = 0; d < dim; ++d) {
+        counts[d] += sample.get(d) ? 1 : -1;
+      }
+      if (n == 0) {
+        expected = sample;  // a new slot holds its first insert
+      } else {
+        for (std::size_t d = 0; d < dim; ++d) {
+          if (counts[d] != 0) expected.set(d, counts[d] > 0);  // ties keep
+        }
+      }
+      ASSERT_EQ(memory.size(), 1u);
+      ASSERT_EQ(memory.vector(0), expected)
+          << "dim=" << dim << " inserts=" << n + 1;
+    }
+  }
 }
 
 }  // namespace

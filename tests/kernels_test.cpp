@@ -6,7 +6,8 @@
 // patterns (all-zeros, all-ones), and — for the arena distance-matrix
 // kernels — at query counts that hit every query-group rim and at tile
 // budgets that split a plane into several tiles, ragged last tile
-// included. The
+// included; the class-counter kernels (bundle_signed, sign_pack) against
+// a per-dimension reference around the 8- and 16-lane widths. The
 // higher layers that were rewired onto the kernels (BinVec rotation and
 // ranged Hamming, batch scoring, zero-allocation encoding, the crossbar
 // cost cross-check) are then held to the same standard: bit-identical to
@@ -272,6 +273,94 @@ TEST(KernelEquivalence, HammingMatrixMaskedAllIsas) {
                              plain_out.data());
     EXPECT_EQ(masked_out, plain_out) << shape_name(arena, qp.size());
   });
+}
+
+// ---- class-counter kernels (training) ------------------------------------
+
+/// Dimensions for the counter kernels: sub-word, around the AVX2 (8) and
+/// AVX-512 (16) lane widths, around one word, and paper-scale.
+constexpr std::array<std::size_t, 10> kCounterDims = {1,  15, 16,   17,  63,
+                                                      64, 65, 100, 4096, 10000};
+
+bool ref_bit(const std::vector<std::uint64_t>& words, std::size_t i) {
+  return ((words[i / 64] >> (i % 64)) & 1u) != 0;
+}
+
+/// Counters spread over [-span, span], so a bundling step crosses zero
+/// and a sign sees zeros.
+std::vector<std::int32_t> random_counts(std::size_t n, std::int32_t span,
+                                        util::Xoshiro256& rng) {
+  std::vector<std::int32_t> counts(n);
+  for (auto& c : counts) c = static_cast<std::int32_t>(rng.range(-span, span));
+  return counts;
+}
+
+TEST(KernelEquivalence, BundleSignedAllIsas) {
+  util::Xoshiro256 rng(0xb0d1e);
+  constexpr std::size_t kGuard = 16;
+  constexpr std::int32_t kSentinel = 0x5a5a5a5a;
+  for (const auto isa : kAllIsas) {
+    const auto* ops = kernels::ops_for(isa);
+    if (ops == nullptr) continue;
+    for (const std::size_t dims : kCounterDims) {
+      for (const std::int32_t weight : {1, -1, 7, -300}) {
+        // Random bits, including past dims: the kernel must ignore them.
+        const auto bits = random_words(util::words_for_bits(dims), rng);
+        auto counts = random_counts(dims, 8, rng);
+        counts.resize(dims + kGuard, kSentinel);
+        auto expected = counts;
+        for (std::size_t i = 0; i < dims; ++i) {
+          expected[i] += ref_bit(bits, i) ? weight : -weight;
+        }
+        ops->bundle_signed(counts.data(), bits.data(), dims, weight);
+        ASSERT_EQ(counts, expected)
+            << kernels::isa_name(isa) << " dims=" << dims
+            << " weight=" << weight;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, SignPackAllIsas) {
+  util::Xoshiro256 rng(0x5195);
+  constexpr std::uint64_t kGuard = 0xfeedfacecafebeefULL;
+  for (const auto isa : kAllIsas) {
+    const auto* ops = kernels::ops_for(isa);
+    if (ops == nullptr) continue;
+    for (const std::size_t dims : kCounterDims) {
+      const std::size_t words = util::words_for_bits(dims);
+      // Counts in [-2, 2]: about a fifth of the dimensions tie.
+      const auto counts = random_counts(dims, 2, rng);
+      // Tie-break bits are random past dims too; none may reach `out`.
+      const auto tie = random_words(words, rng);
+      std::size_t ties = 0;
+      for (const auto c : counts) ties += c == 0 ? 1 : 0;
+      for (const bool with_tie : {false, true}) {
+        std::vector<std::uint64_t> expected(words + 1, 0);
+        expected[words] = kGuard;
+        for (std::size_t i = 0; i < dims; ++i) {
+          const bool bit = counts[i] > 0 ||
+                           (counts[i] == 0 && with_tie && ref_bit(tie, i));
+          if (bit) expected[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+        const std::string what = std::string(kernels::isa_name(isa)) +
+                                 " dims=" + std::to_string(dims) +
+                                 " ties=" + std::to_string(ties) +
+                                 " tie_break=" + (with_tie ? "yes" : "no");
+        std::vector<std::uint64_t> out(words + 1, ~0ULL);
+        out[words] = kGuard;
+        ops->sign_pack(counts.data(), dims, with_tie ? tie.data() : nullptr,
+                       out.data());
+        ASSERT_EQ(out, expected) << what;
+        if (!with_tie) continue;
+        // `out` aliasing `tie_break`: tied dimensions keep their old bits.
+        std::vector<std::uint64_t> in_place = tie;
+        in_place.push_back(kGuard);
+        ops->sign_pack(counts.data(), dims, in_place.data(), in_place.data());
+        ASSERT_EQ(in_place, expected) << what << " (in place)";
+      }
+    }
+  }
 }
 
 // ---- BinVec paths rewired onto the kernels ------------------------------

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "robusthd/util/rng.hpp"
 
 namespace robusthd::model {
@@ -16,12 +21,12 @@ struct Stream {
 };
 
 Stream make_stream(std::size_t classes, std::size_t per_class, double noise,
-                   std::uint64_t seed) {
+                   std::uint64_t seed, std::size_t dim = kDim) {
   Stream s;
   util::Xoshiro256 rng(seed);
   std::vector<hv::BinVec> prototypes;
   for (std::size_t c = 0; c < classes; ++c) {
-    prototypes.push_back(hv::BinVec::random(kDim, rng));
+    prototypes.push_back(hv::BinVec::random(dim, rng));
   }
   std::vector<std::size_t> order;
   for (std::size_t c = 0; c < classes; ++c) {
@@ -30,7 +35,7 @@ Stream make_stream(std::size_t classes, std::size_t per_class, double noise,
   util::shuffle(std::span<std::size_t>(order), rng);
   for (const auto c : order) {
     auto v = prototypes[c];
-    for (std::size_t d = 0; d < kDim; ++d) {
+    for (std::size_t d = 0; d < dim; ++d) {
       if (rng.bernoulli(noise)) v.flip(d);
     }
     s.samples.push_back(std::move(v));
@@ -104,6 +109,57 @@ TEST(OnlineTrainer, ComparableToBatchOnEasyStream) {
   EXPECT_GE(online.evaluate(stream.samples, stream.labels),
             batch.evaluate(stream.samples, stream.labels) - 0.02);
   (void)test;
+}
+
+TEST(OnlineTrainer, MatchesPerDimensionReference) {
+  // The OnlineHD rule on per-dimension counters and sign snapshots: every
+  // prediction and the deployed model must agree with the trainer, whose
+  // counters run on the SIMD counter kernels.
+  constexpr std::size_t kClasses = 4;
+  const int resolution = OnlineTrainer::Config{}.weight_resolution;
+  for (const std::size_t dim : {std::size_t{65}, std::size_t{1000}, kDim}) {
+    const auto stream = make_stream(kClasses, 60, 0.3, 7, dim);
+    OnlineTrainer trainer(dim, kClasses);
+    std::vector<std::vector<std::int32_t>> counts(
+        kClasses, std::vector<std::int32_t>(dim, 0));
+    std::vector<hv::BinVec> signs(kClasses, hv::BinVec(dim));
+    const auto update = [&](std::size_t c, const hv::BinVec& x, int weight) {
+      signs[c] = hv::BinVec(dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        counts[c][i] += x.get(i) ? weight : -weight;
+        if (counts[c][i] > 0) signs[c].set(i, true);
+      }
+    };
+    for (std::size_t n = 0; n < stream.samples.size(); ++n) {
+      const auto& x = stream.samples[n];
+      const auto label = static_cast<std::size_t>(stream.labels[n]);
+      std::size_t guess = 0;
+      double guess_similarity = -1.0;
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        const double s = hv::similarity(x, signs[c]);
+        if (s > guess_similarity) {
+          guess_similarity = s;
+          guess = c;
+        }
+      }
+      const int reinforce = static_cast<int>(std::lround(
+          (1.0 - hv::similarity(x, signs[label])) * resolution));
+      if (reinforce > 0) update(label, x, reinforce);
+      if (guess != label) {
+        const int repel = static_cast<int>(
+            std::lround((1.0 - guess_similarity) * resolution));
+        if (repel > 0) update(guess, x, -repel);
+      }
+      ASSERT_EQ(trainer.observe(x, stream.labels[n]), static_cast<int>(guess))
+          << "dim=" << dim << " sample=" << n;
+    }
+    EXPECT_GT(trainer.mistakes(), 0u) << "dim=" << dim;
+    const auto model = trainer.deploy();
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      EXPECT_TRUE(std::ranges::equal(model.plane_words(c, 0), signs[c].words()))
+          << "dim=" << dim << " class=" << c;
+    }
+  }
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ const std::vector<CommandSpec>& command_specs() {
        "  --dataset NAME | --csv FILE   data source (synthetic benchmark or CSV)\n"
        "  --out FILE                    where to save the model (required)\n"
        "  --dimension D --levels L      encoder shape (default 10000 x 32)\n"
-       "  --precision B                 stored bits per counter (default 1)\n"
+       "  --precision B                 bits per counter, 1-8 (default 1)\n"
        "  --train N --test N --seed S   synthetic split caps\n"
        "  --label-col I --header 1 --split 0.8   CSV options\n",
        {"out", "dimension", "levels", "precision", ROBUSTHD_SPLIT_FLAGS}},
