@@ -121,13 +121,11 @@ int run() {
             << " classes=" << classes << " batch=" << batch << "\n";
 
   util::Xoshiro256 rng(0x51ead);
-  std::vector<hv::SignedAccumulator> accs;
+  hv::CounterStore counters(classes, dim);
   for (std::size_t c = 0; c < classes; ++c) {
-    hv::SignedAccumulator acc(dim);
-    for (int i = 0; i < 4; ++i) acc.add(hv::BinVec::random(dim, rng));
-    accs.push_back(std::move(acc));
+    for (int i = 0; i < 4; ++i) counters.row(c).add(hv::BinVec::random(dim, rng));
   }
-  const auto model = model::HdcModel::from_accumulators(accs, 1);
+  const auto model = model::HdcModel::from_accumulators(counters, 1);
   std::vector<const std::uint64_t*> planes;
   for (std::size_t c = 0; c < classes; ++c) {
     planes.push_back(model.plane_words(c, 0).data());

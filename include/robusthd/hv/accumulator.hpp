@@ -8,11 +8,17 @@
 // counters. Class training bundles far fewer vectors, adds and subtracts
 // them with weights, and uses plain int32 counters; the kernels layer
 // bundles into and thresholds them a SIMD vector of dimensions at a time.
+// All the class counters of one trainer live in one CounterStore block,
+// and a SignedAccumulator is a view of one of its rows.
 
+#include <cassert>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "robusthd/hv/binvec.hpp"
+#include "robusthd/kernels/kernels.hpp"
+#include "robusthd/util/mapped_block.hpp"
 
 namespace robusthd::hv {
 
@@ -69,21 +75,31 @@ class BitSliceCounter {
   std::vector<std::vector<std::uint64_t>> planes_;
 };
 
-/// Plain signed per-dimension counters used for class-hypervector training
-/// and retraining (supports subtraction for perceptron-style updates).
-/// Both operations run on kernels::bundle_signed / kernels::sign_pack.
-class SignedAccumulator {
+/// One row of signed per-dimension counters, viewed in place in its
+/// CounterStore: class-hypervector training and retraining (supports
+/// subtraction for perceptron-style updates). Adding runs on
+/// kernels::bundle_signed, the sign on kernels::sign_pack. The mutable
+/// view adds and writes counts; the read-only one, which a const store
+/// hands out, only reads. Views are cheap values, valid while their store
+/// is alive and not moved from.
+template <bool Mutable>
+class BasicSignedAccumulator {
  public:
-  explicit SignedAccumulator(std::size_t dimension)
-      : counts_(dimension, 0) {}
+  using Count = std::conditional_t<Mutable, std::int32_t, const std::int32_t>;
 
-  std::size_t dimension() const noexcept { return counts_.size(); }
+  BasicSignedAccumulator(Count* counts, std::size_t dimension) noexcept
+      : counts_(counts), dim_(dimension) {}
+
+  std::size_t dimension() const noexcept { return dim_; }
+  Count& count(std::size_t dim) const noexcept { return counts_[dim]; }
 
   /// counts[i] += bit_i ? +1 : -1, scaled by weight (bipolar bundling).
-  void add(const BinVec& bits, std::int32_t weight = 1);
-
-  std::int32_t count(std::size_t dim) const noexcept { return counts_[dim]; }
-  std::int32_t& count(std::size_t dim) noexcept { return counts_[dim]; }
+  void add(const BinVec& bits, std::int32_t weight = 1) const
+    requires Mutable
+  {
+    assert(bits.dimension() == dim_);
+    kernels::bundle_signed(counts_, bits.words().data(), dim_, weight);
+  }
 
   /// Sign threshold: bit i = counts[i] > 0 (ties -> tie_break bit or 0).
   BinVec sign(const BinVec* tie_break = nullptr) const;
@@ -100,7 +116,53 @@ class SignedAccumulator {
   std::vector<BinVec> quantize_planes(unsigned bits) const;
 
  private:
-  std::vector<std::int32_t> counts_;
+  Count* counts_;
+  std::size_t dim_;
+};
+
+using SignedAccumulator = BasicSignedAccumulator<true>;
+using ConstSignedAccumulator = BasicSignedAccumulator<false>;
+
+/// The counters of a whole trainer: `rows` rows of `dimension` int32
+/// counters, all in one zeroed util::MappedBlock. A k-class model's
+/// counters are one k x D block. One that spans a 2 MiB hugepage is a
+/// mapping, hugepage-advised unless ROBUSTHD_ARENA_HUGEPAGES=0, so it
+/// takes 2 MiB pages instead of 4 KiB ones; a smaller one comes from the
+/// heap. Each row starts on a cache line: the row stride is the dimension
+/// rounded up to 16 counters, and the padding stays zero.
+/// Move-only; a default-constructed or moved-from store has no rows.
+class CounterStore {
+ public:
+  CounterStore() = default;
+  CounterStore(std::size_t rows, std::size_t dimension);
+
+  CounterStore(CounterStore&& other) noexcept;
+  CounterStore& operator=(CounterStore&& other) noexcept;
+
+  std::size_t rows() const noexcept { return rows_; }
+  std::size_t dimension() const noexcept { return dim_; }
+
+  SignedAccumulator row(std::size_t r) noexcept {
+    assert(r < rows_);
+    return {base() + r * stride_, dim_};
+  }
+  ConstSignedAccumulator row(std::size_t r) const noexcept {
+    assert(r < rows_);
+    return {base() + r * stride_, dim_};
+  }
+
+  /// Zeroes every counter.
+  void clear() noexcept;
+
+ private:
+  std::int32_t* base() const noexcept {
+    return static_cast<std::int32_t*>(block_.data());
+  }
+
+  util::MappedBlock block_;
+  std::size_t rows_ = 0;
+  std::size_t dim_ = 0;
+  std::size_t stride_ = 0;
 };
 
 }  // namespace robusthd::hv

@@ -66,12 +66,12 @@ class AssociativeMemory {
 
  private:
   struct Slot {
-    BinVec vector;              // deployed (majority) form
-    SignedAccumulator counts;   // running bundle
+    BinVec vector;        // deployed (majority) form
+    CounterStore counts;  // running bundle, one row
     int label = -1;
     std::size_t count = 0;
 
-    explicit Slot(std::size_t dim) : vector(dim), counts(dim) {}
+    explicit Slot(std::size_t dim) : vector(dim), counts(1, dim) {}
   };
 
   Config config_;

@@ -5,9 +5,9 @@
 // fixed-length bit planes that every hot loop streams together: batched
 // scoring, the recovery engine's chunk sweep, the sentinel's drift diff.
 // The arena is the model's only plane store: it owns *all* planes of one
-// model snapshot in a single 64-byte-aligned allocation (optionally hugepage-backed via
-// madvise(MADV_HUGEPAGE), with graceful fallback when transparent
-// hugepages are unavailable):
+// model snapshot in a single 64-byte-aligned util::MappedBlock (optionally
+// hugepage-backed via madvise(MADV_HUGEPAGE), with graceful fallback when
+// transparent hugepages are unavailable):
 //
 //   plane p  ->  [base + p*stride_words, base + p*stride_words + words)
 //
@@ -26,6 +26,7 @@
 
 #include "robusthd/hv/binvec.hpp"
 #include "robusthd/kernels/kernels.hpp"
+#include "robusthd/util/mapped_block.hpp"
 
 namespace robusthd::mem {
 
@@ -40,8 +41,9 @@ struct PlaneArenaConfig {
   /// silently runs on normal pages and hugepage_backed() reports false.
   bool hugepages = true;
 
-  /// Reads ROBUSTHD_ARENA_TILE_KB / ROBUSTHD_ARENA_HUGEPAGES (0 disables)
-  /// over the defaults — the bench and CLI tuning knobs.
+  /// Reads ROBUSTHD_ARENA_TILE_KB / ROBUSTHD_ARENA_HUGEPAGES (0 disables,
+  /// util::hugepages_from_env) over the defaults — the bench and CLI tuning
+  /// knobs.
   static PlaneArenaConfig from_env();
 };
 
@@ -53,14 +55,13 @@ class PlaneArena {
   PlaneArena() = default;
   PlaneArena(std::size_t planes, std::size_t dimension,
              const PlaneArenaConfig& config = PlaneArenaConfig::from_env());
-  ~PlaneArena();
 
   PlaneArena(const PlaneArena& other);
   PlaneArena& operator=(const PlaneArena& other);
   PlaneArena(PlaneArena&& other) noexcept;
   PlaneArena& operator=(PlaneArena&& other) noexcept;
 
-  bool empty() const noexcept { return base_ == nullptr; }
+  bool empty() const noexcept { return block_.data() == nullptr; }
   std::size_t num_planes() const noexcept { return planes_; }
   std::size_t dimension() const noexcept { return dim_; }
   /// Live words per plane (words_for_bits(dimension())).
@@ -74,22 +75,22 @@ class PlaneArena {
     return tile_words_ == 0 ? 0 : (words_ + tile_words_ - 1) / tile_words_;
   }
   /// Total allocation size in bytes.
-  std::size_t bytes() const noexcept { return bytes_; }
+  std::size_t bytes() const noexcept { return block_.bytes(); }
   /// True when the MADV_HUGEPAGE request was accepted by the kernel.
-  bool hugepage_backed() const noexcept { return hugepage_backed_; }
+  bool hugepage_backed() const noexcept { return block_.hugepage_backed(); }
 
-  const std::uint64_t* data() const noexcept { return base_; }
+  const std::uint64_t* data() const noexcept { return base(); }
   const std::uint64_t* plane(std::size_t p) const noexcept {
-    return base_ + p * stride_words_;
+    return base() + p * stride_words_;
   }
   std::uint64_t* plane(std::size_t p) noexcept {
-    return base_ + p * stride_words_;
+    return base() + p * stride_words_;
   }
 
   /// The kernel-facing view (base, stride, words, tile geometry).
   kernels::PlaneSet view() const noexcept {
     kernels::PlaneSet ps;
-    ps.base = base_;
+    ps.base = base();
     ps.planes = planes_;
     ps.stride_words = stride_words_;
     ps.words = words_;
@@ -103,18 +104,16 @@ class PlaneArena {
   void load_plane(std::size_t p, hv::BinVec& out) const noexcept;
 
  private:
-  void allocate(const PlaneArenaConfig& config);
-  void release() noexcept;
+  std::uint64_t* base() const noexcept {
+    return static_cast<std::uint64_t*>(block_.data());
+  }
 
-  std::uint64_t* base_ = nullptr;
+  util::MappedBlock block_;
   std::size_t planes_ = 0;
   std::size_t dim_ = 0;
   std::size_t words_ = 0;
   std::size_t stride_words_ = 0;
   std::size_t tile_words_ = 0;
-  std::size_t bytes_ = 0;
-  bool hugepage_backed_ = false;
-  bool mmapped_ = false;
 };
 
 }  // namespace robusthd::mem

@@ -153,12 +153,12 @@ class HdcModel {
                         std::span<const int> labels, std::size_t num_classes,
                         const HdcConfig& config = {});
 
-  /// Deploys a model directly from per-class accumulators (used by the
-  /// online trainer and by anything that builds its own bundles). Throws
-  /// std::invalid_argument unless 1 <= precision_bits <= kMaxPrecisionBits.
-  static HdcModel from_accumulators(
-      std::span<const hv::SignedAccumulator> accumulators,
-      unsigned precision_bits = 1);
+  /// Deploys a model directly from class counters, row c for class c
+  /// (used by the online trainer and by anything that builds its own
+  /// bundles). Throws std::invalid_argument unless
+  /// 1 <= precision_bits <= kMaxPrecisionBits.
+  static HdcModel from_accumulators(const hv::CounterStore& counters,
+                                    unsigned precision_bits = 1);
 
   /// Rebuilds a model from deployed class planes (deserialisation). Throws
   /// std::invalid_argument unless there is at least one class, every
@@ -261,8 +261,8 @@ class HdcModel {
   HdcModel(std::size_t num_classes, std::size_t dimension,
            unsigned precision_bits);
 
-  /// Quantises each accumulator into its class's plane rows.
-  void deploy(std::span<const hv::SignedAccumulator> accumulators);
+  /// Quantises each counter row into its class's plane rows.
+  void deploy(const hv::CounterStore& counters);
 
   std::size_t row(std::size_t cls, std::size_t plane) const noexcept {
     return cls * precision_bits_ + plane;

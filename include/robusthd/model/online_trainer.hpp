@@ -52,7 +52,7 @@ class OnlineTrainer {
   Nearest nearest(const hv::BinVec& query) const;
 
   Config config_;
-  std::vector<hv::SignedAccumulator> accumulators_;
+  hv::CounterStore counters_;  ///< one row per class
   std::vector<hv::BinVec> signs_;  ///< binary snapshots for fast predicts
   std::size_t observed_ = 0;
   std::size_t mistakes_ = 0;

@@ -190,12 +190,16 @@ class Server {
 
   /// Whether answer_now() on `n` queries is expected to finish sooner
   /// than handing them to a worker would: their estimated service time
-  /// (mean batch service time ÷ mean batch size × n) is at most the mean
-  /// hand-off, the time a request waits for an idle worker to wake up.
-  /// Workers measure the hand-off; batches on either path measure the
-  /// service time. False until both have been measured, so a fresh
-  /// server's first batch goes to a worker. Cheap: a few relaxed loads.
+  /// (mean batch service time ÷ mean batch size × n) is at most the
+  /// lower quartile of the hand-off, the time a request waits for an idle
+  /// worker to wake up. Workers measure the hand-off; batches on either
+  /// path measure the service time. False until the service time and
+  /// kMinHandoffs hand-offs have been measured, so a fresh server's first
+  /// batches go to a worker. Cheap: relaxed loads of the two histograms.
   bool inline_pays(std::size_t n) const;
+  /// Hand-offs inline_pays() waits for before it compares costs
+  /// (ServerStats::handoff counts them).
+  static constexpr std::uint64_t kMinHandoffs = 8;
 
   /// Enqueues a raw (normalised) feature vector; a worker encodes it with
   /// ServerConfig::encoder before scoring. Throws std::logic_error when no

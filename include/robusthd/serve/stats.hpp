@@ -49,6 +49,23 @@ class LatencyHistogram {
                         static_cast<double>(c);
   }
 
+  std::uint64_t count() const noexcept {
+    return count_.load(std::memory_order_relaxed);
+  }
+
+  /// The p-quantile (0 < p < 1) at bucket resolution: the midpoint of
+  /// the bucket holding the value of rank floor(p * (count - 1)) + 1, or 0
+  /// when empty. Unlike the mean, a few outliers do not move it.
+  double percentile_ns(double p) const noexcept {
+    std::array<std::uint64_t, kBuckets> counts{};
+    std::uint64_t total = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      counts[b] = buckets_[b].load(std::memory_order_relaxed);
+      total += counts[b];
+    }
+    return total == 0 ? 0.0 : percentile_from(counts, total, p);
+  }
+
   Summary summarize() const noexcept {
     Summary s;
     std::array<std::uint64_t, kBuckets> counts{};
@@ -157,6 +174,9 @@ struct ServerStats {
 
   // Per-stage latency.
   LatencyHistogram::Summary queue_wait;  ///< enqueue -> dequeue
+  /// Queue wait of the requests that found a worker idle: one hand-off
+  /// each, the cost Server::inline_pays weighs against scoring inline.
+  LatencyHistogram::Summary handoff;
   /// The whole service time of the batch a request was answered in
   /// (dequeue to answers ready: encode, score, confidence, trust offers),
   /// recorded once per request — so the mean is a mean batch service

@@ -54,12 +54,6 @@ constexpr std::size_t kHeaderCrcCoverage =
     sizeof(HeaderV2) - sizeof(std::uint32_t);
 
 template <typename T>
-void append(std::vector<std::byte>& out, const T& value) {
-  const auto* p = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
 T read_at(std::span<const std::byte> blob, std::size_t& offset) {
   if (offset + sizeof(T) > blob.size()) {
     throw SerializeError(SerializeError::Code::kTruncated,
@@ -310,8 +304,8 @@ std::vector<std::byte> serialize_rhd1(const HdcClassifier& classifier) {
   header.precision_bits = model.precision_bits();
   header.num_classes = static_cast<std::uint32_t>(model.num_classes());
 
-  std::vector<std::byte> out;
-  append(out, header);
+  std::vector<std::byte> out(sizeof(HeaderV1));
+  std::memcpy(out.data(), &header, sizeof(header));
   append_planes(out, classifier.model());
   return out;
 }

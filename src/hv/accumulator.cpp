@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "robusthd/kernels/kernels.hpp"
 #include "robusthd/util/stats.hpp"
@@ -149,30 +151,78 @@ void BitSliceCounter::resize(std::size_t dimension) {
   reset();
 }
 
-void SignedAccumulator::add(const BinVec& bits, std::int32_t weight) {
-  assert(bits.dimension() == counts_.size());
-  kernels::bundle_signed(counts_.data(), bits.words().data(), counts_.size(),
-                         weight);
+namespace {
+
+/// Counters from one row's start to the next: the dimension rounded up to
+/// a cache line of int32s.
+std::size_t row_stride(std::size_t dimension) noexcept {
+  return (dimension + 15) / 16 * 16;
 }
 
-BinVec SignedAccumulator::sign(const BinVec* tie_break) const {
-  BinVec out(counts_.size());
+/// Blocks that span a hugepage are mappings, which go back to the kernel
+/// when their store dies; the heap would keep a freed one resident, and
+/// its first free raises glibc's mmap threshold for the whole process.
+/// Smaller blocks come from the heap, like the vectors they replaced.
+util::MappedBlock counter_block(std::size_t bytes) {
+  constexpr std::size_t kHugepage = std::size_t{2} << 20;
+  if (bytes < kHugepage) return util::MappedBlock::from_heap(bytes);
+  util::MappedBlock block(bytes, util::hugepages_from_env());
+  // Bundling reads a counter before it writes it. On 4 KiB pages that
+  // read maps the shared zero page and the write faults a second time;
+  // writing the zeros first takes one fault per page.
+  if (!util::hugepages_available()) std::memset(block.data(), 0, bytes);
+  return block;
+}
+
+}  // namespace
+
+CounterStore::CounterStore(std::size_t rows, std::size_t dimension)
+    : block_(counter_block(rows * row_stride(dimension) *
+                           sizeof(std::int32_t))),
+      rows_(rows),
+      dim_(dimension),
+      stride_(row_stride(dimension)) {}
+
+CounterStore::CounterStore(CounterStore&& other) noexcept
+    : block_(std::move(other.block_)),
+      rows_(std::exchange(other.rows_, 0)),
+      dim_(std::exchange(other.dim_, 0)),
+      stride_(std::exchange(other.stride_, 0)) {}
+
+CounterStore& CounterStore::operator=(CounterStore&& other) noexcept {
+  block_ = std::move(other.block_);
+  rows_ = std::exchange(other.rows_, 0);
+  dim_ = std::exchange(other.dim_, 0);
+  stride_ = std::exchange(other.stride_, 0);
+  return *this;
+}
+
+void CounterStore::clear() noexcept {
+  if (block_.data() != nullptr) std::memset(block_.data(), 0, block_.bytes());
+}
+
+template <bool Mutable>
+BinVec BasicSignedAccumulator<Mutable>::sign(const BinVec* tie_break) const {
+  BinVec out(dim_);
   sign_into(out, tie_break);
   return out;
 }
 
-void SignedAccumulator::sign_into(BinVec& out, const BinVec* tie_break) const {
-  assert(tie_break == nullptr || tie_break->dimension() == counts_.size());
-  if (out.dimension() != counts_.size()) out = BinVec(counts_.size());
-  kernels::sign_pack(counts_.data(), counts_.size(),
+template <bool Mutable>
+void BasicSignedAccumulator<Mutable>::sign_into(BinVec& out,
+                                                const BinVec* tie_break) const {
+  assert(tie_break == nullptr || tie_break->dimension() == dim_);
+  if (out.dimension() != dim_) out = BinVec(dim_);
+  kernels::sign_pack(counts_, dim_,
                      tie_break != nullptr ? tie_break->words().data() : nullptr,
                      out.mutable_words().data());
 }
 
-std::vector<BinVec> SignedAccumulator::quantize_planes(unsigned bits) const {
+template <bool Mutable>
+std::vector<BinVec> BasicSignedAccumulator<Mutable>::quantize_planes(
+    unsigned bits) const {
   assert(bits >= 1 && bits <= 8);
-  const std::size_t dim = counts_.size();
-  std::vector<BinVec> planes(bits, BinVec(dim));
+  std::vector<BinVec> planes(bits, BinVec(dim_));
 
   if (bits == 1) {
     planes[0] = sign();
@@ -181,15 +231,15 @@ std::vector<BinVec> SignedAccumulator::quantize_planes(unsigned bits) const {
 
   // Robust scale: 95th percentile of |count| so a few outlier dimensions do
   // not flatten everything else into the middle levels.
-  std::vector<double> mags(dim);
-  for (std::size_t i = 0; i < dim; ++i) {
+  std::vector<double> mags(dim_);
+  for (std::size_t i = 0; i < dim_; ++i) {
     mags[i] = std::abs(static_cast<double>(counts_[i]));
   }
   double scale = util::percentile(std::move(mags), 95.0);
   if (scale <= 0.0) scale = 1.0;
 
   const auto levels = (1u << bits) - 1;  // top level index
-  for (std::size_t i = 0; i < dim; ++i) {
+  for (std::size_t i = 0; i < dim_; ++i) {
     // Map count in [-scale, scale] to level in [0, levels]; level encodes
     // quantised confidence that the underlying bit is 1.
     const double x =
@@ -202,5 +252,8 @@ std::vector<BinVec> SignedAccumulator::quantize_planes(unsigned bits) const {
   }
   return planes;
 }
+
+template class BasicSignedAccumulator<true>;
+template class BasicSignedAccumulator<false>;
 
 }  // namespace robusthd::hv

@@ -23,16 +23,17 @@ std::size_t AssociativeMemory::insert(const BinVec& vector, int label) {
     }
     if (best < slots_.size()) {
       auto& slot = slots_[best];
-      slot.counts.add(vector);
+      const auto counts = slot.counts.row(0);
+      counts.add(vector);
       ++slot.count;
-      slot.counts.sign_into(slot.vector, &slot.vector);  // ties keep old bits
+      counts.sign_into(slot.vector, &slot.vector);  // ties keep old bits
       return best;
     }
   }
 
   Slot slot(config_.dimension);
   slot.vector = vector;
-  slot.counts.add(vector);
+  slot.counts.row(0).add(vector);
   slot.label = label;
   slot.count = 1;
   slots_.push_back(std::move(slot));

@@ -15,12 +15,25 @@
 
 namespace robusthd::kernels::detail {
 
-
-
 namespace {
 
 inline __mmask8 tail_mask(std::size_t remaining) noexcept {
   return static_cast<__mmask8>((1u << remaining) - 1u);
+}
+
+/// Sum of the eight 64-bit lanes. GCC's _mm512_reduce_add_epi64, like
+/// every unmasked 512-bit extract or cast, starts from
+/// _mm256_undefined_si256, whose `__Y = __Y` trips -Wuninitialized at -O2.
+/// The zero-masked extracts start from zero; with a full mask they are
+/// the same instructions.
+inline std::uint64_t reduce_add_epi64(__m512i v) noexcept {
+  const __m256i sum4 =
+      _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xFF, v, 0),
+                       _mm512_maskz_extracti64x4_epi64(0xFF, v, 1));
+  const __m128i sum2 = _mm_add_epi64(_mm256_castsi256_si128(sum4),
+                                     _mm256_extracti128_si256(sum4, 1));
+  return static_cast<std::uint64_t>(
+      _mm_cvtsi128_si64(_mm_add_epi64(sum2, _mm_unpackhi_epi64(sum2, sum2))));
 }
 
 std::size_t popcount_avx512(const std::uint64_t* words, std::size_t n) {
@@ -34,7 +47,7 @@ std::size_t popcount_avx512(const std::uint64_t* words, std::size_t n) {
     const __m512i v = _mm512_maskz_loadu_epi64(tail_mask(n - i), words + i);
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  return static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  return static_cast<std::size_t>(reduce_add_epi64(acc));
 }
 
 std::size_t hamming_avx512(const std::uint64_t* a, const std::uint64_t* b,
@@ -63,7 +76,7 @@ std::size_t hamming_avx512(const std::uint64_t* a, const std::uint64_t* b,
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
   }
   acc = _mm512_add_epi64(acc, acc2);
-  return static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+  return static_cast<std::size_t>(reduce_add_epi64(acc));
 }
 
 std::size_t hamming_masked_avx512(const std::uint64_t* a,
@@ -116,7 +129,7 @@ void arena_group_avx512_impl(std::index_sequence<J...>,
      ...);
   }
   ((out[J * np] +=
-    static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc[J]))),
+    static_cast<std::uint32_t>(reduce_add_epi64(acc[J]))),
    ...);
 }
 
@@ -158,7 +171,7 @@ void arena_group_masked_avx512_impl(std::index_sequence<J...>,
      ...);
   }
   ((out[J * np] +=
-    static_cast<std::uint32_t>(_mm512_reduce_add_epi64(acc[J]))),
+    static_cast<std::uint32_t>(reduce_add_epi64(acc[J]))),
    ...);
 }
 

@@ -3,13 +3,9 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
-#include <new>
+#include <utility>
 
 #include "robusthd/util/bitops.hpp"
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 namespace robusthd::mem {
 
@@ -58,9 +54,7 @@ PlaneArenaConfig PlaneArenaConfig::from_env() {
     const long long kb = std::atoll(v);
     if (kb > 0) config.l2_tile_bytes = static_cast<std::size_t>(kb) * 1024;
   }
-  if (const char* v = std::getenv("ROBUSTHD_ARENA_HUGEPAGES")) {
-    config.hugepages = std::atoll(v) != 0;
-  }
+  config.hugepages = util::hugepages_from_env();
   return config;
 }
 
@@ -71,34 +65,30 @@ PlaneArena::PlaneArena(std::size_t planes, std::size_t dimension,
       words_(util::words_for_bits(dimension)) {
   stride_words_ = round_up_words(words_);
   tile_words_ = compute_tile_words(planes_, words_, config.l2_tile_bytes);
-  allocate(config);
+  block_ = util::MappedBlock(planes_ * stride_words_ * sizeof(std::uint64_t),
+                             config.hugepages);
 }
 
-PlaneArena::~PlaneArena() { release(); }
-
 PlaneArena::PlaneArena(const PlaneArena& other)
-    : planes_(other.planes_),
+    : block_(other.bytes(), other.hugepage_backed()),
+      planes_(other.planes_),
       dim_(other.dim_),
       words_(other.words_),
       stride_words_(other.stride_words_),
       tile_words_(other.tile_words_) {
-  if (other.base_ == nullptr) return;
-  PlaneArenaConfig config;
-  config.hugepages = other.hugepage_backed_;
-  allocate(config);
-  std::memcpy(base_, other.base_, bytes_);
+  if (!other.empty()) std::memcpy(base(), other.base(), bytes());
 }
 
 PlaneArena& PlaneArena::operator=(const PlaneArena& other) {
   if (this == &other) return *this;
   // Same geometry: reuse the allocation, one memcpy (the snapshot-copy
   // hot path — publication of a repaired model).
-  if (base_ != nullptr && other.base_ != nullptr && bytes_ == other.bytes_ &&
+  if (!empty() && !other.empty() && bytes() == other.bytes() &&
       stride_words_ == other.stride_words_ && planes_ == other.planes_) {
     dim_ = other.dim_;
     words_ = other.words_;
     tile_words_ = other.tile_words_;
-    std::memcpy(base_, other.base_, bytes_);
+    std::memcpy(base(), other.base(), bytes());
     return *this;
   }
   PlaneArena copy(other);
@@ -107,83 +97,22 @@ PlaneArena& PlaneArena::operator=(const PlaneArena& other) {
 }
 
 PlaneArena::PlaneArena(PlaneArena&& other) noexcept
-    : base_(other.base_),
-      planes_(other.planes_),
-      dim_(other.dim_),
-      words_(other.words_),
-      stride_words_(other.stride_words_),
-      tile_words_(other.tile_words_),
-      bytes_(other.bytes_),
-      hugepage_backed_(other.hugepage_backed_),
-      mmapped_(other.mmapped_) {
-  other.base_ = nullptr;
-  other.bytes_ = 0;
-  other.planes_ = other.dim_ = other.words_ = 0;
-  other.stride_words_ = other.tile_words_ = 0;
-  other.hugepage_backed_ = other.mmapped_ = false;
-}
+    : block_(std::move(other.block_)),
+      planes_(std::exchange(other.planes_, 0)),
+      dim_(std::exchange(other.dim_, 0)),
+      words_(std::exchange(other.words_, 0)),
+      stride_words_(std::exchange(other.stride_words_, 0)),
+      tile_words_(std::exchange(other.tile_words_, 0)) {}
 
 PlaneArena& PlaneArena::operator=(PlaneArena&& other) noexcept {
   if (this == &other) return *this;
-  release();
-  base_ = other.base_;
-  planes_ = other.planes_;
-  dim_ = other.dim_;
-  words_ = other.words_;
-  stride_words_ = other.stride_words_;
-  tile_words_ = other.tile_words_;
-  bytes_ = other.bytes_;
-  hugepage_backed_ = other.hugepage_backed_;
-  mmapped_ = other.mmapped_;
-  other.base_ = nullptr;
-  other.bytes_ = 0;
-  other.planes_ = other.dim_ = other.words_ = 0;
-  other.stride_words_ = other.tile_words_ = 0;
-  other.hugepage_backed_ = other.mmapped_ = false;
+  block_ = std::move(other.block_);
+  planes_ = std::exchange(other.planes_, 0);
+  dim_ = std::exchange(other.dim_, 0);
+  words_ = std::exchange(other.words_, 0);
+  stride_words_ = std::exchange(other.stride_words_, 0);
+  tile_words_ = std::exchange(other.tile_words_, 0);
   return *this;
-}
-
-void PlaneArena::allocate(const PlaneArenaConfig& config) {
-  bytes_ = planes_ * stride_words_ * sizeof(std::uint64_t);
-  if (bytes_ == 0) {
-    base_ = nullptr;
-    return;
-  }
-#if defined(__linux__)
-  // Anonymous mmap: page-aligned (>= 64B), zero-filled, and the only
-  // allocation path madvise(MADV_HUGEPAGE) applies to. The hint is
-  // best-effort by design — on kernels without THP (or with it disabled)
-  // madvise fails and the arena runs on normal 4K pages.
-  void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p != MAP_FAILED) {
-    base_ = static_cast<std::uint64_t*>(p);
-    mmapped_ = true;
-    if (config.hugepages) {
-      hugepage_backed_ = ::madvise(base_, bytes_, MADV_HUGEPAGE) == 0;
-    }
-    return;
-  }
-#endif
-  // Portable fallback: over-aligned operator new, zeroed by hand.
-  base_ = static_cast<std::uint64_t*>(
-      ::operator new(bytes_, std::align_val_t{64}));
-  std::memset(base_, 0, bytes_);
-  mmapped_ = false;
-  hugepage_backed_ = false;
-}
-
-void PlaneArena::release() noexcept {
-  if (base_ == nullptr) return;
-#if defined(__linux__)
-  if (mmapped_) {
-    ::munmap(base_, bytes_);
-    base_ = nullptr;
-    return;
-  }
-#endif
-  ::operator delete(base_, std::align_val_t{64});
-  base_ = nullptr;
 }
 
 void PlaneArena::store_plane(std::size_t p, const hv::BinVec& v) noexcept {

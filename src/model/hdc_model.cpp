@@ -73,21 +73,23 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
   // training work.
   HdcModel model(num_classes, dim, config.precision_bits);
 
-  // Pass 1: bundle every training hypervector into its class accumulator.
-  std::vector<hv::SignedAccumulator> accs(num_classes,
-                                          hv::SignedAccumulator(dim));
+  // Pass 1: bundle every training hypervector into its class's counter
+  // row. All k rows are one block, so a large model's counters take
+  // hugepages.
+  hv::CounterStore counters(num_classes, dim);
   for (std::size_t i = 0; i < encoded.size(); ++i) {
-    accs[static_cast<std::size_t>(labels[i])].add(encoded[i]);
+    counters.row(static_cast<std::size_t>(labels[i])).add(encoded[i]);
   }
 
   // Perceptron-style retraining: on a mistake, reinforce the true class and
   // weaken the predicted one (standard HDC practice; improves the single-
   // pass model substantially on harder tasks). Predictions run against
   // binary sign snapshots so each epoch is word-parallel; only the two
-  // accumulators touched by a mistake have their snapshots refreshed, in
-  // place.
+  // rows touched by a mistake have their snapshots refreshed, in place.
   std::vector<hv::BinVec> signs(num_classes, hv::BinVec(dim));
-  for (std::size_t c = 0; c < num_classes; ++c) accs[c].sign_into(signs[c]);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    counters.row(c).sign_into(signs[c]);
+  }
 
   std::vector<std::size_t> distances(num_classes);
   const std::size_t words = util::words_for_bits(dim);
@@ -110,12 +112,14 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
       if (wrong || thin_margin) {
         const auto t = static_cast<std::size_t>(truth);
         const int rival = wrong ? nearest.best : nearest.second;
-        accs[t].add(encoded[i], +1);
-        accs[t].sign_into(signs[t]);
+        const auto own = counters.row(t);
+        own.add(encoded[i], +1);
+        own.sign_into(signs[t]);
         if (rival >= 0) {
           const auto g = static_cast<std::size_t>(rival);
-          accs[g].add(encoded[i], -1);
-          accs[g].sign_into(signs[g]);
+          const auto other = counters.row(g);
+          other.add(encoded[i], -1);
+          other.sign_into(signs[g]);
         }
         ++updates;
       }
@@ -123,23 +127,21 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
     if (updates == 0) break;
   }
 
-  model.deploy(accs);
+  model.deploy(counters);
   return model;
 }
 
-HdcModel HdcModel::from_accumulators(
-    std::span<const hv::SignedAccumulator> accumulators,
-    unsigned precision_bits) {
-  assert(!accumulators.empty());
-  HdcModel model(accumulators.size(), accumulators[0].dimension(),
-                 precision_bits);
-  model.deploy(accumulators);
+HdcModel HdcModel::from_accumulators(const hv::CounterStore& counters,
+                                     unsigned precision_bits) {
+  assert(counters.rows() > 0);
+  HdcModel model(counters.rows(), counters.dimension(), precision_bits);
+  model.deploy(counters);
   return model;
 }
 
-void HdcModel::deploy(std::span<const hv::SignedAccumulator> accumulators) {
-  for (std::size_t c = 0; c < accumulators.size(); ++c) {
-    const auto planes = accumulators[c].quantize_planes(precision_bits_);
+void HdcModel::deploy(const hv::CounterStore& counters) {
+  for (std::size_t c = 0; c < counters.rows(); ++c) {
+    const auto planes = counters.row(c).quantize_planes(precision_bits_);
     for (unsigned p = 0; p < precision_bits_; ++p) {
       arena_.store_plane(row(c, p), planes[p]);
     }

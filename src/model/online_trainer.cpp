@@ -8,7 +8,7 @@ namespace robusthd::model {
 OnlineTrainer::OnlineTrainer(std::size_t dimension, std::size_t num_classes,
                              const Config& config)
     : config_(config),
-      accumulators_(num_classes, hv::SignedAccumulator(dimension)),
+      counters_(num_classes, dimension),
       signs_(num_classes, hv::BinVec(dimension)) {}
 
 OnlineTrainer::Nearest OnlineTrainer::nearest(const hv::BinVec& query) const {
@@ -25,8 +25,7 @@ OnlineTrainer::Nearest OnlineTrainer::nearest(const hv::BinVec& query) const {
 }
 
 int OnlineTrainer::observe(const hv::BinVec& encoded, int label) {
-  assert(label >= 0 &&
-         static_cast<std::size_t>(label) < accumulators_.size());
+  assert(label >= 0 && static_cast<std::size_t>(label) < counters_.rows());
   ++observed_;
 
   const auto guess = nearest(encoded);
@@ -39,8 +38,9 @@ int OnlineTrainer::observe(const hv::BinVec& encoded, int label) {
   const int reinforce = static_cast<int>(std::lround(
       (1.0 - own_similarity) * config_.weight_resolution));
   if (reinforce > 0) {
-    accumulators_[target].add(encoded, reinforce);
-    accumulators_[target].sign_into(signs_[target]);
+    const auto own = counters_.row(target);
+    own.add(encoded, reinforce);
+    own.sign_into(signs_[target]);
   }
 
   if (guess.cls != label) {
@@ -52,15 +52,16 @@ int OnlineTrainer::observe(const hv::BinVec& encoded, int label) {
     const int repel = static_cast<int>(std::lround(
         (1.0 - guess.similarity) * config_.weight_resolution));
     if (repel > 0) {
-      accumulators_[wrong].add(encoded, -repel);
-      accumulators_[wrong].sign_into(signs_[wrong]);
+      const auto impostor = counters_.row(wrong);
+      impostor.add(encoded, -repel);
+      impostor.sign_into(signs_[wrong]);
     }
   }
   return guess.cls;
 }
 
 HdcModel OnlineTrainer::deploy() const {
-  return HdcModel::from_accumulators(accumulators_, config_.precision_bits);
+  return HdcModel::from_accumulators(counters_, config_.precision_bits);
 }
 
 }  // namespace robusthd::model

@@ -48,12 +48,16 @@ struct Replayer {
   std::uint64_t max_version = 0;
 
   // Records buffered since the last EpochClose — an open epoch. Nothing
-  // in here touches the model until a close commits it.
+  // in here touches the model until a close commits it. The engine states
+  // carry flags, not std::optional: GCC 12 reports a false
+  // -Wmaybe-uninitialized when an optional of this struct is destroyed.
   std::vector<PlaneDelta> pending_deltas;
-  std::optional<model::RecoveryEngineState> pending_state;
+  model::RecoveryEngineState pending_state;
+  bool has_pending_state = false;
   std::size_t pending_records = 0;
 
-  std::optional<model::RecoveryEngineState> committed_state;
+  model::RecoveryEngineState committed_state;
+  bool has_committed_state = false;
   std::optional<EpochClose> last_close;
 
   void apply_delta(const PlaneDelta& delta) {
@@ -82,9 +86,10 @@ struct Replayer {
   void commit(const EpochClose& close) {
     for (const auto& delta : pending_deltas) apply_delta(delta);
     pending_deltas.clear();
-    if (pending_state) {
+    if (has_pending_state) {
       committed_state = std::move(pending_state);
-      pending_state.reset();
+      has_committed_state = true;
+      has_pending_state = false;
       ++stats.replay_records;
     }
     pending_records = 0;
@@ -96,7 +101,7 @@ struct Replayer {
   void discard_open_epoch() {
     stats.discarded_records += pending_records;
     pending_deltas.clear();
-    pending_state.reset();
+    has_pending_state = false;
     pending_records = 0;
   }
 };
@@ -192,6 +197,7 @@ std::optional<Recovered> recover_dir(const std::string& dir) {
               break;
             }
             replayer.pending_state = std::move(*state);
+            replayer.has_pending_state = true;
             ++replayer.pending_records;
             break;
           }
@@ -227,7 +233,9 @@ std::optional<Recovered> recover_dir(const std::string& dir) {
           model_state_crc(rec.model) == replayer.last_close->state_crc;
     }
     rec.model_version = replayer.max_version;
-    rec.engine_state = std::move(replayer.committed_state);
+    if (replayer.has_committed_state) {
+      rec.engine_state = std::move(replayer.committed_state);
+    }
     return rec;
   }
   return std::nullopt;

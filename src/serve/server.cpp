@@ -325,8 +325,15 @@ std::uint64_t Server::estimated_wait_ns() const {
 }
 
 bool Server::inline_pays(std::size_t n) const {
+  // The lower quartile of at least eight hand-offs, not their mean. On a
+  // loaded host a worker can wait milliseconds for a CPU after it is
+  // woken; one such sample lifts the mean, and a run of them even the
+  // median, past a heavy batch's service time, and the loop, which does
+  // no I/O while it scores, would then take the batch. The quartile
+  // ignores up to three slow samples in four, and the fastest one.
+  if (handoff_.count() < kMinHandoffs) return false;
   const double service = estimated_service_ns(n);
-  return service > 0.0 && service <= handoff_.mean_ns();
+  return service > 0.0 && service <= handoff_.percentile_ns(0.25);
 }
 
 void Server::drain() {
@@ -387,6 +394,7 @@ ServerStats Server::stats() const {
   s.batches = batch_sizes_.batches();
   s.mean_batch = batch_sizes_.mean();
   s.queue_wait = queue_wait_.summarize();
+  s.handoff = handoff_.summarize();
   s.service = service_.summarize();
   s.end_to_end = end_to_end_.summarize();
   s.trusted = trusted_.load(std::memory_order_relaxed);

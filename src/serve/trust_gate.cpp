@@ -26,20 +26,25 @@ TrustGate::TrustGate(const TrustGateConfig& config, std::size_t num_classes,
   // encodings the majority of a handful of members already sits close to
   // the class prototype, chunk by chunk. The bipolar sum of m members is
   // 2 * ones - m, so its sign is the majority; a tie (even m) stays 0, as
-  // no tie-break is passed. One class's counters are live at a time.
+  // no tie-break is passed. One class's counters are live at a time, in a
+  // one-row store that is zeroed after each class.
   const std::size_t n = std::min(canaries.size(), canary_labels.size());
+  std::optional<hv::CounterStore> sum;
   for (std::size_t c = 0; c < num_classes; ++c) {
-    std::optional<hv::SignedAccumulator> sum;
+    bool members = false;
     for (std::size_t i = 0; i < n; ++i) {
       if (canary_labels[i] != static_cast<int>(c) ||
           canaries[i].dimension() != dimension) {
         continue;
       }
-      if (!sum) sum.emplace(dimension);
-      sum->add(canaries[i]);
+      if (!sum) sum.emplace(1, dimension);
+      sum->row(0).add(canaries[i]);
+      members = true;
     }
     // No members: the centroid stays empty and the check is skipped.
-    if (sum) sum->sign_into(centroids_[c]);
+    if (!members) continue;
+    sum->row(0).sign_into(centroids_[c]);
+    sum->clear();
   }
 }
 

@@ -1,11 +1,15 @@
-// Tests for the bundling accumulators (bit-sliced and signed).
+// Tests for the bundling accumulators (bit-sliced and signed) and the
+// class-counter store whose rows the signed ones view.
 #include "robusthd/hv/accumulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "hugepages_env.hpp"
 #include "robusthd/util/rng.hpp"
 
 namespace robusthd::hv {
@@ -89,7 +93,8 @@ TEST(BitSliceCounter, PlaneGrowthIsLogarithmic) {
 }
 
 TEST(SignedAccumulator, BipolarCounting) {
-  SignedAccumulator acc(4);
+  CounterStore store(1, 4);
+  const auto acc = store.row(0);
   BinVec v(4);
   v.set(0, true);
   v.set(1, true);
@@ -104,7 +109,8 @@ TEST(SignedAccumulator, BipolarCounting) {
 }
 
 TEST(SignedAccumulator, SignThreshold) {
-  SignedAccumulator acc(3);
+  CounterStore store(1, 3);
+  const auto acc = store.row(0);
   acc.count(0) = 5;
   acc.count(1) = -5;
   acc.count(2) = 0;
@@ -121,7 +127,8 @@ TEST(SignedAccumulator, SignThreshold) {
 TEST(SignedAccumulator, SignIntoMatchesSignAndKeepsTiesInPlace) {
   const std::size_t dim = 130;  // two full words and a 2-bit tail
   util::Xoshiro256 rng(3);
-  SignedAccumulator acc(dim);
+  CounterStore store(1, dim);
+  const auto acc = store.row(0);
   acc.add(BinVec::random(dim, rng));
   acc.add(BinVec::random(dim, rng));  // two adds: a quarter of dims tie
   const auto tie = BinVec::random(dim, rng);
@@ -149,7 +156,8 @@ TEST(SignedAccumulator, SignIntoMatchesSignAndKeepsTiesInPlace) {
 }
 
 TEST(SignedAccumulator, OneBitQuantizationIsSign) {
-  SignedAccumulator acc(5);
+  CounterStore store(1, 5);
+  const auto acc = store.row(0);
   acc.count(0) = 10;
   acc.count(1) = -10;
   acc.count(2) = 1;
@@ -161,7 +169,8 @@ TEST(SignedAccumulator, OneBitQuantizationIsSign) {
 }
 
 TEST(SignedAccumulator, TwoBitQuantizationOrdersByMagnitude) {
-  SignedAccumulator acc(4);
+  CounterStore store(1, 4);
+  const auto acc = store.row(0);
   acc.count(0) = 100;   // strong 1 -> level 3
   acc.count(1) = 10;    // weak 1
   acc.count(2) = -10;   // weak 0
@@ -178,6 +187,69 @@ TEST(SignedAccumulator, TwoBitQuantizationOrdersByMagnitude) {
   EXPECT_GT(level(0) - level(3), level(1) - level(2));
 }
 
+TEST(CounterStore, RowsAreZeroedAlignedAndDisjoint) {
+  // Five rows of 131,072 counters span more than a 2 MiB hugepage, so
+  // they are a mapping (hugepage-advised, or zero-written when hugepages
+  // are off); the smaller stores are heap memory.
+  for (const std::size_t dim : {1u, 16u, 17u, 130u, 16385u, 131072u}) {
+    for (const char* hugepages : {"0", "1"}) {
+      const test::HugepagesEnv setting(hugepages);
+      CounterStore store(5, dim);
+      ASSERT_EQ(store.rows(), 5u);
+      ASSERT_EQ(store.dimension(), dim);
+      for (std::size_t r = 0; r < store.rows(); ++r) {
+        const auto row = store.row(r);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&row.count(0)) % 64,
+                  0u)
+            << "dim " << dim << " row " << r;
+        for (std::size_t d = 0; d < dim; ++d) ASSERT_EQ(row.count(d), 0);
+      }
+      // Filling one row leaves its neighbours untouched.
+      BinVec ones(dim);
+      ones.invert();
+      store.row(2).add(ones, 7);
+      for (std::size_t r = 0; r < store.rows(); ++r) {
+        for (std::size_t d = 0; d < dim; ++d) {
+          ASSERT_EQ(store.row(r).count(d), r == 2 ? 7 : 0)
+              << "dim " << dim << " row " << r << " counter " << d;
+        }
+      }
+      store.clear();
+      for (std::size_t d = 0; d < dim; ++d) ASSERT_EQ(store.row(2).count(d), 0);
+    }
+  }
+}
+
+TEST(CounterStore, MoveLeavesNoRowsBehind) {
+  static_assert(!std::is_copy_constructible_v<CounterStore>);
+  CounterStore store(3, 100);
+  store.row(1).count(5) = 42;
+  CounterStore moved(std::move(store));
+  EXPECT_EQ(store.rows(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(store.dimension(), 0u);
+  ASSERT_EQ(moved.rows(), 3u);
+  EXPECT_EQ(moved.row(1).count(5), 42);
+  CounterStore assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(moved.rows(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(assigned.row(1).count(5), 42);
+}
+
+TEST(CounterStore, ConstStoreHandsOutReadOnlyRows) {
+  static_assert(std::is_same_v<decltype(std::declval<const CounterStore&>()
+                                            .row(0)),
+                               ConstSignedAccumulator>);
+  static_assert(std::is_same_v<decltype(std::declval<CounterStore&>().row(0)),
+                               SignedAccumulator>);
+  CounterStore store(2, 70);
+  util::Xoshiro256 rng(9);
+  const auto v = BinVec::random(70, rng);
+  store.row(1).add(v, 3);
+  const CounterStore& view = store;
+  EXPECT_EQ(view.row(1).sign(), v);
+  EXPECT_EQ(view.row(1).quantize_planes(2), store.row(1).quantize_planes(2));
+}
+
 class BitSliceSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BitSliceSizes, AgreesWithSignedAccumulatorMajority) {
@@ -186,7 +258,8 @@ TEST_P(BitSliceSizes, AgreesWithSignedAccumulatorMajority) {
   const std::size_t dim = GetParam();
   util::Xoshiro256 rng(dim);
   BitSliceCounter bits(dim);
-  SignedAccumulator sign(dim);
+  CounterStore counters(1, dim);
+  const auto sign = counters.row(0);
   for (int i = 0; i < 11; ++i) {
     const auto v = BinVec::random(dim, rng);
     bits.add(v);

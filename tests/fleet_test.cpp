@@ -1117,13 +1117,13 @@ TEST(Fleet, HeavyShardKeepsItsRequestsOnTheWorkers) {
   const int fd = connect_loopback(frontend.ports()[0]);
   ASSERT_GE(fd, 0);
 
-  constexpr std::uint64_t kBursts = 4;
   constexpr std::uint64_t kPerBurst = 8;
-  for (std::uint64_t b = 0; b < kBursts; ++b) {
+  std::uint64_t sent = 0;
+  const auto burst = [&] {
     std::vector<std::byte> out;
-    for (std::uint64_t k = 0; k < kPerBurst; ++k) {
-      const std::uint64_t id = b * kPerBurst + k;
-      wire::append_predict_request(out, /*tenant_id=*/1, id, prototypes[id]);
+    for (std::uint64_t k = 0; k < kPerBurst; ++k, ++sent) {
+      wire::append_predict_request(out, /*tenant_id=*/1, sent,
+                                   prototypes[sent]);
     }
     send_prefix(fd, out, out.size());
     const auto frames = read_frames(fd, kPerBurst, std::chrono::seconds(10));
@@ -1134,9 +1134,20 @@ TEST(Fleet, HeavyShardKeepsItsRequestsOnTheWorkers) {
       ASSERT_TRUE(result.has_value());
       EXPECT_EQ(result->predicted, static_cast<int>(f.request_id));
     }
+  };
+  // Until the shard has measured Server::kMinHandoffs hand-offs, the loop
+  // hands every batch to a worker without weighing costs. Send bursts
+  // until it has them, so the bursts after test the cost comparison.
+  const auto handoffs = [&] {
+    return fleet.shard(0).server().stats().handoff.count;
+  };
+  for (int b = 0; b < 64 && handoffs() < serve::Server::kMinHandoffs; ++b) {
+    ASSERT_NO_FATAL_FAILURE(burst());
   }
+  ASSERT_GE(handoffs(), serve::Server::kMinHandoffs);
+  for (int b = 0; b < 4; ++b) ASSERT_NO_FATAL_FAILURE(burst());
   EXPECT_EQ(frontend.counters().answered_inline, 0u);
-  EXPECT_EQ(fleet.shard(0).server().stats().completed, kBursts * kPerBurst);
+  EXPECT_EQ(fleet.shard(0).server().stats().completed, sent);
 
   ::close(fd);
   frontend.stop();

@@ -19,6 +19,7 @@
 #include "robusthd/data/synthetic.hpp"
 #include "robusthd/fault/injector.hpp"
 #include "robusthd/hv/encoder.hpp"
+#include "hugepages_env.hpp"
 #include "robusthd/util/rng.hpp"
 
 namespace robusthd::model {
@@ -351,9 +352,9 @@ void expect_precision_rejected(unsigned bits) {
   config.precision_bits = bits;
   EXPECT_THROW(HdcModel::train(toy.samples, toy.labels, 2, config),
                std::invalid_argument);
-  const std::vector<hv::SignedAccumulator> accs(2,
-                                                hv::SignedAccumulator(kDim));
-  EXPECT_THROW(HdcModel::from_accumulators(accs, bits), std::invalid_argument);
+  const hv::CounterStore counters(2, kDim);
+  EXPECT_THROW(HdcModel::from_accumulators(counters, bits),
+               std::invalid_argument);
   if (bits > 0) {
     EXPECT_THROW(HdcModel::from_planes(planes_of({bits, bits}, 100), bits),
                  std::invalid_argument);
@@ -461,6 +462,52 @@ RefTrained ref_train(std::span<const hv::BinVec> encoded,
   return out;
 }
 
+/// Trains at 1 to 3 bits and checks every class plane against the
+/// per-dimension reference's counters.
+void expect_train_matches(const RefTrained& ref,
+                          std::span<const hv::BinVec> encoded,
+                          std::span<const int> labels, std::size_t classes,
+                          const std::string& shape) {
+  const std::size_t dim = encoded[0].dimension();
+  for (const unsigned bits : {1u, 2u, 3u}) {
+    HdcConfig config;
+    config.precision_bits = bits;
+    const auto model = HdcModel::train(encoded, labels, classes, config);
+    hv::CounterStore one(1, dim);
+    for (std::size_t c = 0; c < classes; ++c) {
+      // 1 bit: the sign. More: the (unchanged) magnitude quantiser over
+      // the reference's counters.
+      std::vector<hv::BinVec> expected;
+      if (bits == 1) {
+        expected.push_back(ref_sign(ref.counts[c]));
+      } else {
+        for (std::size_t i = 0; i < dim; ++i) {
+          one.row(0).count(i) = ref.counts[c][i];
+        }
+        expected = one.row(0).quantize_planes(bits);
+      }
+      for (std::size_t p = 0; p < bits; ++p) {
+        ASSERT_TRUE(std::ranges::equal(model.plane_words(c, p),
+                                       expected[p].words()))
+            << shape << " bits=" << bits << " class=" << c << " plane=" << p;
+      }
+    }
+  }
+}
+
+/// `proto` with each bit flipped with probability 2^-and_terms.
+hv::BinVec noisy(const hv::BinVec& proto, int and_terms,
+                 util::Xoshiro256& rng) {
+  hv::BinVec v = proto;
+  for (auto& w : v.mutable_words()) {
+    std::uint64_t mask = rng.next();
+    for (int t = 1; t < and_terms; ++t) mask &= rng.next();
+    w ^= mask;
+  }
+  v.mask_tail();
+  return v;
+}
+
 TEST(HdcModel, TrainMatchesPerDimensionReference) {
   // PAMAP-shaped data: 75 features and 5 correlated classes, hard enough
   // that retraining updates run at every dimension below.
@@ -475,29 +522,35 @@ TEST(HdcModel, TrainMatchesPerDimensionReference) {
     const auto encoded = encoder.encode_all(split.train);
     const auto ref = ref_train(encoded, split.train.labels, classes, {});
     ASSERT_GT(ref.updates, 0u) << "D=" << dim;
-    for (const unsigned bits : {1u, 2u, 3u}) {
-      HdcConfig config;
-      config.precision_bits = bits;
-      const auto model =
-          HdcModel::train(encoded, split.train.labels, classes, config);
-      for (std::size_t c = 0; c < classes; ++c) {
-        // 1 bit: the sign. More: the (unchanged) magnitude quantiser over
-        // the reference's counters.
-        std::vector<hv::BinVec> expected;
-        if (bits == 1) {
-          expected.push_back(ref_sign(ref.counts[c]));
-        } else {
-          hv::SignedAccumulator acc(dim);
-          for (std::size_t i = 0; i < dim; ++i) acc.count(i) = ref.counts[c][i];
-          expected = acc.quantize_planes(bits);
-        }
-        for (std::size_t p = 0; p < bits; ++p) {
-          ASSERT_TRUE(std::ranges::equal(model.plane_words(c, p),
-                                         expected[p].words()))
-              << "D=" << dim << " bits=" << bits << " class=" << c
-              << " plane=" << p;
-        }
+    expect_train_matches(ref, encoded, split.train.labels, classes,
+                         "PAMAP D=" + std::to_string(dim));
+  }
+
+  // score_bulk's shape, 128 classes at D = 16,384, and one dimension past
+  // it: 8 MiB of counters, a block that transparent hugepages can back,
+  // trained with the hugepage request on and off. Samples flip an eighth
+  // of their class prototype's bits, as in score_bulk, and every eighth
+  // one carries the next class's label, so retraining updates.
+  constexpr std::size_t kWideClasses = 128;
+  for (const std::size_t dim : {16384, 16385}) {
+    util::Xoshiro256 rng(dim);
+    std::vector<hv::BinVec> encoded;
+    std::vector<int> labels;
+    for (std::size_t c = 0; c < kWideClasses; ++c) {
+      const auto proto = hv::BinVec::random(dim, rng);
+      for (std::size_t i = 0; i < 4; ++i) {
+        encoded.push_back(noisy(proto, 3, rng));
+        const bool mislabeled = (4 * c + i) % 8 == 7;
+        labels.push_back(static_cast<int>((c + mislabeled) % kWideClasses));
       }
+    }
+    const auto ref = ref_train(encoded, labels, kWideClasses, {});
+    ASSERT_GT(ref.updates, 0u) << "D=" << dim;
+    for (const char* hugepages : {"1", "0"}) {
+      const test::HugepagesEnv setting(hugepages);
+      expect_train_matches(ref, encoded, labels, kWideClasses,
+                           "128 classes D=" + std::to_string(dim) +
+                               " hugepages=" + hugepages);
     }
   }
 }

@@ -566,13 +566,11 @@ TEST(EncodeKernels, WorkspaceCapacityStabilises) {
 
 model::HdcModel tiny_model(std::size_t dim, std::size_t classes,
                            unsigned precision, util::Xoshiro256& rng) {
-  std::vector<hv::SignedAccumulator> accs;
+  hv::CounterStore counters(classes, dim);
   for (std::size_t c = 0; c < classes; ++c) {
-    hv::SignedAccumulator acc(dim);
-    for (int i = 0; i < 5; ++i) acc.add(hv::BinVec::random(dim, rng));
-    accs.push_back(std::move(acc));
+    for (int i = 0; i < 5; ++i) counters.row(c).add(hv::BinVec::random(dim, rng));
   }
-  return model::HdcModel::from_accumulators(accs, precision);
+  return model::HdcModel::from_accumulators(counters, precision);
 }
 
 /// Naive masked scores: per-bit match counts over the kept dimensions,

@@ -1213,8 +1213,8 @@ TEST(Server, InlinePaysOnlyWhenScoringBeatsTheMeasuredHandOff) {
   config.batch_linger = std::chrono::milliseconds(20);
   Server lingering(world.model, config);
   // Only a request that arrives while the worker waits is a sample, so
-  // give the worker a moment to get there.
-  for (int i = 0; i < 10 && !lingering.inline_pays(1); ++i) {
+  // give the worker a moment to get there. The rule wants eight samples.
+  for (int i = 0; i < 20 && !lingering.inline_pays(1); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_EQ(lingering.submit(world.queries[0]).get().predicted,
               world.labels[0]);
@@ -1226,14 +1226,19 @@ TEST(Server, InlinePaysOnlyWhenScoringBeatsTheMeasuredHandOff) {
   EXPECT_FALSE(lingering.inline_pays(1)) << "reset forgets the measurements";
 
   // A heavy model: scoring a batch costs far more than a wake-up, so its
-  // batches stay with the workers.
+  // batches stay with the workers. Only a request that finds the worker
+  // idle is a hand-off sample (the first may not: the worker may not have
+  // reached its loop yet), so submit until the rule has its samples and
+  // the check below weighs costs rather than counting samples.
   const auto wide = make_wide_world(8);
   config.batch_linger = {};
   Server heavy(wide.model, config);
-  for (const auto& query : wide.queries) {
-    heavy.submit(query).get();
+  for (std::size_t i = 0;
+       i < 64 && heavy.stats().handoff.count < Server::kMinHandoffs; ++i) {
+    heavy.submit(wide.queries[i % wide.queries.size()]).get();
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
+  ASSERT_GE(heavy.stats().handoff.count, Server::kMinHandoffs);
   EXPECT_FALSE(heavy.inline_pays(config.max_batch));
 }
 
