@@ -11,8 +11,8 @@
 //   item memory at all; binarisation happens per output bit.
 
 #include <cstdint>
+#include <vector>
 
-#include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/encoder_base.hpp"
 #include "robusthd/hv/itemmemory.hpp"
 

@@ -21,13 +21,17 @@
 //                       class counters (training's accumulate step)
 //   * sign_pack       — int32 counters to packed sign bits with an
 //                       optional tie-break vector (training's threshold)
+//   * majority        — per-bit majority of n packed rows, folded word by
+//                       word through a carry-save counter (a class's or a
+//                       bundle's sign without int32 counters)
 //   * crc32c          — the Castagnoli CRC behind RHD2 blobs, WAL records
 //                       and wire frames
 //
 // Variants: portable scalar (the reference all others are tested against),
 // AVX2 (Harley–Seal carry-save popcount), AVX-512 (VPOPCNTDQ); both SIMD
-// tiers compute crc32c with the SSE4.2 crc32 instruction, and run the two
-// counter kernels 8 (AVX2) or 16 (AVX-512) dimensions per instruction.
+// tiers compute crc32c with the SSE4.2 crc32 instruction, run the two
+// counter kernels 8 (AVX2) or 16 (AVX-512) dimensions per instruction, and
+// the majority 256 or 512 dimensions per instruction.
 // Dispatch honours two environment overrides, read once at first use:
 //
 //   ROBUSTHD_FORCE_SCALAR=1       force the scalar reference
@@ -124,6 +128,20 @@ struct Ops {
   void (*sign_pack)(const std::int32_t* counts, std::size_t dims,
                     const std::uint64_t* tie_break, std::uint64_t* out);
 
+  /// Per-bit majority of n rows of packed bits: bit i of `out` is set
+  /// where more than half the rows set bit i, and where exactly half do
+  /// (n even, n = 0 included) it takes bit i of `tie_break` (0 when
+  /// tie_break is null). Each row and `tie_break` hold ceil(dims / 64)
+  /// words, and only their bits below dims count. Writes ceil(dims / 64)
+  /// words with every bit past dims clear; `out` may alias `tie_break`.
+  /// Works word-major: each SIMD vector of words is folded through all n
+  /// rows in a bit-sliced carry-save counter of max(4, ceil(log2(n + 1)))
+  /// registers, so no per-dimension count is ever stored. With tie_break null this equals
+  /// sign_pack of the rows' bipolar sum.
+  void (*majority)(const std::uint64_t* const* rows, std::size_t n,
+                   std::size_t dims, const std::uint64_t* tie_break,
+                   std::uint64_t* out);
+
   /// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) over bytes
   /// [data, data + n), continuing from `crc`: 0 starts a fresh sum, and
   /// the seed/finalise XORs live inside, so crc32c(b, crc32c(a)) ==
@@ -188,6 +206,12 @@ inline void bundle_signed(std::int32_t* counts, const std::uint64_t* bits,
 inline void sign_pack(const std::int32_t* counts, std::size_t dims,
                       const std::uint64_t* tie_break, std::uint64_t* out) {
   ops().sign_pack(counts, dims, tie_break, out);
+}
+
+inline void majority(const std::uint64_t* const* rows, std::size_t n,
+                     std::size_t dims, const std::uint64_t* tie_break,
+                     std::uint64_t* out) {
+  ops().majority(rows, n, dims, tie_break, out);
 }
 
 inline std::uint32_t crc32c(const void* data, std::size_t n,

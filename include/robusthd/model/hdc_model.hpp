@@ -147,6 +147,10 @@ class HdcModel {
   HdcModel() = default;
 
   /// Single-pass bundling + retraining over pre-encoded training data.
+  /// Each class starts as the per-bit majority of its samples
+  /// (kernels::majority), which is the sign of their bundle; a class gets
+  /// int32 counters only when retraining updates it or a multi-bit model
+  /// quantises them.
   /// Throws std::invalid_argument, before training, unless
   /// 1 <= config.precision_bits <= kMaxPrecisionBits.
   static HdcModel train(std::span<const hv::BinVec> encoded,
@@ -261,8 +265,8 @@ class HdcModel {
   HdcModel(std::size_t num_classes, std::size_t dimension,
            unsigned precision_bits);
 
-  /// Quantises each counter row into its class's plane rows.
-  void deploy(const hv::CounterStore& counters);
+  /// Quantises one class's counters into its plane rows.
+  void deploy_class(std::size_t cls, hv::ConstSignedAccumulator counts);
 
   std::size_t row(std::size_t cls, std::size_t plane) const noexcept {
     return cls * precision_bits_ + plane;

@@ -29,6 +29,7 @@
 // serially — batching, worker count and scheduling cannot change a
 // result (serve_test asserts this).
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -191,15 +192,21 @@ class Server {
   /// Whether answer_now() on `n` queries is expected to finish sooner
   /// than handing them to a worker would: their estimated service time
   /// (mean batch service time ÷ mean batch size × n) is at most the
-  /// lower quartile of the hand-off, the time a request waits for an idle
-  /// worker to wake up. Workers measure the hand-off; batches on either
-  /// path measure the service time. False until the service time and
-  /// kMinHandoffs hand-offs have been measured, so a fresh server's first
-  /// batches go to a worker. Cheap: relaxed loads of the two histograms.
-  bool inline_pays(std::size_t n) const;
-  /// Hand-offs inline_pays() waits for before it compares costs
-  /// (ServerStats::handoff counts them).
+  /// lower quartile of the last kMinHandoffs hand-offs, the time a
+  /// request waits for an idle worker to wake up. Workers measure the
+  /// hand-off; batches on either path measure the service time. False
+  /// until the service time and kMinHandoffs hand-offs have been
+  /// measured, so a fresh server's first batches go to a worker. A server
+  /// answered inline hands its workers nothing, so they would measure no
+  /// more hand-offs: one call in kHandoffRefresh that would say true says
+  /// false instead, and that batch refreshes the samples. Cheap: relaxed
+  /// atomics only.
+  bool inline_pays(std::size_t n);
+  /// Hand-offs inline_pays() decides from (ServerStats::handoff counts
+  /// them all).
   static constexpr std::uint64_t kMinHandoffs = 8;
+  /// One inline-eligible batch in this many goes to a worker.
+  static constexpr std::uint64_t kHandoffRefresh = 1024;
 
   /// Enqueues a raw (normalised) feature vector; a worker encodes it with
   /// ServerConfig::encoder before scoring. Throws std::logic_error when no
@@ -390,6 +397,12 @@ class Server {
   /// Queue wait of the requests that arrived while a worker was idle: the
   /// cost of one hand-off, which answering inline saves (inline_pays).
   LatencyHistogram handoff_;
+  /// The last kMinHandoffs of those waits, in ns: hand-off n (counted
+  /// from 0 since the last reset_stats) is slot n % kMinHandoffs.
+  std::array<std::atomic<std::uint64_t>, kMinHandoffs> recent_handoffs_{};
+  std::atomic<std::uint64_t> handoffs_seen_{0};
+  /// inline_pays() calls whose costs favoured answering inline.
+  std::atomic<std::uint64_t> inline_eligible_{0};
   BatchSizeDistribution batch_sizes_;
 
   /// reset_stats() baselines for counters owned by the subsystems (the

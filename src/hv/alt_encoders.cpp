@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
+
+#include "robusthd/kernels/kernels.hpp"
 
 namespace robusthd::hv {
 
@@ -37,14 +40,17 @@ ThermometerEncoder::ThermometerEncoder(std::size_t feature_count,
 
 BinVec ThermometerEncoder::encode(std::span<const float> features) const {
   assert(features.size() == features_);
-  BitSliceCounter acc(dim_);
+  std::vector<const std::uint64_t*> rows(features.size());
   const auto last = static_cast<float>(levels_ - 1);
   for (std::size_t k = 0; k < features.size(); ++k) {
     const float v = std::clamp(features[k], 0.0f, 1.0f) * last;
     const auto level = static_cast<std::size_t>(std::lround(v));
-    acc.add(codes_[k * levels_ + level]);
+    rows[k] = codes_[k * levels_ + level].words().data();
   }
-  return acc.threshold_majority(&tie_break_);
+  BinVec out(dim_);
+  kernels::majority(rows.data(), rows.size(), dim_, tie_break_.words().data(),
+                    out.mutable_words().data());
+  return out;
 }
 
 RandomProjectionEncoder::RandomProjectionEncoder(std::size_t feature_count,

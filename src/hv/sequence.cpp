@@ -1,6 +1,9 @@
 #include "robusthd/hv/sequence.hpp"
 
 #include <cassert>
+#include <vector>
+
+#include "robusthd/kernels/kernels.hpp"
 
 namespace robusthd::hv {
 
@@ -51,11 +54,17 @@ BinVec SequenceEncoder::encode(std::span<const std::size_t> sequence) const {
     }
     return gram;
   }
-  BitSliceCounter acc(dim_);
+  std::vector<BinVec> grams;
+  std::vector<const std::uint64_t*> rows;
+  grams.reserve(sequence.size() - n_ + 1);
   for (std::size_t t = 0; t + n_ <= sequence.size(); ++t) {
-    acc.add(encode_ngram(sequence.subspan(t, n_)));
+    grams.push_back(encode_ngram(sequence.subspan(t, n_)));
+    rows.push_back(grams.back().words().data());
   }
-  return acc.threshold_majority(&tie_break_);
+  BinVec out(dim_);
+  kernels::majority(rows.data(), rows.size(), dim_, tie_break_.words().data(),
+                    out.mutable_words().data());
+  return out;
 }
 
 }  // namespace robusthd::hv

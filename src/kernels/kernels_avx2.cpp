@@ -316,7 +316,9 @@ void hamming_matrix_arena_masked_avx2(const std::uint64_t* const* queries,
 // 32-bit half of a bit word and shifts bit 8g + j into lane j's sign bit
 // (one variable shift per group g), which blendv reads to pick +weight or
 // -weight; signs are a compare and a movemask per 8 dimensions. The
-// partial last word, if any, runs the scalar reference.
+// partial last word, if any, runs the scalar reference. The fixed-count
+// inner loops are unrolled by pragma, as in kernels_avx512.cpp: GCC does
+// it unasked only at -O3.
 void bundle_signed_avx2(std::int32_t* counts, const std::uint64_t* bits,
                         std::size_t dims, std::int32_t weight) {
   const __m256i plus_i = _mm256_set1_epi32(weight);
@@ -326,10 +328,12 @@ void bundle_signed_avx2(std::int32_t* counts, const std::uint64_t* bits,
   const __m256i lane_shift = _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24);
   const std::size_t full_words = dims / 64;
   for (std::size_t w = 0; w < full_words; ++w) {
+#pragma GCC unroll 2
     for (std::size_t h = 0; h < 2; ++h) {
       const __m256i half = _mm256_set1_epi32(static_cast<std::int32_t>(
           static_cast<std::uint32_t>(bits[w] >> (32 * h))));
       std::int32_t* c = counts + 64 * w + 32 * h;
+#pragma GCC unroll 4
       for (std::size_t g = 0; g < 4; ++g) {
         const __m256i shift = _mm256_sub_epi32(
             lane_shift, _mm256_set1_epi32(static_cast<std::int32_t>(8 * g)));
@@ -355,6 +359,7 @@ void sign_pack_avx2(const std::int32_t* counts, std::size_t dims,
   for (std::size_t w = 0; w < full_words; ++w) {
     const std::int32_t* c = counts + 64 * w;
     std::uint64_t positive = 0, ties = 0;
+#pragma GCC unroll 8
     for (std::size_t g = 0; g < 8; ++g) {
       const __m256i v =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + 8 * g));
@@ -366,6 +371,34 @@ void sign_pack_avx2(const std::int32_t* counts, std::size_t dims,
   sign_pack_from(counts, full_words, dims, tie_break, out);
 }
 
+// Majority: one 256-bit vector (4 words) of every row per fold, with the
+// Harley–Seal adder above; see majority_block.
+struct Avx2Lane {
+  using V = __m256i;
+  static constexpr std::size_t kWords = 4;
+  static V load(const std::uint64_t* p) noexcept {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void store(std::uint64_t* p, V v) noexcept {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static V zero() noexcept { return _mm256_setzero_si256(); }
+  static V all_ones() noexcept { return _mm256_set1_epi64x(-1); }
+  static V and_(V a, V b) noexcept { return _mm256_and_si256(a, b); }
+  static V or_(V a, V b) noexcept { return _mm256_or_si256(a, b); }
+  static V xor_(V a, V b) noexcept { return _mm256_xor_si256(a, b); }
+  static V andnot(V a, V b) noexcept { return _mm256_andnot_si256(a, b); }
+  static void csa(V& h, V& l, V a, V b, V c) noexcept {
+    detail::csa(h, l, a, b, c);
+  }
+};
+
+void majority_avx2(const std::uint64_t* const* rows, std::size_t n,
+                   std::size_t dims, const std::uint64_t* tie_break,
+                   std::uint64_t* out) {
+  majority_lanes<Avx2Lane>(rows, n, dims, tie_break, out);
+}
+
 constexpr Ops kAvx2Ops{popcount_avx2,
                        hamming_avx2,
                        hamming_masked_avx2,
@@ -373,6 +406,7 @@ constexpr Ops kAvx2Ops{popcount_avx2,
                        hamming_matrix_arena_masked_avx2,
                        bundle_signed_avx2,
                        sign_pack_avx2,
+                       majority_avx2,
                        crc32c_sse42};
 
 }  // namespace

@@ -272,7 +272,10 @@ void hamming_matrix_arena_masked_avx512(const std::uint64_t* const* queries,
 // Counter kernels: a 16-bit slice of a bit word is exactly the lane mask
 // of one 16 x int32 vector, so a whole word of dimensions is four blends
 // (bundling) or four compares (signs). The partial last word, if any,
-// runs the scalar reference.
+// runs the scalar reference. The four-slice loops are unrolled by pragma:
+// GCC unrolls them only at -O3, and at -O2 (RelWithDebInfo) the rolled
+// loop's variable shifts made sign_pack about three times slower, by an
+// amount that moved with where the linker placed the code.
 void bundle_signed_avx512(std::int32_t* counts, const std::uint64_t* bits,
                           std::size_t dims, std::int32_t weight) {
   const __m512i plus = _mm512_set1_epi32(weight);
@@ -281,6 +284,7 @@ void bundle_signed_avx512(std::int32_t* counts, const std::uint64_t* bits,
   for (std::size_t w = 0; w < full_words; ++w) {
     const std::uint64_t word = bits[w];
     std::int32_t* c = counts + 64 * w;
+#pragma GCC unroll 4
     for (std::size_t q = 0; q < 4; ++q) {
       const auto set = static_cast<__mmask16>(word >> (16 * q));
       const __m512i step = _mm512_mask_blend_epi32(set, minus, plus);
@@ -298,6 +302,7 @@ void sign_pack_avx512(const std::int32_t* counts, std::size_t dims,
   for (std::size_t w = 0; w < full_words; ++w) {
     const std::int32_t* c = counts + 64 * w;
     std::uint64_t positive = 0, ties = 0;
+#pragma GCC unroll 4
     for (std::size_t q = 0; q < 4; ++q) {
       const __m512i v = _mm512_loadu_si512(c + 16 * q);
       positive |= static_cast<std::uint64_t>(_mm512_cmpgt_epi32_mask(v, zero))
@@ -310,6 +315,41 @@ void sign_pack_avx512(const std::int32_t* counts, std::size_t dims,
   sign_pack_from(counts, full_words, dims, tie_break, out);
 }
 
+// Majority: one 512-bit vector (8 words, a cache line) of every row per
+// fold. Each carry-save adder is two ternary-logic instructions: the
+// three-way XOR (0x96) and the three-way majority (0xE8).
+struct Avx512Lane {
+  using V = __m512i;
+  static constexpr std::size_t kWords = 8;
+  static V load(const std::uint64_t* p) noexcept {
+    return _mm512_loadu_si512(p);
+  }
+  static void store(std::uint64_t* p, V v) noexcept {
+    _mm512_storeu_si512(p, v);
+  }
+  static V zero() noexcept { return _mm512_setzero_si512(); }
+  static V all_ones() noexcept { return _mm512_set1_epi64(-1); }
+  static V and_(V a, V b) noexcept { return _mm512_and_si512(a, b); }
+  static V or_(V a, V b) noexcept { return _mm512_or_si512(a, b); }
+  static V xor_(V a, V b) noexcept { return _mm512_xor_si512(a, b); }
+  /// ~a & b as ternary logic (0x0C ignores the third operand): GCC's
+  /// _mm512_andnot_si512 starts from _mm512_undefined_epi32 and warns,
+  /// like the extracts reduce_add_epi64 avoids.
+  static V andnot(V a, V b) noexcept {
+    return _mm512_ternarylogic_epi64(a, b, b, 0x0C);
+  }
+  static void csa(V& h, V& l, V a, V b, V c) noexcept {
+    h = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+    l = _mm512_ternarylogic_epi64(a, b, c, 0x96);
+  }
+};
+
+void majority_avx512(const std::uint64_t* const* rows, std::size_t n,
+                     std::size_t dims, const std::uint64_t* tie_break,
+                     std::uint64_t* out) {
+  majority_lanes<Avx512Lane>(rows, n, dims, tie_break, out);
+}
+
 constexpr Ops kAvx512Ops{popcount_avx512,
                          hamming_avx512,
                          hamming_masked_avx512,
@@ -317,6 +357,7 @@ constexpr Ops kAvx512Ops{popcount_avx512,
                          hamming_matrix_arena_masked_avx512,
                          bundle_signed_avx512,
                          sign_pack_avx512,
+                         majority_avx512,
                          crc32c_sse42};
 
 }  // namespace

@@ -78,6 +78,148 @@ inline void sign_pack_from(const std::int32_t* counts, std::size_t first_word,
   }
 }
 
+// ---- majority ------------------------------------------------------------
+//
+// The majority kernel is one algorithm over a "lane" type: V holds kWords
+// consecutive words of a row, and the lane supplies loads, stores, the
+// bitwise operations and a carry-save adder. Each ISA's TU instantiates it
+// with its own register type, and with ScalarLane for the words past its
+// last full vector. These templates have internal linkage, so every TU
+// keeps the copy its own flags compiled.
+
+namespace {
+
+/// One 64-bit word per step: the scalar tier, and every tier's tail words.
+struct ScalarLane {
+  using V = std::uint64_t;
+  static constexpr std::size_t kWords = 1;
+  static V load(const std::uint64_t* p) noexcept { return *p; }
+  static void store(std::uint64_t* p, V v) noexcept { *p = v; }
+  static V zero() noexcept { return 0; }
+  static V all_ones() noexcept { return ~std::uint64_t{0}; }
+  static V and_(V a, V b) noexcept { return a & b; }
+  static V or_(V a, V b) noexcept { return a | b; }
+  static V xor_(V a, V b) noexcept { return a ^ b; }
+  /// ~a & b.
+  static V andnot(V a, V b) noexcept { return ~a & b; }
+  /// Carry-save adder: (h, l) = a + b + c, bit-sliced.
+  static void csa(V& h, V& l, V a, V b, V c) noexcept {
+    const V u = a ^ b;
+    h = (a & b) | (u & c);
+    l = u ^ c;
+  }
+};
+
+/// Counter planes above the four the fold keeps in named registers: enough
+/// for any row count a std::size_t holds.
+constexpr std::size_t kMajorityUpperPlanes = 60;
+
+/// The majority of n rows over the kWords words at word offset w. The
+/// rows are added into a bit-sliced count: ones, twos, fours and eights
+/// are its low four bits, and upper[p] is bit p + 4. Sixteen rows at a
+/// time go through the Harley–Seal tree of carry-save adders, whose carry
+/// of weight 16 ripples into the upper planes; the rows left over ripple
+/// in one by one. The count is then compared, bit-sliced from the top,
+/// against cut = floor(n / 2): count > cut is a majority, and count ==
+/// cut takes `tie` (which the caller zeroes when n is odd, since then it
+/// is a minority).
+template <typename Lane>
+typename Lane::V majority_block(const std::uint64_t* const* rows,
+                                std::size_t n, std::size_t w,
+                                std::size_t upper_planes, std::size_t cut,
+                                typename Lane::V tie) noexcept {
+  using V = typename Lane::V;
+  const V zero = Lane::zero();
+  V ones = zero, twos = zero, fours = zero, eights = zero;
+  V upper[kMajorityUpperPlanes];
+  for (std::size_t p = 0; p < upper_planes; ++p) upper[p] = zero;
+  const auto row = [&](std::size_t r) { return Lane::load(rows[r] + w); };
+  // Half adder: plane += carry, and carry becomes the carry out.
+  const auto half_add = [](V& plane, V& carry) {
+    const V out = Lane::and_(plane, carry);
+    plane = Lane::xor_(plane, carry);
+    carry = out;
+  };
+  const auto carry_up = [&](V carry) {
+    for (std::size_t p = 0; p < upper_planes; ++p) half_add(upper[p], carry);
+  };
+
+  std::size_t r = 0;
+  V twos_a, twos_b, fours_a, fours_b, eights_a, eights_b, sixteens;
+  for (; r + 16 <= n; r += 16) {
+    Lane::csa(twos_a, ones, ones, row(r + 0), row(r + 1));
+    Lane::csa(twos_b, ones, ones, row(r + 2), row(r + 3));
+    Lane::csa(fours_a, twos, twos, twos_a, twos_b);
+    Lane::csa(twos_a, ones, ones, row(r + 4), row(r + 5));
+    Lane::csa(twos_b, ones, ones, row(r + 6), row(r + 7));
+    Lane::csa(fours_b, twos, twos, twos_a, twos_b);
+    Lane::csa(eights_a, fours, fours, fours_a, fours_b);
+    Lane::csa(twos_a, ones, ones, row(r + 8), row(r + 9));
+    Lane::csa(twos_b, ones, ones, row(r + 10), row(r + 11));
+    Lane::csa(fours_a, twos, twos, twos_a, twos_b);
+    Lane::csa(twos_a, ones, ones, row(r + 12), row(r + 13));
+    Lane::csa(twos_b, ones, ones, row(r + 14), row(r + 15));
+    Lane::csa(fours_b, twos, twos, twos_a, twos_b);
+    Lane::csa(eights_b, fours, fours, fours_a, fours_b);
+    Lane::csa(sixteens, eights, eights, eights_a, eights_b);
+    carry_up(sixteens);
+  }
+  for (; r < n; ++r) {
+    V carry = row(r);
+    half_add(ones, carry);
+    half_add(twos, carry);
+    half_add(fours, carry);
+    half_add(eights, carry);
+    carry_up(carry);
+  }
+
+  // count > cut and count == cut, from the most significant plane down.
+  V gt = zero;
+  V eq = Lane::all_ones();
+  const auto compare = [&](V plane, std::size_t p) {
+    if ((cut >> p) & 1u) {
+      eq = Lane::and_(eq, plane);
+    } else {
+      gt = Lane::or_(gt, Lane::and_(eq, plane));
+      eq = Lane::andnot(plane, eq);
+    }
+  };
+  for (std::size_t p = upper_planes; p-- > 0;) compare(upper[p], p + 4);
+  compare(eights, 3);
+  compare(fours, 2);
+  compare(twos, 1);
+  compare(ones, 0);
+  return Lane::or_(gt, Lane::and_(eq, tie));
+}
+
+/// The whole majority kernel on `Lane`: full vectors of words first, then
+/// the words past the last one on ScalarLane, then the bits past dims
+/// cleared. Each tie-break word is loaded before its output word is
+/// stored, so `out` may alias `tie_break`.
+template <typename Lane>
+void majority_lanes(const std::uint64_t* const* rows, std::size_t n,
+                    std::size_t dims, const std::uint64_t* tie_break,
+                    std::uint64_t* out) noexcept {
+  const std::size_t words = (dims + 63) / 64;
+  // The count is at most n, so n >> 4 bounds what the upper planes hold.
+  const auto upper_planes = static_cast<std::size_t>(std::bit_width(n >> 4));
+  const std::size_t cut = n / 2;
+  const bool ties = tie_break != nullptr && n % 2 == 0;
+  std::size_t w = 0;
+  for (; w + Lane::kWords <= words; w += Lane::kWords) {
+    const auto tie = ties ? Lane::load(tie_break + w) : Lane::zero();
+    Lane::store(out + w,
+                majority_block<Lane>(rows, n, w, upper_planes, cut, tie));
+  }
+  for (; w < words; ++w) {
+    const std::uint64_t tie = ties ? tie_break[w] : 0;
+    out[w] = majority_block<ScalarLane>(rows, n, w, upper_planes, cut, tie);
+  }
+  if (dims % 64 != 0) out[words - 1] &= (std::uint64_t{1} << (dims % 64)) - 1;
+}
+
+}  // namespace
+
 /// Effective tile width of an arena PlaneSet (0 means untiled).
 inline std::size_t arena_tile_words(const PlaneSet& ps) noexcept {
   return ps.tile_words == 0 || ps.tile_words > ps.words ? ps.words

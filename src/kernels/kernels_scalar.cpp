@@ -159,6 +159,12 @@ void sign_pack_scalar(const std::int32_t* counts, std::size_t dims,
   sign_pack_from(counts, 0, dims, tie_break, out);
 }
 
+void majority_scalar(const std::uint64_t* const* rows, std::size_t n,
+                     std::size_t dims, const std::uint64_t* tie_break,
+                     std::uint64_t* out) {
+  majority_lanes<ScalarLane>(rows, n, dims, tie_break, out);
+}
+
 // Reflected Castagnoli polynomial (iSCSI, RFC 3720 appendix B.4).
 constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;
 
@@ -193,6 +199,7 @@ constexpr Ops kScalarOps{popcount_scalar,
                          hamming_matrix_arena_masked_scalar,
                          bundle_signed_scalar,
                          sign_pack_scalar,
+                         majority_scalar,
                          crc32c_scalar};
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "robusthd/kernels/kernels.hpp"
 #include "robusthd/util/parallel.hpp"
@@ -73,24 +74,53 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
   // training work.
   HdcModel model(num_classes, dim, config.precision_bits);
 
-  // Pass 1: bundle every training hypervector into its class's counter
-  // row. All k rows are one block, so a large model's counters take
-  // hugepages.
-  hv::CounterStore counters(num_classes, dim);
-  for (std::size_t i = 0; i < encoded.size(); ++i) {
-    counters.row(static_cast<std::size_t>(labels[i])).add(encoded[i]);
+  // The samples of each class in input order: class c's are
+  // order[first[c]] .. order[first[c + 1] - 1].
+  std::vector<std::size_t> first(num_classes + 1, 0);
+  for (const int label : labels) ++first[static_cast<std::size_t>(label) + 1];
+  for (std::size_t c = 0; c < num_classes; ++c) first[c + 1] += first[c];
+  std::vector<std::size_t> order(encoded.size());
+  {
+    std::vector<std::size_t> next(first.begin(), first.end() - 1);
+    for (std::size_t i = 0; i < encoded.size(); ++i) {
+      order[next[static_cast<std::size_t>(labels[i])]++] = i;
+    }
   }
+
+  // Pass 1: each class's sign snapshot is the per-bit majority of its
+  // samples, ties at 0, which is the sign of their bipolar sum. No class
+  // has counters yet.
+  std::vector<hv::BinVec> signs(num_classes, hv::BinVec(dim));
+  std::vector<const std::uint64_t*> rows;
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    rows.clear();
+    for (std::size_t r = first[c]; r < first[c + 1]; ++r) {
+      rows.push_back(encoded[order[r]].words().data());
+    }
+    kernels::majority(rows.data(), rows.size(), dim, nullptr,
+                      signs[c].mutable_words().data());
+  }
+
+  // A class's int32 counters are built when retraining first updates it,
+  // or when a multi-bit deploy quantises them: the bipolar sum of its
+  // samples, as bundling them up front would have left it, since nothing
+  // touched the class before. An update-free training allocates none.
+  std::vector<hv::CounterStore> counters(num_classes);
+  const auto counts = [&](std::size_t c) {
+    if (counters[c].rows() == 0) {
+      counters[c] = hv::CounterStore(1, dim);
+      for (std::size_t r = first[c]; r < first[c + 1]; ++r) {
+        counters[c].row(0).add(encoded[order[r]]);
+      }
+    }
+    return counters[c].row(0);
+  };
 
   // Perceptron-style retraining: on a mistake, reinforce the true class and
   // weaken the predicted one (standard HDC practice; improves the single-
   // pass model substantially on harder tasks). Predictions run against
   // binary sign snapshots so each epoch is word-parallel; only the two
   // rows touched by a mistake have their snapshots refreshed, in place.
-  std::vector<hv::BinVec> signs(num_classes, hv::BinVec(dim));
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    counters.row(c).sign_into(signs[c]);
-  }
-
   std::vector<std::size_t> distances(num_classes);
   const std::size_t words = util::words_for_bits(dim);
 
@@ -112,12 +142,12 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
       if (wrong || thin_margin) {
         const auto t = static_cast<std::size_t>(truth);
         const int rival = wrong ? nearest.best : nearest.second;
-        const auto own = counters.row(t);
+        const auto own = counts(t);
         own.add(encoded[i], +1);
         own.sign_into(signs[t]);
         if (rival >= 0) {
           const auto g = static_cast<std::size_t>(rival);
-          const auto other = counters.row(g);
+          const auto other = counts(g);
           other.add(encoded[i], -1);
           other.sign_into(signs[g]);
         }
@@ -127,7 +157,17 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
     if (updates == 0) break;
   }
 
-  model.deploy(counters);
+  // A 1-bit model is the sign snapshots: each is its class's counters'
+  // sign, refreshed after every update, so signing them again would
+  // rebuild the same words.
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    if (model.precision_bits_ == 1) {
+      model.arena_.store_plane(model.row(c, 0), signs[c]);
+    } else {
+      counts(c);  // builds them for a class retraining never updated
+      model.deploy_class(c, std::as_const(counters[c]).row(0));
+    }
+  }
   return model;
 }
 
@@ -135,16 +175,17 @@ HdcModel HdcModel::from_accumulators(const hv::CounterStore& counters,
                                      unsigned precision_bits) {
   assert(counters.rows() > 0);
   HdcModel model(counters.rows(), counters.dimension(), precision_bits);
-  model.deploy(counters);
+  for (std::size_t c = 0; c < counters.rows(); ++c) {
+    model.deploy_class(c, counters.row(c));
+  }
   return model;
 }
 
-void HdcModel::deploy(const hv::CounterStore& counters) {
-  for (std::size_t c = 0; c < counters.rows(); ++c) {
-    const auto planes = counters.row(c).quantize_planes(precision_bits_);
-    for (unsigned p = 0; p < precision_bits_; ++p) {
-      arena_.store_plane(row(c, p), planes[p]);
-    }
+void HdcModel::deploy_class(std::size_t cls,
+                            hv::ConstSignedAccumulator counts) {
+  const auto planes = counts.quantize_planes(precision_bits_);
+  for (unsigned p = 0; p < precision_bits_; ++p) {
+    arena_.store_plane(row(cls, p), planes[p]);
   }
 }
 

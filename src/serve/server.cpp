@@ -5,6 +5,8 @@
 #include <sched.h>
 #endif
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <span>
 #include <stdexcept>
@@ -324,16 +326,29 @@ std::uint64_t Server::estimated_wait_ns() const {
   return static_cast<std::uint64_t>(estimated_service_ns(queue_.depth()));
 }
 
-bool Server::inline_pays(std::size_t n) const {
-  // The lower quartile of at least eight hand-offs, not their mean. On a
+bool Server::inline_pays(std::size_t n) {
+  // The lower quartile of the last eight hand-offs, not their mean. On a
   // loaded host a worker can wait milliseconds for a CPU after it is
   // woken; one such sample lifts the mean, and a run of them even the
   // median, past a heavy batch's service time, and the loop, which does
-  // no I/O while it scores, would then take the batch. The quartile
-  // ignores up to three slow samples in four, and the fastest one.
-  if (handoff_.count() < kMinHandoffs) return false;
+  // no I/O while it scores, would then take the batch. The quartile (the
+  // second fastest of eight) ignores up to six slow samples, and the
+  // fastest one. Only the last eight count, so a slow stretch is
+  // forgotten after eight more hand-offs.
+  if (handoffs_seen_.load(std::memory_order_relaxed) < kMinHandoffs) {
+    return false;
+  }
   const double service = estimated_service_ns(n);
-  return service > 0.0 && service <= handoff_.percentile_ns(0.25);
+  if (service <= 0.0) return false;
+  std::array<std::uint64_t, kMinHandoffs> recent{};
+  for (std::size_t i = 0; i < kMinHandoffs; ++i) {
+    recent[i] = recent_handoffs_[i].load(std::memory_order_relaxed);
+  }
+  std::nth_element(recent.begin(), recent.begin() + 1, recent.end());
+  if (service > static_cast<double>(recent[1])) return false;
+  return inline_eligible_.fetch_add(1, std::memory_order_relaxed) %
+             kHandoffRefresh !=
+         kHandoffRefresh - 1;
 }
 
 void Server::drain() {
@@ -476,6 +491,8 @@ void Server::reset_stats() {
   service_.reset();
   end_to_end_.reset();
   handoff_.reset();
+  handoffs_seen_.store(0, std::memory_order_relaxed);
+  inline_eligible_.store(0, std::memory_order_relaxed);
   batch_sizes_.reset();
   const std::lock_guard<std::mutex> baseline_lock(baseline_mutex_);
   if (scrubber_) scrub_baseline_ = scrubber_->counters();
@@ -545,7 +562,13 @@ void Server::worker_main(std::size_t worker_index) {
     // A request that arrived while this worker was idle waited only for it
     // to wake up: that wait is the hand-off inline_pays() weighs.
     const auto first = lane.batch_.front().enqueued;
-    if (first > idle_since) handoff_.record(elapsed_ns(first, started));
+    if (first > idle_since) {
+      const auto wait = elapsed_ns(first, started);
+      handoff_.record(wait);
+      const auto n = handoffs_seen_.fetch_add(1, std::memory_order_relaxed);
+      recent_handoffs_[n % kMinHandoffs].store(wait,
+                                               std::memory_order_relaxed);
+    }
     run_batch(lane, started);
   }
 }

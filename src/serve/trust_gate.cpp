@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <vector>
 
-#include "robusthd/hv/accumulator.hpp"
+#include "robusthd/kernels/kernels.hpp"
 
 namespace robusthd::serve {
 
@@ -24,27 +24,23 @@ TrustGate::TrustGate(const TrustGateConfig& config, std::size_t num_classes,
   // Bit-majority centroid per class over its canaries. The centroid is a
   // denoised exemplar of what the class's queries look like — for HDC
   // encodings the majority of a handful of members already sits close to
-  // the class prototype, chunk by chunk. The bipolar sum of m members is
-  // 2 * ones - m, so its sign is the majority; a tie (even m) stays 0, as
-  // no tie-break is passed. One class's counters are live at a time, in a
-  // one-row store that is zeroed after each class.
+  // the class prototype, chunk by chunk. A tie (even member count) stays
+  // 0, as no tie-break is passed.
   const std::size_t n = std::min(canaries.size(), canary_labels.size());
-  std::optional<hv::CounterStore> sum;
+  std::vector<const std::uint64_t*> members;
   for (std::size_t c = 0; c < num_classes; ++c) {
-    bool members = false;
+    members.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (canary_labels[i] != static_cast<int>(c) ||
-          canaries[i].dimension() != dimension) {
-        continue;
+      if (canary_labels[i] == static_cast<int>(c) &&
+          canaries[i].dimension() == dimension) {
+        members.push_back(canaries[i].words().data());
       }
-      if (!sum) sum.emplace(1, dimension);
-      sum->row(0).add(canaries[i]);
-      members = true;
     }
     // No members: the centroid stays empty and the check is skipped.
-    if (!members) continue;
-    sum->row(0).sign_into(centroids_[c]);
-    sum->clear();
+    if (members.empty()) continue;
+    centroids_[c] = hv::BinVec(dimension);
+    kernels::majority(members.data(), members.size(), dimension, nullptr,
+                      centroids_[c].mutable_words().data());
   }
 }
 

@@ -1154,6 +1154,61 @@ TEST(Fleet, HeavyShardKeepsItsRequestsOnTheWorkers) {
   fleet.shutdown();
 }
 
+TEST(Fleet, LoopAnsweredShardKeepsMeasuringItsHandOff) {
+  // A light shard: once it has its hand-off samples, the loop answers its
+  // batches itself, so its workers would measure no more hand-offs. One
+  // inline-eligible batch in Server::kHandoffRefresh goes to a worker
+  // anyway and adds a sample. Counted, not timed: the worker idles
+  // between those batches, so each of them is a hand-off.
+  const auto w = make_world(0xd7);
+  auto fleet = make_fleet(w, 1);
+  Frontend frontend(fleet);
+  frontend.start();
+  const int fd = connect_loopback(frontend.ports()[0]);
+  ASSERT_GE(fd, 0);
+
+  std::uint64_t sent = 0;
+  const auto round_trip = [&] {
+    const std::size_t q = sent % w.queries.size();
+    std::vector<std::byte> out;
+    wire::append_predict_request(out, /*tenant_id=*/1, sent++, w.queries[q]);
+    send_prefix(fd, out, out.size());
+    const auto frames = read_frames(fd, 1, std::chrono::seconds(10));
+    ASSERT_EQ(frames.size(), 1u);
+    ASSERT_EQ(frames[0].type, wire::FrameType::kPredictResponse);
+    const auto result = wire::parse_predict_response(frames[0].view());
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->predicted, w.labels[q]);
+  };
+  const auto& server = fleet.shard(0).server();
+  const auto handoffs = [&] { return server.stats().handoff.count; };
+  const auto answered_inline = [&] {
+    return frontend.counters().answered_inline;
+  };
+  for (int i = 0; i < 512 && answered_inline() == 0; ++i) {
+    ASSERT_NO_FATAL_FAILURE(round_trip());
+  }
+  ASSERT_GT(answered_inline(), 0u) << "the loop never answered inline";
+  ASSERT_GE(handoffs(), serve::Server::kMinHandoffs);
+
+  const auto handoffs_before = handoffs();
+  const auto inline_before = answered_inline();
+  constexpr std::uint64_t kRefreshes = 4;
+  constexpr std::uint64_t kRequests =
+      kRefreshes * serve::Server::kHandoffRefresh;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    ASSERT_NO_FATAL_FAILURE(round_trip());
+  }
+  EXPECT_GE(handoffs() - handoffs_before, kRefreshes);
+  EXPECT_GE(answered_inline() - inline_before, kRequests / 2)
+      << "the loop stopped answering the shard";
+  EXPECT_EQ(server.stats().completed, sent);
+
+  ::close(fd);
+  frontend.stop();
+  fleet.shutdown();
+}
+
 TEST(Fleet, ReapersWakeTheLoopOnTheirOwnDeadlines) {
   // No traffic and no poll tick: the only thing that can wake the loop
   // for these connections is the reapers' own deadlines.

@@ -2,9 +2,13 @@
 // associative memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "robusthd/hv/accumulator.hpp"
 #include "robusthd/hv/alt_encoders.hpp"
 #include "robusthd/hv/assoc.hpp"
 #include "robusthd/hv/sequence.hpp"
@@ -77,6 +81,61 @@ TEST(Encoders, PolymorphicUseThroughBase) {
   const auto all = encoder.encode_all(d);
   EXPECT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].dimension(), 1024u);
+}
+
+/// ThermometerEncoder::encode as it was built before kernels::majority: the
+/// encoder's construction redone step by step from the same seed, then
+/// every feature's bound level code added into a BitSliceCounter and
+/// thresholded with the tie-break.
+BinVec thermometer_reference(std::size_t features,
+                             const ThermometerEncoder::Config& config,
+                             std::span<const float> x) {
+  const std::size_t dim = config.dimension;
+  const std::size_t levels = std::max<std::size_t>(config.levels, 2);
+  util::Xoshiro256 rng(config.seed);
+  std::vector<BinVec> codes;
+  std::vector<std::uint32_t> order(dim);
+  for (std::size_t k = 0; k < features; ++k) {
+    const auto base = BinVec::random(dim, rng);
+    auto level = BinVec::random(dim, rng);
+    for (std::size_t i = 0; i < dim; ++i) {
+      order[i] = static_cast<std::uint32_t>(i);
+    }
+    util::shuffle(std::span<std::uint32_t>(order), rng);
+    std::size_t flipped = 0;
+    for (std::size_t j = 0; j < levels; ++j) {
+      const std::size_t target = j * (dim / 2) / (levels - 1);
+      for (; flipped < target; ++flipped) level.flip(order[flipped]);
+      codes.push_back(bind(level, base));
+    }
+  }
+  const auto tie_break = BinVec::random(dim, rng);
+  BitSliceCounter counter(dim);
+  for (std::size_t k = 0; k < features; ++k) {
+    const float v =
+        std::clamp(x[k], 0.0f, 1.0f) * static_cast<float>(levels - 1);
+    counter.add(codes[k * levels + static_cast<std::size_t>(std::lround(v))]);
+  }
+  return counter.threshold_majority(&tie_break);
+}
+
+TEST(ThermometerEncoder, MatchesBitSliceCounterReference) {
+  util::Xoshiro256 rng(0x7e47);
+  // Odd and even feature counts: only an even count can tie.
+  for (const std::size_t features : {1, 7, 8, 40}) {
+    for (const std::size_t dim : {65, 2048}) {
+      ThermometerEncoder::Config config;
+      config.dimension = dim;
+      config.levels = 8;
+      const ThermometerEncoder encoder(features, config);
+      for (int sample = 0; sample < 4; ++sample) {
+        std::vector<float> x(features);
+        for (auto& f : x) f = static_cast<float>(rng.uniform());
+        EXPECT_EQ(encoder.encode(x), thermometer_reference(features, config, x))
+            << "features=" << features << " D=" << dim;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- sequence
@@ -154,6 +213,36 @@ TEST(SequenceEncoder, ClassifiesLanguagesOfNgrams) {
                (even ? 0 : 1);
   }
   EXPECT_GE(correct, 18);
+}
+
+TEST(SequenceEncoder, MatchesBitSliceCounterReference) {
+  // The reference bundles the sliding n-grams into a BitSliceCounter and
+  // thresholds with the encoder's tie-break, which its constructor draws
+  // right after the symbol codes.
+  SequenceEncoder::Config config;
+  config.dimension = 1000;
+  config.ngram = 3;
+  constexpr std::size_t kAlphabet = 5;
+  const SequenceEncoder encoder(kAlphabet, config);
+  util::Xoshiro256 codes(config.seed);
+  for (std::size_t s = 0; s < kAlphabet; ++s) {
+    (void)BinVec::random(config.dimension, codes);
+  }
+  const auto tie_break = BinVec::random(config.dimension, codes);
+
+  util::Xoshiro256 rng(0x5e95);
+  // 3 to 12 symbols: 1 to 10 grams, odd and even counts.
+  for (std::size_t length = 3; length <= 12; ++length) {
+    std::vector<std::size_t> sequence(length);
+    for (auto& symbol : sequence) symbol = rng.below(kAlphabet);
+    BitSliceCounter counter(config.dimension);
+    for (std::size_t t = 0; t + config.ngram <= length; ++t) {
+      counter.add(encoder.encode_ngram(
+          std::span<const std::size_t>(sequence).subspan(t, config.ngram)));
+    }
+    EXPECT_EQ(encoder.encode(sequence), counter.threshold_majority(&tie_break))
+        << "length=" << length;
+  }
 }
 
 // ------------------------------------------------------------ associative

@@ -363,6 +363,107 @@ TEST(KernelEquivalence, SignPackAllIsas) {
   }
 }
 
+/// Rows for the majority kernel. Word w is random when w % 4 == 0 and in
+/// the last word (whose bits past dims no output may show), all ones when
+/// w % 4 == 1 (every count at n, the counter's top), all zeros when
+/// w % 4 == 2, and sparse (about a quarter of the bits set) otherwise.
+std::vector<std::vector<std::uint64_t>> majority_rows(std::size_t n,
+                                                      std::size_t words,
+                                                      util::Xoshiro256& rng) {
+  std::vector<std::vector<std::uint64_t>> rows(
+      n, std::vector<std::uint64_t>(words));
+  for (auto& row : rows) {
+    for (std::size_t w = 0; w < words; ++w) {
+      switch (w + 1 == words ? 0 : w % 4) {
+        case 0:
+          row[w] = rng.next();
+          break;
+        case 1:
+          row[w] = ~0ULL;
+          break;
+        case 2:
+          row[w] = 0;
+          break;
+        default:
+          row[w] = rng.next() & rng.next();
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(KernelEquivalence, MajorityAllIsas) {
+  util::Xoshiro256 rng(0x3a70);
+  constexpr std::uint64_t kGuard = 0xfeedfacecafebeefULL;
+  for (const std::size_t n : {1, 2, 3, 4, 75, 400, 5000}) {
+    for (const std::size_t dims : {1, 63, 64, 65, 4096, 16385}) {
+      const std::size_t words = util::words_for_bits(dims);
+      const auto rows = majority_rows(n, words, rng);
+      std::vector<const std::uint64_t*> ptrs;
+      for (const auto& row : rows) ptrs.push_back(row.data());
+      // Random past dims too; none of it may reach `out`.
+      const auto tie = random_words(words, rng);
+      // The reference: count every dimension, then compare twice the
+      // count with n.
+      std::vector<std::size_t> counts(dims, 0);
+      for (const auto& row : rows) {
+        for (std::size_t i = 0; i < dims; ++i) counts[i] += ref_bit(row, i);
+      }
+      std::size_t ties = 0;
+      for (const auto c : counts) ties += 2 * c == n ? 1 : 0;
+      for (const bool with_tie : {false, true}) {
+        std::vector<std::uint64_t> expected(words + 1, 0);
+        expected[words] = kGuard;
+        for (std::size_t i = 0; i < dims; ++i) {
+          const bool bit = 2 * counts[i] > n ||
+                           (2 * counts[i] == n && with_tie && ref_bit(tie, i));
+          if (bit) expected[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+        for (const auto isa : kAllIsas) {
+          const auto* ops = kernels::ops_for(isa);
+          if (ops == nullptr) continue;
+          const std::string what = std::string(kernels::isa_name(isa)) +
+                                   " n=" + std::to_string(n) +
+                                   " dims=" + std::to_string(dims) +
+                                   " ties=" + std::to_string(ties) +
+                                   " tie_break=" + (with_tie ? "yes" : "no");
+          std::vector<std::uint64_t> out(words + 1, ~0ULL);
+          out[words] = kGuard;
+          ops->majority(ptrs.data(), n, dims, with_tie ? tie.data() : nullptr,
+                        out.data());
+          ASSERT_EQ(out, expected) << what;
+          if (!with_tie) continue;
+          // `out` aliasing `tie_break`.
+          std::vector<std::uint64_t> in_place = tie;
+          in_place.push_back(kGuard);
+          ops->majority(ptrs.data(), n, dims, in_place.data(),
+                        in_place.data());
+          ASSERT_EQ(in_place, expected) << what << " (in place)";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, MajorityOfNoRowsIsTheTieBreak) {
+  util::Xoshiro256 rng(0x3a71);
+  for (const auto isa : kAllIsas) {
+    const auto* ops = kernels::ops_for(isa);
+    if (ops == nullptr) continue;
+    for (const std::size_t dims : {1, 65, 4096}) {
+      const std::size_t words = util::words_for_bits(dims);
+      auto tie = random_words(words, rng);
+      std::vector<std::uint64_t> out(words, ~0ULL);
+      ops->majority(nullptr, 0, dims, nullptr, out.data());
+      EXPECT_EQ(out, std::vector<std::uint64_t>(words, 0))
+          << kernels::isa_name(isa) << " dims=" << dims;
+      ops->majority(nullptr, 0, dims, tie.data(), out.data());
+      if (dims % 64 != 0) tie.back() &= util::low_mask(dims % 64);
+      EXPECT_EQ(out, tie) << kernels::isa_name(isa) << " dims=" << dims;
+    }
+  }
+}
+
 // ---- BinVec paths rewired onto the kernels ------------------------------
 
 TEST(BinVecKernels, CountOnesAndHammingMatchPerBit) {
