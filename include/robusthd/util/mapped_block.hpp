@@ -1,7 +1,7 @@
 #pragma once
 // A zeroed, 64-byte-aligned block of memory for the big arrays that are
-// streamed whole: a model's planes (mem::PlaneArena) and training's class
-// counters (hv::CounterStore).
+// streamed whole: a model's planes (mem::PlaneArena) and, from the heap,
+// training's class counters (hv::CounterStore).
 //
 // The block comes from an anonymous mmap: page-aligned, zero-filled, and
 // the only memory madvise(MADV_HUGEPAGE) applies to. With transparent
@@ -18,12 +18,6 @@ namespace robusthd::util {
 /// Whether blocks ask for transparent hugepages: true unless the
 /// environment sets ROBUSTHD_ARENA_HUGEPAGES to 0. Read on every call.
 bool hugepages_from_env();
-
-/// Whether a hugepage-advised block can get hugepages at all: the request
-/// is on (hugepages_from_env) and the kernel's transparent hugepage mode,
-/// read once per process, is not "never". Under "never" the advice is
-/// still accepted but changes nothing.
-bool hugepages_available();
 
 /// Owns one block. Move-only; a default-constructed or moved-from block
 /// holds nothing.

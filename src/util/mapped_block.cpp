@@ -2,9 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <new>
-#include <string>
 #include <utility>
 
 #if defined(__linux__)
@@ -20,18 +18,6 @@ constexpr std::align_val_t kAlignment{64};
 bool hugepages_from_env() {
   const char* v = std::getenv("ROBUSTHD_ARENA_HUGEPAGES");
   return v == nullptr || std::atoll(v) != 0;
-}
-
-bool hugepages_available() {
-  // The mode line reads like "always [madvise] never": the bracketed word
-  // is in force. No file: a kernel without transparent hugepages.
-  static const bool thp_enabled = [] {
-    std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
-    std::string modes;
-    return std::getline(in, modes) &&
-           modes.find("[never]") == std::string::npos;
-  }();
-  return thp_enabled && hugepages_from_env();
 }
 
 MappedBlock::MappedBlock(std::size_t bytes, bool hugepages) : bytes_(bytes) {

@@ -1,7 +1,7 @@
 #pragma once
-// Sets ROBUSTHD_ARENA_HUGEPAGES for a scope. Every plane arena and class
-// counter store built meanwhile reads it (util::hugepages_from_env), so a
-// test can train or allocate with the hugepage request on or off.
+// Sets ROBUSTHD_ARENA_HUGEPAGES for a scope. Every plane arena built
+// meanwhile reads it (util::hugepages_from_env), so a test can deploy or
+// allocate with the hugepage request on or off.
 
 #include <cstdlib>
 #include <optional>
