@@ -159,7 +159,7 @@ int run() {
     std::vector<std::uint32_t> out(batch * classes);
     const double matrix_rate = measure_rate(budget_s, [&] {
       ops->hamming_matrix_arena(queries.data(), batch, model.arena().view(),
-                                out.data());
+                                nullptr, out.data());
     });
     const double gdist = matrix_rate * static_cast<double>(batch) *
                          static_cast<double>(classes) / 1.0e9;

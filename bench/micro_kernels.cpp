@@ -165,6 +165,15 @@ void register_isa_benchmarks() {
     }
     return arena;
   }();
+  // Every dimension below kDim but the middle fifth, as a quarantine of
+  // 4 of 20 chunks would leave it.
+  static const util::AlignedU64Vec quarantine = [] {
+    util::AlignedU64Vec mask(util::words_for_bits(kDim), 0);
+    for (std::size_t i = 0; i < kDim; ++i) {
+      if (i < 2 * kDim / 5 || i >= 3 * kDim / 5) util::set_bit(mask, i, true);
+    }
+    return mask;
+  }();
   static std::vector<hv::BinVec> queries_store;
   static std::vector<const std::uint64_t*> queries;
   if (queries.empty()) {
@@ -232,19 +241,28 @@ void register_isa_benchmarks() {
           state.SetItemsProcessed(state.iterations() * kDim);
         });
 
-    benchmark::RegisterBenchmark(
-        ("BM_KernelHammingMatrix/" + suffix).c_str(),
-        [ops](benchmark::State& state) {
-          std::vector<std::uint32_t> out(queries.size() * planes.num_planes());
-          for (auto _ : state) {
-            ops->hamming_matrix_arena(queries.data(), queries.size(),
-                                      planes.view(), out.data());
-            benchmark::DoNotOptimize(out.data());
-          }
-          // One "item" = one query/plane Hamming distance.
-          state.SetItemsProcessed(state.iterations() * queries.size() *
-                                  planes.num_planes());
-        });
+    // The arena matrix unmasked (null mask) and under a quarantine-style
+    // mask, at the same shape: the two instantiations of one kernel.
+    const std::uint64_t* const masks[] = {nullptr, quarantine.data()};
+    for (const std::uint64_t* mask : masks) {
+      benchmark::RegisterBenchmark(
+          ((mask == nullptr ? "BM_KernelHammingMatrix/"
+                            : "BM_KernelHammingMatrixMasked/") +
+           suffix)
+              .c_str(),
+          [ops, mask](benchmark::State& state) {
+            std::vector<std::uint32_t> out(queries.size() *
+                                           planes.num_planes());
+            for (auto _ : state) {
+              ops->hamming_matrix_arena(queries.data(), queries.size(),
+                                        planes.view(), mask, out.data());
+              benchmark::DoNotOptimize(out.data());
+            }
+            // One "item" = one query/plane Hamming distance.
+            state.SetItemsProcessed(state.iterations() * queries.size() *
+                                    planes.num_planes());
+          });
+    }
   }
 }
 

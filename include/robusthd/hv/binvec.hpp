@@ -99,8 +99,39 @@ std::size_t hamming_range(const BinVec& a, const BinVec& b, std::size_t begin,
 /// words_for_bits(end) words) — the same word/edge-mask resolution applied
 /// to storage that is not a BinVec, e.g. plane rows inside a
 /// mem::PlaneArena. Bit-identical to the BinVec overload on equal words.
-std::size_t hamming_range(std::span<const std::uint64_t> a,
-                          std::span<const std::uint64_t> b, std::size_t begin,
-                          std::size_t end) noexcept;
+/// The two edge words are masked and counted here, and the whole words
+/// between them go to the Hamming kernel at whatever ISA the dispatcher
+/// selected. The edges are counted bit-sliced, because the library's
+/// baseline flags do not assume the POPCNT instruction (std::popcount
+/// would call into libgcc twice), and the function is inline, so a
+/// caller's per-chunk sweep overlaps that work with its kernel calls.
+inline std::size_t hamming_range(std::span<const std::uint64_t> a,
+                                 std::span<const std::uint64_t> b,
+                                 std::size_t begin, std::size_t end) noexcept {
+  assert(begin <= end);
+  if (begin >= end) return 0;
+  assert(util::words_for_bits(end) <= a.size());
+  assert(util::words_for_bits(end) <= b.size());
+  // Per-byte set-bit counts of a word, each at most 8.
+  const auto byte_counts = [](std::uint64_t v) {
+    v -= (v >> 1) & 0x5555555555555555ULL;
+    v = (v & 0x3333333333333333ULL) + ((v >> 2) & 0x3333333333333333ULL);
+    return (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  };
+  // The multiply sums the eight byte counts into the top byte.
+  const auto total = [](std::uint64_t counts) {
+    return static_cast<std::size_t>((counts * 0x0101010101010101ULL) >> 56);
+  };
+  const std::size_t first_word = begin >> 6;
+  const std::size_t last_word = (end - 1) >> 6;
+  const std::uint64_t first =
+      (a[first_word] ^ b[first_word]) & ~util::low_mask(begin & 63);
+  const std::uint64_t last_mask = util::low_mask(((end - 1) & 63) + 1);
+  if (first_word == last_word) return total(byte_counts(first & last_mask));
+  const std::uint64_t last = (a[last_word] ^ b[last_word]) & last_mask;
+  return total(byte_counts(first) + byte_counts(last)) +
+         kernels::hamming(a.data() + first_word + 1, b.data() + first_word + 1,
+                          last_word - first_word - 1);
+}
 
 }  // namespace robusthd::hv

@@ -10,13 +10,12 @@
 //
 //   * popcount        — set bits over a word span
 //   * hamming         — popcount(a XOR b)
-//   * hamming_masked  — Hamming over a word range with first/last-word
-//                       masks (the chunked-detector primitive)
-//   * hamming_matrix_arena{,_masked}
+//   * hamming_matrix_arena
 //                     — tiled queries x planes distance matrix over a
-//                       PlaneSet (a model's arena): a batch of queries is
-//                       scored in one pass over the stored class planes
-//                       instead of Q*K independent scans
+//                       PlaneSet (a model's arena), optionally under a
+//                       dimension mask: a batch of queries is scored in
+//                       one pass over the stored class planes instead of
+//                       Q*K independent scans
 //   * bundle_signed   — bipolar bundling of a packed vector into int32
 //                       class counters (training's accumulate step)
 //   * sign_pack       — int32 counters to packed sign bits with an
@@ -82,37 +81,23 @@ struct Ops {
   std::size_t (*hamming)(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t n);
 
-  /// Hamming over n >= 1 words where word 0 is ANDed with `first_mask`,
-  /// word n-1 with `last_mask` (both masks apply when n == 1), and interior
-  /// words are taken whole — the bit-range [begin, end) primitive after the
-  /// caller resolves word offsets.
-  std::size_t (*hamming_masked)(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t n, std::uint64_t first_mask,
-                                std::uint64_t last_mask);
-
   /// Distance matrix over an arena PlaneSet: out[q * planes.planes + p] =
-  /// hamming(queries[q], planes.plane(p), planes.words). Plane rows are
-  /// reached by stride arithmetic, the word dimension is walked in
-  /// L2-resident tiles across all planes (each plane tile is read once per
-  /// query group, not once per query), and the next tile of each plane row
-  /// is software-prefetched while the current one is being consumed.
-  /// Integer partial sums make every tile size give the same result.
+  /// popcount((queries[q] XOR planes.plane(p)) AND mask) over planes.words
+  /// words. A null `mask` means every dimension: whole words are counted,
+  /// bits past the dimension included. Otherwise `mask` holds planes.words
+  /// words; this is the quarantine primitive of the serving runtime's
+  /// degradation ladder, where excluded dimension ranges (chunks a health
+  /// sentinel flagged bad) are zeroed in `mask` so they stop voting —
+  /// TCAM-style segment exclusion. An all-ones mask gives the null mask's
+  /// result. Plane rows are reached by stride arithmetic, the word
+  /// dimension is walked in L2-resident tiles across all planes (each
+  /// plane tile is read once per query group, not once per query), and the
+  /// next tile of each plane row is software-prefetched while the last
+  /// query group consumes the current one. Integer partial sums make every
+  /// tile size give the same result.
   void (*hamming_matrix_arena)(const std::uint64_t* const* queries,
                                std::size_t num_queries, const PlaneSet& planes,
-                               std::uint32_t* out);
-
-  /// Masked variant of hamming_matrix_arena: `mask` holds planes.words
-  /// words ANDed into every XOR, so out[q * planes.planes + p] =
-  /// popcount((queries[q] XOR plane p) AND mask). This is the quarantine
-  /// primitive of the serving runtime's degradation ladder: excluded
-  /// dimension ranges (chunks a health sentinel flagged bad) are zeroed in
-  /// `mask`, so the search never reads them — TCAM-style segment
-  /// exclusion. An all-ones mask gives hamming_matrix_arena's result.
-  void (*hamming_matrix_arena_masked)(const std::uint64_t* const* queries,
-                                      std::size_t num_queries,
-                                      const PlaneSet& planes,
-                                      const std::uint64_t* mask,
-                                      std::uint32_t* out);
+                               const std::uint64_t* mask, std::uint32_t* out);
 
   /// Bipolar bundling into int32 counters: for i in [0, dims),
   /// counts[i] += weight where bit i of `bits` is set and counts[i] -=
@@ -177,25 +162,18 @@ inline std::size_t hamming(const std::uint64_t* a, const std::uint64_t* b,
   return ops().hamming(a, b, n);
 }
 
-inline std::size_t hamming_masked(const std::uint64_t* a,
-                                  const std::uint64_t* b, std::size_t n,
-                                  std::uint64_t first_mask,
-                                  std::uint64_t last_mask) {
-  return ops().hamming_masked(a, b, n, first_mask, last_mask);
+inline void hamming_matrix_arena(const std::uint64_t* const* queries,
+                                 std::size_t num_queries,
+                                 const PlaneSet& planes,
+                                 const std::uint64_t* mask,
+                                 std::uint32_t* out) {
+  ops().hamming_matrix_arena(queries, num_queries, planes, mask, out);
 }
 
 inline void hamming_matrix_arena(const std::uint64_t* const* queries,
                                  std::size_t num_queries,
                                  const PlaneSet& planes, std::uint32_t* out) {
-  ops().hamming_matrix_arena(queries, num_queries, planes, out);
-}
-
-inline void hamming_matrix_arena_masked(const std::uint64_t* const* queries,
-                                        std::size_t num_queries,
-                                        const PlaneSet& planes,
-                                        const std::uint64_t* mask,
-                                        std::uint32_t* out) {
-  ops().hamming_matrix_arena_masked(queries, num_queries, planes, mask, out);
+  hamming_matrix_arena(queries, num_queries, planes, nullptr, out);
 }
 
 inline void bundle_signed(std::int32_t* counts, const std::uint64_t* bits,

@@ -14,9 +14,9 @@
 // The stride is the word count rounded up to 8 (one 512-bit vector /
 // cache line), so every plane row starts cache-line-aligned and the
 // padding words stay zero. Tiling is a property of the *kernels*, not the
-// layout: plane(i) stays a plain contiguous row, while the arena kernels
+// layout: plane(i) stays a plain contiguous row, while the arena kernel
 // (kernels::hamming_matrix_arena)
-// walk the word dimension in tiles sized so one tile of all k planes fits
+// walks the word dimension in tiles sized so one tile of all k planes fits
 // in L2 — the in-memory-HDC "associative memory as one array" view with
 // cache blocking on top. Integer popcount partial sums make every tile
 // split bit-identical to the untiled traversal.
@@ -41,9 +41,8 @@ struct PlaneArenaConfig {
   /// silently runs on normal pages and hugepage_backed() reports false.
   bool hugepages = true;
 
-  /// Reads ROBUSTHD_ARENA_TILE_KB / ROBUSTHD_ARENA_HUGEPAGES (0 disables,
-  /// util::hugepages_from_env) over the defaults — the bench and CLI tuning
-  /// knobs.
+  /// The defaults with ROBUSTHD_ARENA_HUGEPAGES (0 disables,
+  /// util::hugepages_from_env) read over `hugepages`.
   static PlaneArenaConfig from_env();
 };
 

@@ -209,22 +209,21 @@ class HdcModel {
   /// identical to the per-query path. The plane-weighted multi-precision
   /// models run through the same kernel — every plane is one more row of
   /// the distance matrix.
+  ///
+  /// A non-null `mask` restricts scoring to the dimensions whose bits it
+  /// sets — the quarantine path of the serving runtime's degradation
+  /// ladder (exclude-the-unreliable-segment scoring, in the spirit of TCAM
+  /// segment masking). It must hold words_for_bits(dimension()) words with
+  /// every bit at position >= dimension() clear; `kept_dims` is its
+  /// popcount and becomes the normalisation denominator, so the surviving
+  /// dimensions are rescaled to the same [0, 1] range and the scores stay
+  /// comparable across classes. A mask that keeps nothing (kept_dims == 0)
+  /// scores every class 0. With an all-ones mask (kept_dims ==
+  /// dimension()) the result is bit-identical to the unmasked one. A null
+  /// mask scores every dimension and ignores `kept_dims`.
   void scores_batch(std::span<const hv::BinVec* const> queries,
-                    ScoreWorkspace& ws) const;
-
-  /// scores_batch restricted to the dimensions whose bits are set in
-  /// `mask` — the quarantine path of the serving runtime's degradation
-  /// ladder (exclude-the-unreliable-segment scoring, in the spirit of
-  /// TCAM segment masking). `mask` must hold words_for_bits(dimension())
-  /// words with every bit at position >= dimension() clear; `kept_dims`
-  /// is its popcount and becomes the normalisation denominator, so the
-  /// surviving dimensions are rescaled to the same [0, 1] range and the
-  /// scores stay comparable across classes. With an all-ones mask
-  /// (kept_dims == dimension()) the result is bit-identical to
-  /// scores_batch.
-  void scores_batch_masked(std::span<const hv::BinVec* const> queries,
-                           std::span<const std::uint64_t> mask,
-                           std::size_t kept_dims, ScoreWorkspace& ws) const;
+                    ScoreWorkspace& ws, const std::uint64_t* mask = nullptr,
+                    std::size_t kept_dims = 0) const;
 
   /// Per-class similarity restricted to the dimensions [begin, end) — the
   /// "treat each chunk as a separate HDC model" primitive of Section 4.2.
@@ -275,11 +274,6 @@ class HdcModel {
   /// Shared scoring core: writes classes() doubles at `out`.
   void chunk_scores_into(const hv::BinVec& query, std::size_t begin,
                          std::size_t end, double* out) const;
-
-  /// Turns ws.distances (q rows of k * planes) into ws.scores, normalised
-  /// over `kept_dims` dimensions.
-  void weigh_distances(std::size_t q, std::size_t kept_dims,
-                       ScoreWorkspace& ws) const;
 
   unsigned precision_bits_ = 1;
   /// num_classes() * precision_bits_ rows of dimension() bits; a moved-from

@@ -105,23 +105,4 @@ std::size_t hamming_range(const BinVec& a, const BinVec& b, std::size_t begin,
   return hamming_range(a.words(), b.words(), begin, end);
 }
 
-std::size_t hamming_range(std::span<const std::uint64_t> a,
-                          std::span<const std::uint64_t> b, std::size_t begin,
-                          std::size_t end) noexcept {
-  assert(begin <= end);
-  if (begin >= end) return 0;
-  assert(util::words_for_bits(end) <= a.size());
-  assert(util::words_for_bits(end) <= b.size());
-
-  // Resolve the bit range to words + edge masks; the masked kernel does
-  // the rest at whatever ISA the dispatcher selected.
-  const std::size_t first_word = begin >> 6;
-  const std::size_t last_word = (end - 1) >> 6;
-  const std::uint64_t first_mask = ~util::low_mask(begin & 63);
-  const std::uint64_t last_mask = util::low_mask(((end - 1) & 63) + 1);
-  return kernels::hamming_masked(a.data() + first_word, b.data() + first_word,
-                                 last_word - first_word + 1, first_mask,
-                                 last_mask);
-}
-
 }  // namespace robusthd::hv

@@ -1,6 +1,6 @@
 // AVX2 kernels: Harley–Seal carry-save popcount (Muła/Kurz/Lemire) for the
 // long reductions, PSHUFB nibble popcount for the blocked arena matrix
-// kernels.
+// kernel.
 // This TU is the only place compiled with -mavx2; it is reached strictly
 // through the runtime dispatcher, so building it never makes the library
 // require AVX2 at load time.
@@ -10,8 +10,6 @@
 #if defined(ROBUSTHD_KERNELS_HAVE_AVX2)
 
 #include <immintrin.h>
-
-#include <algorithm>
 
 namespace robusthd::kernels::detail {
 
@@ -114,203 +112,63 @@ std::size_t hamming_avx2(const std::uint64_t* a, const std::uint64_t* b,
   return static_cast<std::size_t>(total);
 }
 
-std::size_t hamming_masked_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t n, std::uint64_t first_mask,
-                                std::uint64_t last_mask) {
-  if (n == 0) return 0;
-  if (n == 1) return word_popcount((a[0] ^ b[0]) & first_mask & last_mask);
-  // Masked edge words scalar, SIMD over the full interior.
-  std::size_t total = word_popcount((a[0] ^ b[0]) & first_mask) +
-                      word_popcount((a[n - 1] ^ b[n - 1]) & last_mask);
-  return total + hamming_avx2(a + 1, b + 1, n - 2);
+// Arena groups for the shared traversal (arena_matrix in
+// kernels_internal.hpp). Four queries share each plane vector, with a
+// PSHUFB popcount per query; a lone query takes the Harley–Seal reduction,
+// as hamming does. The words past the last full vector run the scalar
+// group. The arena's plane rows are 64-byte aligned but queries may be
+// arbitrary, so every load is loadu; on AVX2 hardware loadu of an aligned
+// address costs the same.
+inline __m256i load256(const std::uint64_t* p) noexcept {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
-// Arena kernels: stride-addressed plane rows, tile-outer traversal so one
-// tile of every plane stays L2-resident across query blocks, next-tile
-// software prefetch issued on the last query block of each tile. Aligned
-// loads are safe on the plane side (the arena is 64-byte aligned with an
-// 8-word stride) but queries may be arbitrary, so both sides keep loadu —
-// on AVX2 hardware loadu of an aligned address costs the same.
-void hamming_matrix_arena_avx2(const std::uint64_t* const* queries,
-                               std::size_t num_queries, const PlaneSet& ps,
-                               std::uint32_t* out) {
-  const std::size_t np = ps.planes;
-  for (std::size_t i = 0; i < num_queries * np; ++i) out[i] = 0;
-  if (num_queries == 0 || np == 0 || ps.words == 0) return;
-  const std::size_t tile = arena_tile_words(ps);
-  for (std::size_t t0 = 0; t0 < ps.words; t0 += tile) {
-    const std::size_t tw = std::min(tile, ps.words - t0);
-    const bool has_next = t0 + tw < ps.words;
-    const std::size_t vecs = tw / 4;
-    std::size_t q = 0;
-    for (; q + 4 <= num_queries; q += 4) {
-      const bool last_block = q + 8 > num_queries;
-      const std::uint64_t* q0 = queries[q + 0] + t0;
-      const std::uint64_t* q1 = queries[q + 1] + t0;
-      const std::uint64_t* q2 = queries[q + 2] + t0;
-      const std::uint64_t* q3 = queries[q + 3] + t0;
-      for (std::size_t p = 0; p < np; ++p) {
-        const std::uint64_t* plane = ps.base + p * ps.stride_words + t0;
-        if (last_block && has_next) {
-          prefetch_words(plane + tw, std::min(tile, ps.words - t0 - tw));
-        }
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        __m256i acc2 = _mm256_setzero_si256();
-        __m256i acc3 = _mm256_setzero_si256();
-        for (std::size_t v = 0; v < vecs; ++v) {
-          const __m256i pw = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(plane + 4 * v));
-          acc0 = _mm256_add_epi64(
-              acc0, popcount256(_mm256_xor_si256(
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(q0 + 4 * v)),
-                        pw)));
-          acc1 = _mm256_add_epi64(
-              acc1, popcount256(_mm256_xor_si256(
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(q1 + 4 * v)),
-                        pw)));
-          acc2 = _mm256_add_epi64(
-              acc2, popcount256(_mm256_xor_si256(
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(q2 + 4 * v)),
-                        pw)));
-          acc3 = _mm256_add_epi64(
-              acc3, popcount256(_mm256_xor_si256(
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(q3 + 4 * v)),
-                        pw)));
-        }
-        std::uint64_t d0 = hsum256(acc0), d1 = hsum256(acc1),
-                      d2 = hsum256(acc2), d3 = hsum256(acc3);
-        for (std::size_t w = vecs * 4; w < tw; ++w) {
-          const std::uint64_t pw = plane[w];
-          d0 += word_popcount(q0[w] ^ pw);
-          d1 += word_popcount(q1[w] ^ pw);
-          d2 += word_popcount(q2[w] ^ pw);
-          d3 += word_popcount(q3[w] ^ pw);
-        }
-        out[(q + 0) * np + p] += static_cast<std::uint32_t>(d0);
-        out[(q + 1) * np + p] += static_cast<std::uint32_t>(d1);
-        out[(q + 2) * np + p] += static_cast<std::uint32_t>(d2);
-        out[(q + 3) * np + p] += static_cast<std::uint32_t>(d3);
-      }
-    }
-    for (; q < num_queries; ++q) {
-      const std::uint64_t* qw = queries[q] + t0;
-      for (std::size_t p = 0; p < np; ++p) {
-        const std::uint64_t* plane = ps.base + p * ps.stride_words + t0;
-        out[q * np + p] +=
-            static_cast<std::uint32_t>(hamming_avx2(qw, plane, tw));
-      }
-    }
-  }
+/// (a XOR b) AND m, the AND only when Masked.
+template <bool Masked>
+inline __m256i diff256(__m256i a, __m256i b, __m256i m) noexcept {
+  const __m256i x = _mm256_xor_si256(a, b);
+  return Masked ? _mm256_and_si256(x, m) : x;
 }
 
-void hamming_matrix_arena_masked_avx2(const std::uint64_t* const* queries,
-                                      std::size_t num_queries,
-                                      const PlaneSet& ps,
-                                      const std::uint64_t* mask,
-                                      std::uint32_t* out) {
-  const std::size_t np = ps.planes;
-  for (std::size_t i = 0; i < num_queries * np; ++i) out[i] = 0;
-  if (num_queries == 0 || np == 0 || ps.words == 0) return;
-  const std::size_t tile = arena_tile_words(ps);
-  for (std::size_t t0 = 0; t0 < ps.words; t0 += tile) {
-    const std::size_t tw = std::min(tile, ps.words - t0);
-    const bool has_next = t0 + tw < ps.words;
-    const std::uint64_t* mw_base = mask + t0;
-    const std::size_t vecs = tw / 4;
-    std::size_t q = 0;
-    for (; q + 4 <= num_queries; q += 4) {
-      const bool last_block = q + 8 > num_queries;
-      const std::uint64_t* q0 = queries[q + 0] + t0;
-      const std::uint64_t* q1 = queries[q + 1] + t0;
-      const std::uint64_t* q2 = queries[q + 2] + t0;
-      const std::uint64_t* q3 = queries[q + 3] + t0;
-      for (std::size_t p = 0; p < np; ++p) {
-        const std::uint64_t* plane = ps.base + p * ps.stride_words + t0;
-        if (last_block && has_next) {
-          prefetch_words(plane + tw, std::min(tile, ps.words - t0 - tw));
-        }
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        __m256i acc2 = _mm256_setzero_si256();
-        __m256i acc3 = _mm256_setzero_si256();
-        for (std::size_t v = 0; v < vecs; ++v) {
-          const __m256i pw = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(plane + 4 * v));
-          const __m256i mw = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(mw_base + 4 * v));
-          acc0 = _mm256_add_epi64(
-              acc0, popcount256(_mm256_and_si256(
-                        _mm256_xor_si256(
-                            _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i*>(q0 + 4 * v)),
-                            pw),
-                        mw)));
-          acc1 = _mm256_add_epi64(
-              acc1, popcount256(_mm256_and_si256(
-                        _mm256_xor_si256(
-                            _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i*>(q1 + 4 * v)),
-                            pw),
-                        mw)));
-          acc2 = _mm256_add_epi64(
-              acc2, popcount256(_mm256_and_si256(
-                        _mm256_xor_si256(
-                            _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i*>(q2 + 4 * v)),
-                            pw),
-                        mw)));
-          acc3 = _mm256_add_epi64(
-              acc3, popcount256(_mm256_and_si256(
-                        _mm256_xor_si256(
-                            _mm256_loadu_si256(
-                                reinterpret_cast<const __m256i*>(q3 + 4 * v)),
-                            pw),
-                        mw)));
-        }
-        std::uint64_t d0 = hsum256(acc0), d1 = hsum256(acc1),
-                      d2 = hsum256(acc2), d3 = hsum256(acc3);
-        for (std::size_t w = vecs * 4; w < tw; ++w) {
-          const std::uint64_t pw = plane[w];
-          const std::uint64_t mw = mw_base[w];
-          d0 += word_popcount((q0[w] ^ pw) & mw);
-          d1 += word_popcount((q1[w] ^ pw) & mw);
-          d2 += word_popcount((q2[w] ^ pw) & mw);
-          d3 += word_popcount((q3[w] ^ pw) & mw);
-        }
-        out[(q + 0) * np + p] += static_cast<std::uint32_t>(d0);
-        out[(q + 1) * np + p] += static_cast<std::uint32_t>(d1);
-        out[(q + 2) * np + p] += static_cast<std::uint32_t>(d2);
-        out[(q + 3) * np + p] += static_cast<std::uint32_t>(d3);
+struct Avx2Arena {
+  using Widths = std::index_sequence<4, 1>;
+
+  template <bool Masked, std::size_t... J>
+  static void group(std::index_sequence<J...>, const std::uint64_t* const* q,
+                    const std::uint64_t* plane, const std::uint64_t* mask,
+                    std::size_t words, std::uint32_t* out,
+                    std::size_t planes) noexcept {
+    const std::size_t vecs = words / 4;
+    if constexpr (sizeof...(J) == 1) {
+      out[0] += static_cast<std::uint32_t>(harley_seal(
+          [&](std::size_t v) {
+            const __m256i pw = load256(plane + 4 * v);
+            const __m256i mw = Masked ? load256(mask + 4 * v) : pw;
+            return diff256<Masked>(load256(q[0] + 4 * v), pw, mw);
+          },
+          vecs));
+    } else {
+      __m256i acc[sizeof...(J)];
+      ((acc[J] = _mm256_setzero_si256()), ...);
+      for (std::size_t v = 0; v < vecs; ++v) {
+        const __m256i pw = load256(plane + 4 * v);
+        const __m256i mw = Masked ? load256(mask + 4 * v) : pw;
+        ((acc[J] = _mm256_add_epi64(
+              acc[J], popcount256(diff256<Masked>(load256(q[J] + 4 * v), pw,
+                                                  mw)))),
+         ...);
       }
+      ((out[J * planes] += static_cast<std::uint32_t>(hsum256(acc[J]))), ...);
     }
-    for (; q < num_queries; ++q) {
-      const std::uint64_t* qw = queries[q] + t0;
-      for (std::size_t p = 0; p < np; ++p) {
-        const std::uint64_t* plane = ps.base + p * ps.stride_words + t0;
-        std::uint64_t total = harley_seal(
-            [&](std::size_t i) {
-              const __m256i vq = _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(qw + 4 * i));
-              const __m256i vp = _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(plane + 4 * i));
-              const __m256i vm = _mm256_loadu_si256(
-                  reinterpret_cast<const __m256i*>(mw_base + 4 * i));
-              return _mm256_and_si256(_mm256_xor_si256(vq, vp), vm);
-            },
-            vecs);
-        for (std::size_t w = vecs * 4; w < tw; ++w) {
-          total += word_popcount((qw[w] ^ plane[w]) & mw_base[w]);
-        }
-        out[q * np + p] += static_cast<std::uint32_t>(total);
-      }
+    const std::size_t done = 4 * vecs;
+    if (done < words) {
+      const std::uint64_t* rest[] = {(q[J] + done)...};
+      ScalarArena::group<Masked>(std::index_sequence<J...>{}, rest,
+                                 plane + done, Masked ? mask + done : nullptr,
+                                 words - done, out, planes);
     }
   }
-}
+};
 
 // Counter kernels, 8 x int32 lanes per vector. Bundling broadcasts each
 // 32-bit half of a bit word and shifts bit 8g + j into lane j's sign bit
@@ -401,9 +259,7 @@ void majority_avx2(const std::uint64_t* const* rows, std::size_t n,
 
 constexpr Ops kAvx2Ops{popcount_avx2,
                        hamming_avx2,
-                       hamming_masked_avx2,
-                       hamming_matrix_arena_avx2,
-                       hamming_matrix_arena_masked_avx2,
+                       arena_matrix<Avx2Arena>,
                        bundle_signed_avx2,
                        sign_pack_avx2,
                        majority_avx2,

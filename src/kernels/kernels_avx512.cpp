@@ -10,9 +10,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
-#include <utility>
-
 namespace robusthd::kernels::detail {
 
 namespace {
@@ -79,195 +76,54 @@ std::size_t hamming_avx512(const std::uint64_t* a, const std::uint64_t* b,
   return static_cast<std::size_t>(reduce_add_epi64(acc));
 }
 
-std::size_t hamming_masked_avx512(const std::uint64_t* a,
-                                  const std::uint64_t* b, std::size_t n,
-                                  std::uint64_t first_mask,
-                                  std::uint64_t last_mask) {
-  if (n == 0) return 0;
-  if (n == 1) return word_popcount((a[0] ^ b[0]) & first_mask & last_mask);
-  const std::size_t total = word_popcount((a[0] ^ b[0]) & first_mask) +
-                            word_popcount((a[n - 1] ^ b[n - 1]) & last_mask);
-  return total + hamming_avx512(a + 1, b + 1, n - 2);
+// Arena groups for the shared traversal (arena_matrix in
+// kernels_internal.hpp): 8, 4 or 1 queries share each plane vector. Wider
+// groups cut both the L2 re-read traffic and the horizontal-reduce
+// overhead per plane tile. The arena's 8-word stride makes every full tile
+// a whole number of 512-bit vectors, so only the final tile of a plane can
+// have a tail, which masked loads read as zeros.
+
+/// acc + popcount((a XOR b) AND m), the AND only when Masked.
+template <bool Masked>
+inline __m512i add_diff(__m512i acc, __m512i a, __m512i b,
+                        __m512i m) noexcept {
+  __m512i x = _mm512_xor_si512(a, b);
+  if constexpr (Masked) x = _mm512_and_si512(x, m);
+  return _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
 }
 
-// Arena kernels: stride-addressed plane rows, tile-outer traversal so one
-// tile of every plane stays L2-resident across query groups, next-tile
-// software prefetch on the final query group of each tile. The arena's
-// 8-word stride means every full tile is a whole number of 512-bit
-// vectors; only the final tile of a plane can have a masked tail.
-//
-// Query groups have a compile-time width (8, rimmed by 4 and 1): one
-// plane-word load serves NQ queries, and each plane chunk is visited
-// num_queries / NQ times per tile — wider groups cut both the L2 re-read
-// traffic and the horizontal-reduce overhead per chunk. The per-query
-// accumulate is a fold expression over an index pack, not a runtime
-// loop: every acc[] index is a constant, so the accumulators scalarize
-// into zmm registers (a rolled loop parks them on the stack and pays a
-// load/add/store round trip per plane word). Group width never changes
-// results: the per-cell sums are exact integer popcounts.
-template <std::size_t NQ, std::size_t... J>
-void arena_group_avx512_impl(std::index_sequence<J...>,
-                             const std::uint64_t* const* q,
-                             const std::uint64_t* plane, std::size_t vecs,
-                             __mmask8 tail, std::uint32_t* out,
-                             std::size_t np) {
-  __m512i acc[NQ];
-  ((acc[J] = _mm512_setzero_si512()), ...);
-  for (std::size_t v = 0; v < vecs; ++v) {
-    const __m512i pw = _mm512_loadu_si512(plane + 8 * v);
-    ((acc[J] = _mm512_add_epi64(
-          acc[J], _mm512_popcnt_epi64(_mm512_xor_si512(
-                      _mm512_loadu_si512(q[J] + 8 * v), pw)))),
-     ...);
-  }
-  if (tail) {
-    const std::size_t off = vecs * 8;
-    const __m512i pw = _mm512_maskz_loadu_epi64(tail, plane + off);
-    ((acc[J] = _mm512_add_epi64(
-          acc[J], _mm512_popcnt_epi64(_mm512_xor_si512(
-                      _mm512_maskz_loadu_epi64(tail, q[J] + off), pw)))),
-     ...);
-  }
-  ((out[J * np] +=
-    static_cast<std::uint32_t>(reduce_add_epi64(acc[J]))),
-   ...);
-}
+struct Avx512Arena {
+  using Widths = std::index_sequence<8, 4, 1>;
 
-template <std::size_t NQ>
-void arena_group_avx512(const std::uint64_t* const* q,
-                        const std::uint64_t* plane, std::size_t vecs,
-                        __mmask8 tail, std::uint32_t* out, std::size_t np) {
-  arena_group_avx512_impl<NQ>(std::make_index_sequence<NQ>{}, q, plane, vecs,
-                              tail, out, np);
-}
-
-template <std::size_t NQ, std::size_t... J>
-void arena_group_masked_avx512_impl(std::index_sequence<J...>,
-                                    const std::uint64_t* const* q,
-                                    const std::uint64_t* plane,
-                                    const std::uint64_t* mask,
-                                    std::size_t vecs, __mmask8 tail,
-                                    std::uint32_t* out, std::size_t np) {
-  __m512i acc[NQ];
-  ((acc[J] = _mm512_setzero_si512()), ...);
-  for (std::size_t v = 0; v < vecs; ++v) {
-    const __m512i pw = _mm512_loadu_si512(plane + 8 * v);
-    const __m512i mw = _mm512_loadu_si512(mask + 8 * v);
-    ((acc[J] = _mm512_add_epi64(
-          acc[J],
-          _mm512_popcnt_epi64(_mm512_and_si512(
-              _mm512_xor_si512(_mm512_loadu_si512(q[J] + 8 * v), pw), mw)))),
-     ...);
-  }
-  if (tail) {
-    const std::size_t off = vecs * 8;
-    const __m512i pw = _mm512_maskz_loadu_epi64(tail, plane + off);
-    const __m512i mw = _mm512_maskz_loadu_epi64(tail, mask + off);
-    ((acc[J] = _mm512_add_epi64(
-          acc[J], _mm512_popcnt_epi64(_mm512_and_si512(
-                      _mm512_xor_si512(
-                          _mm512_maskz_loadu_epi64(tail, q[J] + off), pw),
-                      mw)))),
-     ...);
-  }
-  ((out[J * np] +=
-    static_cast<std::uint32_t>(reduce_add_epi64(acc[J]))),
-   ...);
-}
-
-template <std::size_t NQ>
-void arena_group_masked_avx512(const std::uint64_t* const* q,
-                               const std::uint64_t* plane,
-                               const std::uint64_t* mask, std::size_t vecs,
-                               __mmask8 tail, std::uint32_t* out,
-                               std::size_t np) {
-  arena_group_masked_avx512_impl<NQ>(std::make_index_sequence<NQ>{}, q, plane,
-                                     mask, vecs, tail, out, np);
-}
-
-void hamming_matrix_arena_avx512(const std::uint64_t* const* queries,
-                                 std::size_t num_queries, const PlaneSet& ps,
-                                 std::uint32_t* out) {
-  const std::size_t np = ps.planes;
-  for (std::size_t i = 0; i < num_queries * np; ++i) out[i] = 0;
-  if (num_queries == 0 || np == 0 || ps.words == 0) return;
-  const std::size_t tile = arena_tile_words(ps);
-  for (std::size_t t0 = 0; t0 < ps.words; t0 += tile) {
-    const std::size_t tw = std::min(tile, ps.words - t0);
-    const bool has_next = t0 + tw < ps.words;
-    const std::size_t vecs = tw / 8;
-    const __mmask8 tail =
-        tw % 8 != 0 ? tail_mask(tw % 8) : static_cast<__mmask8>(0);
-    std::size_t q = 0;
-    while (q < num_queries) {
-      const std::size_t group =
-          num_queries - q >= 8 ? 8 : (num_queries - q >= 4 ? 4 : 1);
-      const bool last_group = q + group >= num_queries;
-      const std::uint64_t* qp[8];
-      for (std::size_t j = 0; j < group; ++j) qp[j] = queries[q + j] + t0;
-      for (std::size_t p = 0; p < np; ++p) {
-        const std::uint64_t* plane = ps.base + p * ps.stride_words + t0;
-        if (last_group && has_next) {
-          prefetch_words(plane + tw, std::min(tile, ps.words - t0 - tw));
-        }
-        std::uint32_t* cell = out + q * np + p;
-        if (group == 8) {
-          arena_group_avx512<8>(qp, plane, vecs, tail, cell, np);
-        } else if (group == 4) {
-          arena_group_avx512<4>(qp, plane, vecs, tail, cell, np);
-        } else {
-          arena_group_avx512<1>(qp, plane, vecs, tail, cell, np);
-        }
-      }
-      q += group;
+  template <bool Masked, std::size_t... J>
+  static void group(std::index_sequence<J...>, const std::uint64_t* const* q,
+                    const std::uint64_t* plane, const std::uint64_t* mask,
+                    std::size_t words, std::uint32_t* out,
+                    std::size_t planes) noexcept {
+    __m512i acc[sizeof...(J)];
+    ((acc[J] = _mm512_setzero_si512()), ...);
+    const std::size_t vecs = words / 8;
+    for (std::size_t v = 0; v < vecs; ++v) {
+      const __m512i pw = _mm512_loadu_si512(plane + 8 * v);
+      const __m512i mw = Masked ? _mm512_loadu_si512(mask + 8 * v) : pw;
+      ((acc[J] = add_diff<Masked>(acc[J], _mm512_loadu_si512(q[J] + 8 * v),
+                                  pw, mw)),
+       ...);
     }
-  }
-}
-
-void hamming_matrix_arena_masked_avx512(const std::uint64_t* const* queries,
-                                        std::size_t num_queries,
-                                        const PlaneSet& ps,
-                                        const std::uint64_t* mask,
-                                        std::uint32_t* out) {
-  const std::size_t np = ps.planes;
-  for (std::size_t i = 0; i < num_queries * np; ++i) out[i] = 0;
-  if (num_queries == 0 || np == 0 || ps.words == 0) return;
-  const std::size_t tile = arena_tile_words(ps);
-  for (std::size_t t0 = 0; t0 < ps.words; t0 += tile) {
-    const std::size_t tw = std::min(tile, ps.words - t0);
-    const bool has_next = t0 + tw < ps.words;
-    const std::uint64_t* mw_base = mask + t0;
-    const std::size_t vecs = tw / 8;
-    const __mmask8 tail =
-        tw % 8 != 0 ? tail_mask(tw % 8) : static_cast<__mmask8>(0);
-    std::size_t q = 0;
-    while (q < num_queries) {
-      const std::size_t group =
-          num_queries - q >= 8 ? 8 : (num_queries - q >= 4 ? 4 : 1);
-      const bool last_group = q + group >= num_queries;
-      const std::uint64_t* qp[8];
-      for (std::size_t j = 0; j < group; ++j) qp[j] = queries[q + j] + t0;
-      for (std::size_t p = 0; p < np; ++p) {
-        const std::uint64_t* plane = ps.base + p * ps.stride_words + t0;
-        if (last_group && has_next) {
-          prefetch_words(plane + tw, std::min(tile, ps.words - t0 - tw));
-        }
-        std::uint32_t* cell = out + q * np + p;
-        if (group == 8) {
-          arena_group_masked_avx512<8>(qp, plane, mw_base, vecs, tail, cell,
-                                       np);
-        } else if (group == 4) {
-          arena_group_masked_avx512<4>(qp, plane, mw_base, vecs, tail, cell,
-                                       np);
-        } else {
-          arena_group_masked_avx512<1>(qp, plane, mw_base, vecs, tail, cell,
-                                       np);
-        }
-      }
-      q += group;
+    if (words % 8 != 0) {
+      const __mmask8 tail = tail_mask(words % 8);
+      const std::size_t off = 8 * vecs;
+      const __m512i pw = _mm512_maskz_loadu_epi64(tail, plane + off);
+      const __m512i mw =
+          Masked ? _mm512_maskz_loadu_epi64(tail, mask + off) : pw;
+      ((acc[J] = add_diff<Masked>(
+            acc[J], _mm512_maskz_loadu_epi64(tail, q[J] + off), pw, mw)),
+       ...);
     }
+    ((out[J * planes] += static_cast<std::uint32_t>(reduce_add_epi64(acc[J]))),
+     ...);
   }
-}
+};
 
 // Counter kernels: a 16-bit slice of a bit word is exactly the lane mask
 // of one 16 x int32 vector, so a whole word of dimensions is four blends
@@ -352,9 +208,7 @@ void majority_avx512(const std::uint64_t* const* rows, std::size_t n,
 
 constexpr Ops kAvx512Ops{popcount_avx512,
                          hamming_avx512,
-                         hamming_masked_avx512,
-                         hamming_matrix_arena_avx512,
-                         hamming_matrix_arena_masked_avx512,
+                         arena_matrix<Avx512Arena>,
                          bundle_signed_avx512,
                          sign_pack_avx512,
                          majority_avx512,

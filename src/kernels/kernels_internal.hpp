@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #if defined(__SSE4_2__)
 #include <nmmintrin.h>
@@ -32,16 +34,6 @@ const Ops* avx512_ops() noexcept;
 /// best sequence each TU's flags permit).
 inline std::size_t word_popcount(std::uint64_t w) noexcept {
   return static_cast<std::size_t>(std::popcount(w));
-}
-
-/// Applies the first/last word masks in place for the masked-range kernels.
-/// n >= 1; when n == 1 both masks intersect.
-inline std::uint64_t masked_word(std::uint64_t x, std::size_t i, std::size_t n,
-                                 std::uint64_t first_mask,
-                                 std::uint64_t last_mask) noexcept {
-  if (i == 0) x &= first_mask;
-  if (i + 1 == n) x &= last_mask;
-  return x;
 }
 
 /// bundle_signed over dimensions [begin, dims): the whole scalar kernel
@@ -218,7 +210,22 @@ void majority_lanes(const std::uint64_t* const* rows, std::size_t n,
   if (dims % 64 != 0) out[words - 1] &= (std::uint64_t{1} << (dims % 64)) - 1;
 }
 
-}  // namespace
+// ---- arena distance matrix -----------------------------------------------
+//
+// hamming_matrix_arena is one traversal for every tier, masked or not. The
+// word dimension is walked in tiles across all planes, so a tile of the
+// whole plane set stays L2-resident while every query group reads it.
+// Queries go in groups of the widest width the tier has that still fits,
+// and the next tile of each plane row is prefetched while the last group
+// scores the current one. A tier supplies `Widths`, its group widths
+// widest first and ending in 1, and `group<Masked>(index_sequence<J...>,
+// q, plane, mask, words, out, planes)`, which adds the distance of each
+// query q[J] to one plane tile of `words` words into out[J * planes]. The
+// width is a compile-time constant, so the per-query accumulate is a fold
+// expression over J: every accumulator index is a constant and stays in a
+// register (a rolled loop parks them on the stack and pays a load/add/store
+// round trip per plane word). Every cell is an integer sum of per-word
+// popcounts, so no tile or group split changes a result.
 
 /// Effective tile width of an arena PlaneSet (0 means untiled).
 inline std::size_t arena_tile_words(const PlaneSet& ps) noexcept {
@@ -226,9 +233,7 @@ inline std::size_t arena_tile_words(const PlaneSet& ps) noexcept {
                                                         : ps.tile_words;
 }
 
-/// Software-prefetches words [p, p + n), one touch per 64-byte line. Used
-/// by the arena kernels to pull the next tile of a plane row into cache
-/// while the current tile is being consumed.
+/// Software-prefetches words [p, p + n), one touch per 64-byte line.
 inline void prefetch_words(const std::uint64_t* p, std::size_t n) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
   for (std::size_t i = 0; i < n; i += 8) {
@@ -239,6 +244,98 @@ inline void prefetch_words(const std::uint64_t* p, std::size_t n) noexcept {
   (void)n;
 #endif
 }
+
+/// One word per step: the scalar tier's group, and every tier's words past
+/// its last full vector.
+struct ScalarArena {
+  using Widths = std::index_sequence<4, 1>;
+
+  template <bool Masked, std::size_t... J>
+  static void group(std::index_sequence<J...>, const std::uint64_t* const* q,
+                    const std::uint64_t* plane, const std::uint64_t* mask,
+                    std::size_t words, std::uint32_t* out,
+                    std::size_t planes) noexcept {
+    std::size_t d[sizeof...(J)] = {};
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t pw = plane[w];
+      const std::uint64_t mw = Masked ? mask[w] : ~std::uint64_t{0};
+      ((d[J] += word_popcount((q[J][w] ^ pw) & mw)), ...);
+    }
+    ((out[J * planes] += static_cast<std::uint32_t>(d[J])), ...);
+  }
+};
+
+/// queries[J] against every plane row of one tile, `tw` words from word
+/// t0, prefetching `prefetch_tw` words of the next tile (none when 0).
+/// Kept out of line so each group's plane loop has the registers to
+/// itself: inlined into the tile loop, AVX-512's 8-query loop held its
+/// query pointers in vector registers and on the stack and ran ~15%
+/// slower.
+template <typename Tier, bool Masked, std::size_t... J>
+[[gnu::noinline]] void arena_group_rows(
+    std::index_sequence<J...>, const std::uint64_t* const* queries,
+    const PlaneSet& ps, std::size_t t0, std::size_t tw,
+    std::size_t prefetch_tw, const std::uint64_t* mask,
+    std::uint32_t* out) noexcept {
+  const std::uint64_t* const qp[] = {(queries[J] + t0)...};
+  const std::uint64_t* const tile_mask = Masked ? mask + t0 : nullptr;
+  for (std::size_t p = 0; p < ps.planes; ++p) {
+    const std::uint64_t* plane = ps.plane(p) + t0;
+    if (prefetch_tw != 0) prefetch_words(plane + tw, prefetch_tw);
+    Tier::template group<Masked>(std::index_sequence<J...>{}, qp, plane,
+                                 tile_mask, tw, out + p, ps.planes);
+  }
+}
+
+/// The whole arena kernel on `Tier` with the mask ANDed in (Masked) or not.
+template <typename Tier, bool Masked, std::size_t... Width>
+void arena_matrix_widths(std::index_sequence<Width...>,
+                         const std::uint64_t* const* queries,
+                         std::size_t num_queries, const PlaneSet& ps,
+                         const std::uint64_t* mask,
+                         std::uint32_t* out) noexcept {
+  const std::size_t np = ps.planes;
+  for (std::size_t i = 0; i < num_queries * np; ++i) out[i] = 0;
+  if (num_queries == 0 || np == 0 || ps.words == 0) return;
+  const std::size_t tile = arena_tile_words(ps);
+  for (std::size_t t0 = 0; t0 < ps.words; t0 += tile) {
+    const std::size_t tw = std::min(tile, ps.words - t0);
+    const std::size_t next_tw = std::min(tile, ps.words - t0 - tw);
+    std::size_t q = 0;
+    // Scores the next `width` queries against every plane tile, if that
+    // many are left.
+    const auto group = [&](auto width) {
+      constexpr std::size_t nq = decltype(width)::value;
+      if (num_queries - q < nq) return false;
+      arena_group_rows<Tier, Masked>(std::make_index_sequence<nq>{},
+                                     queries + q, ps, t0, tw,
+                                     q + nq == num_queries ? next_tw : 0,
+                                     mask, out + q * np);
+      q += nq;
+      return true;
+    };
+    while (q < num_queries) {
+      static_cast<void>(
+          (group(std::integral_constant<std::size_t, Width>{}) || ...));
+    }
+  }
+}
+
+/// hamming_matrix_arena on `Tier`: every tier's Ops entry.
+template <typename Tier>
+void arena_matrix(const std::uint64_t* const* queries, std::size_t num_queries,
+                  const PlaneSet& ps, const std::uint64_t* mask,
+                  std::uint32_t* out) noexcept {
+  if (mask == nullptr) {
+    arena_matrix_widths<Tier, false>(typename Tier::Widths{}, queries,
+                                     num_queries, ps, mask, out);
+  } else {
+    arena_matrix_widths<Tier, true>(typename Tier::Widths{}, queries,
+                                    num_queries, ps, mask, out);
+  }
+}
+
+}  // namespace
 
 #if defined(__SSE4_2__)
 /// CRC32C on the SSE4.2 crc32 instruction: one 8-byte step per word, then

@@ -1,7 +1,6 @@
 #include "robusthd/mem/plane_arena.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -50,10 +49,6 @@ std::size_t compute_tile_words(std::size_t planes, std::size_t words,
 
 PlaneArenaConfig PlaneArenaConfig::from_env() {
   PlaneArenaConfig config;
-  if (const char* v = std::getenv("ROBUSTHD_ARENA_TILE_KB")) {
-    const long long kb = std::atoll(v);
-    if (kb > 0) config.l2_tile_bytes = static_cast<std::size_t>(kb) * 1024;
-  }
   config.hugepages = util::hugepages_from_env();
   return config;
 }

@@ -269,30 +269,14 @@ void HdcModel::chunk_scores_all(const hv::BinVec& query, std::size_t chunks,
 }
 
 void HdcModel::scores_batch(std::span<const hv::BinVec* const> queries,
-                            ScoreWorkspace& ws) const {
+                            ScoreWorkspace& ws, const std::uint64_t* mask,
+                            std::size_t kept_dims) const {
   const std::size_t q = queries.size();
   ws.scores.resize(q * num_classes());
   if (q == 0 || num_classes() == 0) return;
-  ws.query_ptrs.resize(q);
-  for (std::size_t i = 0; i < q; ++i) {
-    ws.query_ptrs[i] = queries[i]->words().data();
-  }
-  ws.distances.resize(q * arena_.num_planes());
-  // One tiled pass over the arena scores the whole batch; row
-  // c * planes + p of the arena is column c * planes + p of the matrix.
-  kernels::hamming_matrix_arena(ws.query_ptrs.data(), q, arena_.view(),
-                                ws.distances.data());
-  weigh_distances(q, dimension(), ws);
-}
-
-void HdcModel::scores_batch_masked(std::span<const hv::BinVec* const> queries,
-                                   std::span<const std::uint64_t> mask,
-                                   std::size_t kept_dims,
-                                   ScoreWorkspace& ws) const {
-  const std::size_t q = queries.size();
-  ws.scores.resize(q * num_classes());
-  if (q == 0 || num_classes() == 0) return;
-  if (kept_dims == 0) {
+  if (mask == nullptr) {
+    kept_dims = dimension();
+  } else if (kept_dims == 0) {
     std::fill(ws.scores.begin(), ws.scores.end(), 0.0);
     return;
   }
@@ -301,13 +285,10 @@ void HdcModel::scores_batch_masked(std::span<const hv::BinVec* const> queries,
     ws.query_ptrs[i] = queries[i]->words().data();
   }
   ws.distances.resize(q * arena_.num_planes());
-  kernels::hamming_matrix_arena_masked(ws.query_ptrs.data(), q, arena_.view(),
-                                       mask.data(), ws.distances.data());
-  weigh_distances(q, kept_dims, ws);
-}
-
-void HdcModel::weigh_distances(std::size_t q, std::size_t kept_dims,
-                               ScoreWorkspace& ws) const {
+  // One tiled pass over the arena scores the whole batch; row
+  // c * planes + p of the arena is column c * planes + p of the matrix.
+  kernels::hamming_matrix_arena(ws.query_ptrs.data(), q, arena_.view(), mask,
+                                ws.distances.data());
   // Plane-weighted combination — operation order matches chunk_scores_into
   // exactly, so the scores are bit-identical to the per-query path (and an
   // all-ones mask reproduces the unmasked scores).

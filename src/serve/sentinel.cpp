@@ -112,13 +112,11 @@ double Sentinel::score_canaries_locked(const model::HdcModel& model,
                                        const QuarantineMask* mask,
                                        std::vector<double>* class_accuracy,
                                        std::vector<double>* class_win_sim) {
-  if (mask != nullptr && mask->kept_dims > 0 &&
-      mask->excluded_chunks > 0) {
-    model.scores_batch_masked(canary_ptrs_, mask->words, mask->kept_dims,
-                              score_ws_);
-  } else {
-    model.scores_batch(canary_ptrs_, score_ws_);
-  }
+  const bool masked =
+      mask != nullptr && mask->kept_dims > 0 && mask->excluded_chunks > 0;
+  model.scores_batch(canary_ptrs_, score_ws_,
+                     masked ? mask->words.data() : nullptr,
+                     masked ? mask->kept_dims : 0);
   const std::size_t k = model.num_classes();
   std::vector<std::size_t> per_class_total(k, 0);
   std::vector<std::size_t> per_class_correct(k, 0);

@@ -666,20 +666,18 @@ void Server::run_batch(Lane& lane,
       query_ptrs[i] = &batch[i].query;
     }
     // Rung (b): with a non-empty quarantine, score over the surviving
-    // dimensions only (masked kernels) and flag the answers degraded.
+    // dimensions only (the arena kernel under the quarantine mask) and
+    // flag the answers degraded.
     // The confidence model then sees kept_dims as the effective
     // dimension.
     const auto& qmask = lane.qmask_;
     const bool degraded = qmask != nullptr;
-    std::size_t effective_dim = model->dimension();
-    if (degraded) {
-      model->scores_batch_masked(query_ptrs, qmask->words, qmask->kept_dims,
-                                 lane.score_ws_);
-      effective_dim = qmask->kept_dims;
-      degraded_.fetch_add(batch.size(), std::memory_order_relaxed);
-    } else {
-      model->scores_batch(query_ptrs, lane.score_ws_);
-    }
+    const std::size_t effective_dim =
+        degraded ? qmask->kept_dims : model->dimension();
+    model->scores_batch(query_ptrs, lane.score_ws_,
+                        degraded ? qmask->words.data() : nullptr,
+                        effective_dim);
+    if (degraded) degraded_.fetch_add(batch.size(), std::memory_order_relaxed);
     const std::size_t k = model->num_classes();
 
     for (std::size_t i = 0; i < batch.size(); ++i) {

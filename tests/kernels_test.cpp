@@ -60,19 +60,6 @@ std::size_t ref_hamming(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
-std::size_t ref_hamming_masked(const std::uint64_t* a, const std::uint64_t* b,
-                               std::size_t n, std::uint64_t first,
-                               std::uint64_t last) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t x = a[i] ^ b[i];
-    if (i == 0) x &= first;
-    if (i == n - 1) x &= last;
-    total += static_cast<std::size_t>(std::popcount(x));
-  }
-  return total;
-}
-
 std::vector<std::uint64_t> random_words(std::size_t n, util::Xoshiro256& rng) {
   std::vector<std::uint64_t> w(n);
   rng.fill(w);
@@ -131,28 +118,6 @@ TEST(KernelEquivalence, HammingAllIsas) {
       EXPECT_EQ(ops->hamming(a.data(), a.data(), n), 0u);
     }
     EXPECT_EQ(ops->hamming(nullptr, nullptr, 0), 0u);
-  }
-}
-
-TEST(KernelEquivalence, HammingMaskedAllIsas) {
-  util::Xoshiro256 rng(0x3a5c);
-  const std::array<std::uint64_t, 5> edge_masks = {
-      0ULL, ~0ULL, 1ULL, 0x8000000000000000ULL, 0x00ffff0000ffff00ULL};
-  for (const auto isa : kAllIsas) {
-    const auto* ops = kernels::ops_for(isa);
-    if (ops == nullptr) continue;
-    for (const std::size_t n : word_sizes()) {
-      const auto a = random_words(n, rng);
-      const auto b = random_words(n, rng);
-      for (const auto first : edge_masks) {
-        for (const auto last : edge_masks) {
-          EXPECT_EQ(ops->hamming_masked(a.data(), b.data(), n, first, last),
-                    ref_hamming_masked(a.data(), b.data(), n, first, last))
-              << kernels::isa_name(isa) << " n=" << n << " first=" << first
-              << " last=" << last;
-        }
-      }
-    }
   }
 }
 
@@ -219,7 +184,8 @@ TEST(KernelEquivalence, HammingMatrixAllIsas) {
     for (const auto& q : queries) qp.push_back(q.data());
     const std::size_t np = arena.num_planes();
     std::vector<std::uint32_t> out(qp.size() * np, 0xdeadbeef);
-    ops.hamming_matrix_arena(qp.data(), qp.size(), arena.view(), out.data());
+    ops.hamming_matrix_arena(qp.data(), qp.size(), arena.view(), nullptr,
+                             out.data());
     for (std::size_t q = 0; q < qp.size(); ++q) {
       for (std::size_t p = 0; p < np; ++p) {
         ASSERT_EQ(out[q * np + p],
@@ -248,14 +214,14 @@ TEST(KernelEquivalence, HammingMatrixMaskedAllIsas) {
     const std::size_t words = arena.words();
     const std::size_t np = arena.num_planes();
     // Random mask plus the two degenerate masks: all-ones must reproduce
-    // the unmasked kernel exactly; all-zeros must return 0.
+    // the null mask exactly; all-zeros must return 0.
     const auto random_mask = random_words(words, rng);
     const std::vector<std::uint64_t> ones(words, ~0ULL);
     const std::vector<std::uint64_t> zeros(words, 0ULL);
     for (const auto* mask : {&random_mask, &ones, &zeros}) {
       std::vector<std::uint32_t> out(qp.size() * np, 0xdeadbeef);
-      ops.hamming_matrix_arena_masked(qp.data(), qp.size(), arena.view(),
-                                      mask->data(), out.data());
+      ops.hamming_matrix_arena(qp.data(), qp.size(), arena.view(),
+                               mask->data(), out.data());
       for (std::size_t q = 0; q < qp.size(); ++q) {
         for (std::size_t p = 0; p < np; ++p) {
           ASSERT_EQ(out[q * np + p],
@@ -264,12 +230,12 @@ TEST(KernelEquivalence, HammingMatrixMaskedAllIsas) {
         }
       }
     }
-    // All-ones mask == the unmasked kernel, element for element.
+    // All-ones mask == the null mask, element for element.
     std::vector<std::uint32_t> masked_out(qp.size() * np, 0);
     std::vector<std::uint32_t> plain_out(qp.size() * np, 1);
-    ops.hamming_matrix_arena_masked(qp.data(), qp.size(), arena.view(),
-                                    ones.data(), masked_out.data());
-    ops.hamming_matrix_arena(qp.data(), qp.size(), arena.view(),
+    ops.hamming_matrix_arena(qp.data(), qp.size(), arena.view(), ones.data(),
+                             masked_out.data());
+    ops.hamming_matrix_arena(qp.data(), qp.size(), arena.view(), nullptr,
                              plain_out.data());
     EXPECT_EQ(masked_out, plain_out) << shape_name(arena, qp.size());
   });
@@ -486,16 +452,25 @@ TEST(BinVecKernels, HammingRangeMatchesPerBitAndHandlesEmpty) {
   for (const std::size_t dim : {63, 64, 65, 10000}) {
     const auto a = hv::BinVec::random(dim, rng);
     const auto b = hv::BinVec::random(dim, rng);
+    // The complement differs in every bit, so both edge words count all
+    // their in-range bits.
+    const auto complement = [&] {
+      auto v = a;
+      v.invert();
+      return v;
+    }();
     const std::array<std::pair<std::size_t, std::size_t>, 7> ranges = {{
         {0, dim}, {0, 1}, {dim - 1, dim}, {0, 0}, {dim, dim},
         {dim / 3, 2 * dim / 3}, {dim / 2, dim / 2}}};
-    for (const auto [begin, end] : ranges) {
-      std::size_t expected = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        expected += a.get(i) != b.get(i);
+    for (const auto* other : {&b, &complement}) {
+      for (const auto [begin, end] : ranges) {
+        std::size_t expected = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          expected += a.get(i) != other->get(i);
+        }
+        EXPECT_EQ(hv::hamming_range(a, *other, begin, end), expected)
+            << "dim=" << dim << " [" << begin << "," << end << ")";
       }
-      EXPECT_EQ(hv::hamming_range(a, b, begin, end), expected)
-          << "dim=" << dim << " [" << begin << "," << end << ")";
     }
   }
 }
@@ -675,7 +650,7 @@ model::HdcModel tiny_model(std::size_t dim, std::size_t classes,
 }
 
 /// Naive masked scores: per-bit match counts over the kept dimensions,
-/// combined in the same order as HdcModel::scores_batch_masked.
+/// combined in the same order as HdcModel::scores_batch.
 std::vector<double> ref_masked_scores(const model::HdcModel& m,
                                       const hv::BinVec& query,
                                       std::span<const std::uint64_t> mask,
@@ -744,7 +719,7 @@ TEST(ModelKernels, ScoresBatchBitIdenticalToScores) {
       util::set_bit(mask, i, false);
     }
     const std::size_t kept = util::popcount(mask);
-    m.scores_batch_masked(ptrs, mask, kept, ws);
+    m.scores_batch(ptrs, ws, mask.data(), kept);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const auto expected = ref_masked_scores(m, queries[i], mask, kept);
       for (std::size_t c = 0; c < m.num_classes(); ++c) {

@@ -190,7 +190,7 @@ TEST(PlaneArenaTest, ArenaKernelMatchesRowMajorEveryIsa) {
       if (ops == nullptr) continue;
       std::vector<std::uint32_t> got(queries.size() * planes, 0xbeef);
       ops->hamming_matrix_arena(queries.data(), queries.size(), arena.view(),
-                                got.data());
+                                nullptr, got.data());
       EXPECT_EQ(got, want) << kernels::isa_name(isa) << " dim " << dim;
     }
   }
@@ -235,9 +235,8 @@ TEST(PlaneArenaTest, MaskedArenaKernelMatchesRowMajorEveryIsa) {
         const auto* ops = kernels::ops_for(isa);
         if (ops == nullptr) continue;
         std::vector<std::uint32_t> got(queries.size() * planes, 2);
-        ops->hamming_matrix_arena_masked(queries.data(), queries.size(),
-                                         arena.view(), mask->data(),
-                                         got.data());
+        ops->hamming_matrix_arena(queries.data(), queries.size(),
+                                  arena.view(), mask->data(), got.data());
         EXPECT_EQ(got, want) << kernels::isa_name(isa) << " dim " << dim;
       }
     }

@@ -90,11 +90,8 @@ double accuracy(const model::HdcModel& model,
   std::vector<const hv::BinVec*> ptrs(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) ptrs[i] = &queries[i];
   model::ScoreWorkspace ws;
-  if (mask != nullptr) {
-    model.scores_batch_masked(ptrs, mask->words, mask->kept_dims, ws);
-  } else {
-    model.scores_batch(ptrs, ws);
-  }
+  model.scores_batch(ptrs, ws, mask != nullptr ? mask->words.data() : nullptr,
+                     mask != nullptr ? mask->kept_dims : 0);
   const std::size_t k = model.num_classes();
   std::size_t correct = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -138,8 +135,8 @@ TEST(MaskedScoring, AllOnesMaskIsBitIdenticalToFullScoring) {
   }
   model::ScoreWorkspace full_ws, masked_ws;
   world.model.scores_batch(ptrs, full_ws);
-  world.model.scores_batch_masked(ptrs, mask.words, mask.kept_dims,
-                                  masked_ws);
+  world.model.scores_batch(ptrs, masked_ws, mask.words.data(),
+                           mask.kept_dims);
   // Same numerators, same denominator, same float op order: the scores
   // must be bit-identical, not merely close.
   for (std::size_t i = 0; i < ptrs.size() * kClasses; ++i) {
