@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the kernels everything else is built
 // on: XOR binding, Hamming distance, record encoding, model prediction,
-// training's bundling and sign kernels, and fault injection. These are the
+// training (whole, and its bundling and sign kernels), and fault
+// injection. These are the
 // operations whose costs the DPIM mapping (pim/accelerator) models
 // analytically — keeping them measured here ties the simulator's op counts
 // to observable software behaviour.
@@ -124,6 +125,60 @@ void BM_PredictBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * queries.size());
 }
 BENCHMARK(BM_PredictBatch)->Arg(2)->Arg(12)->Arg(26);
+
+/// Training sets at two perfbench shapes.
+struct TrainingSet {
+  std::vector<hv::BinVec> samples;
+  std::vector<int> labels;
+  std::size_t classes = 0;
+};
+
+/// score_bulk's: 128 random class prototypes at D = 16,384 and four copies
+/// of each with an eighth of the bits flipped. Its one retraining epoch
+/// updates nothing.
+TrainingSet score_bulk_set() {
+  constexpr std::size_t kClasses = 128;
+  constexpr std::size_t kTrainDim = 16384;
+  util::Xoshiro256 rng(7);
+  TrainingSet set;
+  set.classes = kClasses;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const auto proto = hv::BinVec::random(kTrainDim, rng);
+    for (int i = 0; i < 4; ++i) {
+      auto sample = proto;
+      for (auto& w : sample.mutable_words()) {
+        w ^= rng.next() & rng.next() & rng.next();
+      }
+      set.samples.push_back(std::move(sample));
+      set.labels.push_back(static_cast<int>(c));
+    }
+  }
+  return set;
+}
+
+/// fleet_tiny's and heal_features': 2,000 PAMAP-shaped samples (5 classes)
+/// encoded at D = 4,096. Every retraining epoch updates.
+TrainingSet pamap_set() {
+  const auto split = data::make_synthetic(
+      data::scaled(data::dataset_by_name("PAMAP"), 2000, 1), 0x5eed);
+  hv::EncoderConfig config;
+  config.dimension = 4096;
+  const hv::RecordEncoder encoder(split.train.feature_count(), config);
+  return {encoder.encode_all(split.train), split.train.labels,
+          split.train.num_classes};
+}
+
+void BM_Train(benchmark::State& state, TrainingSet (*make)()) {
+  const TrainingSet set = make();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        model::HdcModel::train(set.samples, set.labels, set.classes, {}));
+  }
+  state.SetItemsProcessed(state.iterations() * set.samples.size());
+}
+BENCHMARK_CAPTURE(BM_Train, score_bulk, score_bulk_set)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Train, pamap, pamap_set)->Unit(benchmark::kMillisecond);
 
 void BM_InjectRandom(benchmark::State& state) {
   util::Xoshiro256 rng(6);

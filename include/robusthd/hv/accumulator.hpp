@@ -110,6 +110,13 @@ class BasicSignedAccumulator {
   /// tied dimensions keep their old bits.
   void sign_into(BinVec& out, const BinVec* tie_break = nullptr) const;
 
+  /// sign() into raw packed words, ties to 0: writes
+  /// util::words_for_bits(dimension()) words at `out` with every bit past
+  /// the dimension clear (a plane-arena row, say).
+  void sign_into(std::uint64_t* out) const {
+    kernels::sign_pack(counts_, dim_, nullptr, out);
+  }
+
   /// Quantises each counter into `bits`-bit magnitude levels and returns
   /// one binary plane per bit (plane p carries weight 2^p). This is the
   /// multi-precision model of Table 1: 1 bit == sign only, 2 bits == sign

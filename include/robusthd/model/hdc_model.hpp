@@ -9,6 +9,7 @@
 // is exactly the paper's Hamming-distance check.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -143,6 +144,10 @@ class HdcModel {
  public:
   /// Most planes a class can have (the RHD2 format's limit too).
   static constexpr unsigned kMaxPrecisionBits = 8;
+  /// Samples per retraining block: train() scores a block against every
+  /// class in one arena pass, so its distance block holds at most
+  /// kRetrainBlock x num_classes entries.
+  static constexpr std::size_t kRetrainBlock = 256;
 
   HdcModel() = default;
 
@@ -150,9 +155,14 @@ class HdcModel {
   /// Each class starts as the per-bit majority of its samples
   /// (kernels::majority), which is the sign of their bundle; a class gets
   /// int32 counters only when retraining updates it or a multi-bit model
-  /// quantises them.
-  /// Throws std::invalid_argument, before training, unless
-  /// 1 <= config.precision_bits <= kMaxPrecisionBits.
+  /// quantises them. Retraining walks the samples in blocks of
+  /// kRetrainBlock, scoring a block in one parallel arena pass and
+  /// rescoring per sample only the classes an earlier update in the block
+  /// changed, so each sample sees the distances the per-sample loop would.
+  /// Throws std::invalid_argument, before training, unless there is at
+  /// least one sample, labels and samples have equal lengths, every label
+  /// lies in [0, num_classes), the samples share one nonzero dimension,
+  /// and 1 <= config.precision_bits <= kMaxPrecisionBits.
   static HdcModel train(std::span<const hv::BinVec> encoded,
                         std::span<const int> labels, std::size_t num_classes,
                         const HdcConfig& config = {});

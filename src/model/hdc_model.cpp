@@ -27,7 +27,7 @@ struct NearestTwo {
 
 /// Scans a row of per-class distances; tie-breaking: the lowest index
 /// wins.
-NearestTwo nearest_two(const std::size_t* distances, std::size_t classes) {
+NearestTwo nearest_two(const std::uint32_t* distances, std::size_t classes) {
   NearestTwo out;
   for (std::size_t c = 0; c < classes; ++c) {
     const std::size_t d = distances[c];
@@ -56,6 +56,33 @@ unsigned checked_precision(unsigned bits) {
   return bits;
 }
 
+/// train()'s inputs, checked before anything is indexed by label or read
+/// past the first sample's words.
+void check_training_set(std::span<const hv::BinVec> encoded,
+                        std::span<const int> labels,
+                        std::size_t num_classes) {
+  if (encoded.size() != labels.size()) {
+    throw std::invalid_argument(
+        "train: " + std::to_string(encoded.size()) + " samples but " +
+        std::to_string(labels.size()) + " labels");
+  }
+  if (encoded.empty()) throw std::invalid_argument("train: no samples");
+  const std::size_t dim = encoded[0].dimension();
+  for (const auto& sample : encoded) {
+    if (sample.dimension() == 0 || sample.dimension() != dim) {
+      throw std::invalid_argument(
+          "train: samples must share one nonzero dimension");
+    }
+  }
+  for (const int label : labels) {
+    if (label < 0 || static_cast<std::size_t>(label) >= num_classes) {
+      throw std::invalid_argument("train: label " + std::to_string(label) +
+                                  " outside [0, " +
+                                  std::to_string(num_classes) + ")");
+    }
+  }
+}
+
 }  // namespace
 
 HdcModel::HdcModel(std::size_t num_classes, std::size_t dimension,
@@ -66,9 +93,7 @@ HdcModel::HdcModel(std::size_t num_classes, std::size_t dimension,
 HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
                          std::span<const int> labels,
                          std::size_t num_classes, const HdcConfig& config) {
-  assert(!encoded.empty());
-  assert(encoded.size() == labels.size());
-
+  check_training_set(encoded, labels, num_classes);
   const std::size_t dim = encoded[0].dimension();
   // Built first, so a precision the model cannot store fails before any
   // training work.
@@ -87,18 +112,28 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
     }
   }
 
+  // The sign snapshots retraining scores against, one arena row per class,
+  // so a block of samples is scored in one kernel pass. A 1-bit model's
+  // own arena holds them: each is its class's counters' sign, refreshed
+  // after every update, so they are its planes when training ends. A
+  // multi-bit model keeps them beside its arena.
+  mem::PlaneArena multi_bit_signs;
+  if (model.precision_bits_ > 1) {
+    multi_bit_signs = mem::PlaneArena(num_classes, dim);
+  }
+  mem::PlaneArena& signs =
+      model.precision_bits_ == 1 ? model.arena_ : multi_bit_signs;
+
   // Pass 1: each class's sign snapshot is the per-bit majority of its
   // samples, ties at 0, which is the sign of their bipolar sum. No class
   // has counters yet.
-  std::vector<hv::BinVec> signs(num_classes, hv::BinVec(dim));
   std::vector<const std::uint64_t*> rows;
   for (std::size_t c = 0; c < num_classes; ++c) {
     rows.clear();
     for (std::size_t r = first[c]; r < first[c + 1]; ++r) {
       rows.push_back(encoded[order[r]].words().data());
     }
-    kernels::majority(rows.data(), rows.size(), dim, nullptr,
-                      signs[c].mutable_words().data());
+    kernels::majority(rows.data(), rows.size(), dim, nullptr, signs.plane(c));
   }
 
   // A class's int32 counters are built when retraining first updates it,
@@ -121,49 +156,93 @@ HdcModel HdcModel::train(std::span<const hv::BinVec> encoded,
   // pass model substantially on harder tasks). Predictions run against
   // binary sign snapshots so each epoch is word-parallel; only the two
   // rows touched by a mistake have their snapshots refreshed, in place.
-  std::vector<std::size_t> distances(num_classes);
+  //
+  // The samples go in blocks of kRetrainBlock. A batched block is first
+  // scored against every snapshot in one arena pass, kGroup queries per
+  // kernel call, the groups spread over threads once the pass holds
+  // kSpreadWords word pairs (about 100 us on one core; a smaller pass
+  // costs less than starting the threads). The walk then visits its
+  // samples in order and rescores only the classes an earlier update in
+  // the block changed: every other snapshot is the one the pass read, so
+  // each sample sees exactly the distances scoring it alone would. The
+  // pass pays only while updates leave most classes alone, so a block is
+  // batched only when the one before it changed fewer than half the
+  // classes (a training's first block always is); otherwise each sample
+  // is scored against every class as it comes.
+  constexpr std::size_t kGroup = 16;
+  constexpr std::size_t kSpreadWords = std::size_t{1} << 20;
   const std::size_t words = util::words_for_bits(dim);
+  const kernels::PlaneSet snapshots = signs.view();
+  std::vector<const std::uint64_t*> queries(
+      std::min(kRetrainBlock, encoded.size()));
+  std::vector<std::uint32_t> distances(queries.size() * num_classes);
+  std::vector<std::size_t> changed;  // classes updated in this block
+  bool batch = true;
 
   const auto min_margin = static_cast<std::size_t>(
       config.retrain_margin * static_cast<double>(dim));
   for (std::size_t epoch = 0; epoch < config.retrain_epochs; ++epoch) {
     std::size_t updates = 0;
-    for (std::size_t i = 0; i < encoded.size(); ++i) {
-      const int truth = labels[i];
-      const std::uint64_t* query = encoded[i].words().data();
-      for (std::size_t c = 0; c < num_classes; ++c) {
-        distances[c] = kernels::hamming(query, signs[c].words().data(), words);
-      }
-      const auto nearest = nearest_two(distances.data(), num_classes);
-      const bool wrong = nearest.best != truth;
-      const bool thin_margin =
-          !wrong && nearest.second_distance - nearest.best_distance <
-                        min_margin;
-      if (wrong || thin_margin) {
-        const auto t = static_cast<std::size_t>(truth);
-        const int rival = wrong ? nearest.best : nearest.second;
-        const auto own = counts(t);
-        own.add(encoded[i], +1);
-        own.sign_into(signs[t]);
-        if (rival >= 0) {
-          const auto g = static_cast<std::size_t>(rival);
-          const auto other = counts(g);
-          other.add(encoded[i], -1);
-          other.sign_into(signs[g]);
+    for (std::size_t begin = 0; begin < encoded.size();
+         begin += kRetrainBlock) {
+      const std::size_t n = std::min(kRetrainBlock, encoded.size() - begin);
+      const bool batched = batch;
+      if (batched) {
+        for (std::size_t i = 0; i < n; ++i) {
+          queries[i] = encoded[begin + i].words().data();
         }
+        const bool spread = n * num_classes * words >= kSpreadWords;
+        util::parallel_for(
+            (n + kGroup - 1) / kGroup,
+            [&](std::size_t g) {
+              const std::size_t q = g * kGroup;
+              kernels::hamming_matrix_arena(
+                  queries.data() + q, std::min(kGroup, n - q), snapshots,
+                  distances.data() + q * num_classes);
+            },
+            spread ? 0 : 1);
+      }
+      for (std::size_t i = begin; i < begin + n; ++i) {
+        std::uint32_t* row = distances.data() + (i - begin) * num_classes;
+        const std::uint64_t* query = encoded[i].words().data();
+        const auto rescore = [&](std::size_t c) {
+          row[c] = static_cast<std::uint32_t>(
+              kernels::hamming(query, signs.plane(c), words));
+        };
+        if (batched) {
+          for (const std::size_t c : changed) rescore(c);
+        } else {
+          for (std::size_t c = 0; c < num_classes; ++c) rescore(c);
+        }
+        const int truth = labels[i];
+        const auto nearest = nearest_two(row, num_classes);
+        const bool wrong = nearest.best != truth;
+        const bool thin_margin =
+            !wrong && nearest.second_distance - nearest.best_distance <
+                          min_margin;
+        if (!wrong && !thin_margin) continue;
+        const auto update = [&](std::size_t c, std::int32_t weight) {
+          const auto acc = counts(c);
+          acc.add(encoded[i], weight);
+          acc.sign_into(signs.plane(c));
+          if (std::ranges::find(changed, c) == changed.end()) {
+            changed.push_back(c);
+          }
+        };
+        update(static_cast<std::size_t>(truth), +1);
+        const int rival = wrong ? nearest.best : nearest.second;
+        if (rival >= 0) update(static_cast<std::size_t>(rival), -1);
         ++updates;
       }
+      batch = 2 * changed.size() < num_classes;
+      changed.clear();
     }
     if (updates == 0) break;
   }
 
-  // A 1-bit model is the sign snapshots: each is its class's counters'
-  // sign, refreshed after every update, so signing them again would
-  // rebuild the same words.
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    if (model.precision_bits_ == 1) {
-      model.arena_.store_plane(model.row(c, 0), signs[c]);
-    } else {
+  // A 1-bit model's planes are the snapshots already.
+  if (model.precision_bits_ > 1) {
+    for (std::size_t c = 0; c < num_classes; ++c) {
       counts(c);  // builds them for a class retraining never updated
       model.deploy_class(c, std::as_const(counters[c]).row(0));
     }

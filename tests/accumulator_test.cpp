@@ -137,6 +137,11 @@ TEST(SignedAccumulator, SignIntoMatchesSignAndKeepsTiesInPlace) {
   EXPECT_EQ(out, acc.sign());
   acc.sign_into(out, &tie);
   EXPECT_EQ(out, acc.sign(&tie));
+  // Raw words (an arena row): ties to 0, the tail cleared.
+  BinVec raw = BinVec::random(dim, rng);
+  raw.mutable_words().back() = ~std::uint64_t{0};
+  acc.sign_into(raw.mutable_words().data());
+  EXPECT_EQ(raw, acc.sign());
 
   // In place: a tied dimension keeps the bit it had.
   auto kept = tie;

@@ -374,6 +374,52 @@ TEST(HdcModel, PrecisionNineIsRejected) {
             HdcModel::kMaxPrecisionBits);
 }
 
+// ---- the training sets train() accepts ------------------------------------
+
+TEST(HdcModelTrain, RejectsLabelsAndSamplesOfDifferentLengths) {
+  const auto toy = make_toy(2, 5, 0.1, 12);
+  const auto fewer = std::span(toy.labels).first(toy.labels.size() - 1);
+  EXPECT_THROW(HdcModel::train(toy.samples, fewer, 2), std::invalid_argument);
+  auto more = toy.labels;
+  more.push_back(0);
+  EXPECT_THROW(HdcModel::train(toy.samples, more, 2), std::invalid_argument);
+}
+
+TEST(HdcModelTrain, RejectsAnEmptySet) {
+  EXPECT_THROW(HdcModel::train({}, {}, 2), std::invalid_argument);
+}
+
+TEST(HdcModelTrain, RejectsALabelOutsideTheClasses) {
+  const auto toy = make_toy(2, 5, 0.1, 13);
+  // 2 and past it would count past the class table; -1 would index
+  // before it.
+  for (const int bad : {2, 1000, -1}) {
+    auto labels = toy.labels;
+    labels[3] = bad;
+    EXPECT_THROW(HdcModel::train(toy.samples, labels, 2),
+                 std::invalid_argument)
+        << "label " << bad;
+  }
+  EXPECT_THROW(HdcModel::train(toy.samples, toy.labels, 0),
+               std::invalid_argument);
+}
+
+TEST(HdcModelTrain, RejectsSamplesOfMixedDimensions) {
+  auto toy = make_toy(2, 5, 0.1, 14);
+  // Shorter than the first sample: scoring and the majority would read
+  // past its words.
+  toy.samples[4] = hv::BinVec(kDim - 64);
+  EXPECT_THROW(HdcModel::train(toy.samples, toy.labels, 2),
+               std::invalid_argument);
+  toy.samples[4] = hv::BinVec(kDim + 1);
+  EXPECT_THROW(HdcModel::train(toy.samples, toy.labels, 2),
+               std::invalid_argument);
+  const std::vector<hv::BinVec> dimensionless(2);
+  const std::vector<int> labels = {0, 1};
+  EXPECT_THROW(HdcModel::train(dimensionless, labels, 2),
+               std::invalid_argument);
+}
+
 // ---- training against a per-dimension reference --------------------------
 
 /// Bipolar class counters, one dimension at a time: the rule the counter
@@ -404,17 +450,60 @@ std::size_t ref_distance(const hv::BinVec& a, const hv::BinVec& b) {
 
 constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
 
+/// What one sample's scoring decides: whether to update and against which
+/// rival.
+struct RefDecision {
+  bool update = false;
+  int rival = -1;
+  bool operator==(const RefDecision&) const = default;
+};
+
+/// The retraining decision for `sample` against `signs`: nearest and
+/// runner-up by Hamming distance, the lowest class index winning a tie.
+RefDecision ref_decide(const hv::BinVec& sample, int label,
+                       const std::vector<hv::BinVec>& signs,
+                       std::size_t min_margin) {
+  int best = 0;
+  int second = -1;
+  std::size_t best_d = std::numeric_limits<std::size_t>::max();
+  std::size_t second_d = best_d;
+  for (std::size_t c = 0; c < signs.size(); ++c) {
+    const std::size_t d = ref_distance(sample, signs[c]);
+    if (d < best_d) {
+      second_d = best_d;
+      second = best;
+      best_d = d;
+      best = static_cast<int>(c);
+    } else if (d < second_d) {
+      second_d = d;
+      second = static_cast<int>(c);
+    }
+  }
+  const bool wrong = best != label;
+  if (!wrong && second_d - best_d >= min_margin) return {};
+  return {true, wrong ? best : second};
+}
+
 struct RefTrained {
   std::vector<RefCounts> counts;  ///< final counters, one row per class
   std::size_t updates = 0;        ///< retraining updates over all epochs
   /// Per class, the epoch of its first retraining update, or kNever.
   std::vector<std::size_t> first_update;
+  /// Blocks of HdcModel::kRetrainBlock samples that train() scores in one
+  /// pass: a training's first block, and each block after one whose
+  /// updates changed fewer than half the classes.
+  std::size_t batched_blocks = 0;
+  /// Samples in batched blocks whose decision differs when read off the
+  /// snapshots the block started with: there, train() must rescore the
+  /// classes an earlier update in the block changed.
+  std::size_t stale_decisions = 0;
 };
 
 /// HdcModel::train's algorithm on per-dimension counters: bundle, then
 /// perceptron retraining against sign snapshots (margin updates included,
 /// the lowest class index wins a distance tie), refreshing the two
-/// touched snapshots after each update.
+/// touched snapshots after each update. Each sample is scored against the
+/// current snapshots; the block schedule is only counted.
 RefTrained ref_train(std::span<const hv::BinVec> encoded,
                      std::span<const int> labels, std::size_t classes,
                      const HdcConfig& config) {
@@ -429,39 +518,40 @@ RefTrained ref_train(std::span<const hv::BinVec> encoded,
   for (const auto& counts : out.counts) signs.push_back(ref_sign(counts));
   const auto min_margin = static_cast<std::size_t>(
       config.retrain_margin * static_cast<double>(dim));
+  bool batch = true;
   for (std::size_t epoch = 0; epoch < config.retrain_epochs; ++epoch) {
     std::size_t updates = 0;
-    for (std::size_t i = 0; i < encoded.size(); ++i) {
-      int best = 0;
-      int second = -1;
-      std::size_t best_d = std::numeric_limits<std::size_t>::max();
-      std::size_t second_d = best_d;
-      for (std::size_t c = 0; c < classes; ++c) {
-        const std::size_t d = ref_distance(encoded[i], signs[c]);
-        if (d < best_d) {
-          second_d = best_d;
-          second = best;
-          best_d = d;
-          best = static_cast<int>(c);
-        } else if (d < second_d) {
-          second_d = d;
-          second = static_cast<int>(c);
+    for (std::size_t begin = 0; begin < encoded.size();
+         begin += HdcModel::kRetrainBlock) {
+      const std::size_t end =
+          std::min(begin + HdcModel::kRetrainBlock, encoded.size());
+      const auto block_start = signs;
+      std::vector<bool> changed(classes, false);
+      for (std::size_t i = begin; i < end; ++i) {
+        const auto decision =
+            ref_decide(encoded[i], labels[i], signs, min_margin);
+        if (batch && decision != ref_decide(encoded[i], labels[i],
+                                            block_start, min_margin)) {
+          ++out.stale_decisions;
         }
+        if (!decision.update) continue;
+        const auto truth = static_cast<std::size_t>(labels[i]);
+        ref_add(out.counts[truth], encoded[i], 1);
+        signs[truth] = ref_sign(out.counts[truth]);
+        out.first_update[truth] = std::min(out.first_update[truth], epoch);
+        changed[truth] = true;
+        if (decision.rival >= 0) {
+          const auto r = static_cast<std::size_t>(decision.rival);
+          ref_add(out.counts[r], encoded[i], -1);
+          signs[r] = ref_sign(out.counts[r]);
+          out.first_update[r] = std::min(out.first_update[r], epoch);
+          changed[r] = true;
+        }
+        ++updates;
       }
-      const bool wrong = best != labels[i];
-      if (!wrong && second_d - best_d >= min_margin) continue;
-      const auto truth = static_cast<std::size_t>(labels[i]);
-      ref_add(out.counts[truth], encoded[i], 1);
-      signs[truth] = ref_sign(out.counts[truth]);
-      out.first_update[truth] = std::min(out.first_update[truth], epoch);
-      const int rival = wrong ? best : second;
-      if (rival >= 0) {
-        const auto r = static_cast<std::size_t>(rival);
-        ref_add(out.counts[r], encoded[i], -1);
-        signs[r] = ref_sign(out.counts[r]);
-        out.first_update[r] = std::min(out.first_update[r], epoch);
-      }
-      ++updates;
+      out.batched_blocks += batch;
+      batch = 2 * static_cast<std::size_t>(std::ranges::count(changed, true)) <
+              classes;
     }
     out.updates += updates;
     if (updates == 0) break;
@@ -527,15 +617,17 @@ struct Labelled {
 
 constexpr std::size_t kWideClasses = 128;
 
-Labelled wide_set(std::size_t dim, bool mislabel) {
+Labelled wide_set(std::size_t dim, bool mislabel,
+                  std::size_t classes = kWideClasses,
+                  std::size_t per_class = 4) {
   util::Xoshiro256 rng(dim);
   Labelled set;
-  for (std::size_t c = 0; c < kWideClasses; ++c) {
+  for (std::size_t c = 0; c < classes; ++c) {
     const auto proto = hv::BinVec::random(dim, rng);
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < per_class; ++i) {
       set.samples.push_back(noisy(proto, 3, rng));
-      const bool next = mislabel && (4 * c + i) % 8 == 7;
-      set.labels.push_back(static_cast<int>((c + next) % kWideClasses));
+      const bool next = mislabel && (per_class * c + i) % 8 == 7;
+      set.labels.push_back(static_cast<int>((c + next) % classes));
     }
   }
   return set;
@@ -603,10 +695,42 @@ TEST(HdcModel, TrainMatchesPerDimensionReference) {
                          "128 classes D=" + std::to_string(dim));
   }
 
+  // The block path. Retraining scores HdcModel::kRetrainBlock samples in
+  // one pass, then rescores for each sample the classes an earlier update
+  // in the block changed. 128 classes at D = 65 crowd together, so updates
+  // land mid-block and a later sample's decision in that block turns on a
+  // class they changed (stale_decisions), at two full blocks, exactly one
+  // block and one sample past it.
+  const std::size_t block = HdcModel::kRetrainBlock;
+  const auto crowded = wide_set(65, /*mislabel=*/true);
+  ASSERT_EQ(crowded.samples.size(), 2 * block);
+  for (const std::size_t n : {2 * block, block, block + 1}) {
+    const auto samples = std::span(crowded.samples).first(n);
+    const auto labels = std::span(crowded.labels).first(n);
+    const auto ref = ref_train(samples, labels, kWideClasses, {});
+    ASSERT_GT(ref.stale_decisions, 0u) << "n=" << n;
+    expect_train_matches(ref, samples, labels, kWideClasses,
+                         "128 classes D=65 n=" + std::to_string(n));
+  }
+  // k = 1: no sample can be wrong or have a runner-up, so nothing updates
+  // and every block is batched.
+  const auto single = wide_set(1000, /*mislabel=*/false, 1, block + 44);
+  const auto alone = ref_train(single.samples, single.labels, 1, {});
+  ASSERT_EQ(alone.updates, 0u);
+  ASSERT_EQ(alone.batched_blocks, 2u);
+  expect_train_matches(alone, single.samples, single.labels, 1, "k=1");
+  // k = 2, two overlapping classes below one block: every update changes
+  // both classes, and later samples in the first block see it.
+  const auto overlapping = overlapping_set(324);
+  const auto pair_samples = std::span(overlapping.samples).first(60);
+  const auto pair_labels = std::span(overlapping.labels).first(60);
+  const auto pair = ref_train(pair_samples, pair_labels, 2, {});
+  ASSERT_GT(pair.stale_decisions, 0u);
+  expect_train_matches(pair, pair_samples, pair_labels, 2, "k=2");
+
   // A class gets counters only when retraining first updates it, or when
   // a multi-bit model quantises them; until then its plane is the
   // majority of its samples. Five cases hold that to the reference.
-  const auto overlapping = overlapping_set(324);
   const auto late = ref_train(overlapping.samples, overlapping.labels, 6, {});
   // (1) Classes 4 and 5 are never updated: a 1-bit model deploys their
   // majorities, (2) class 3 is first updated in epoch 4, after the other
@@ -616,6 +740,9 @@ TEST(HdcModel, TrainMatchesPerDimensionReference) {
   ASSERT_EQ(late.first_update[5], kNever);
   ASSERT_EQ(late.first_update[3], 4u);
   for (std::size_t c = 0; c < 3; ++c) ASSERT_EQ(late.first_update[c], 0u);
+  // Its 180 samples fill less than one block.
+  ASSERT_LT(overlapping.samples.size(), block);
+  ASSERT_GT(late.stale_decisions, 0u);
   expect_train_matches(late, overlapping.samples, overlapping.labels, 6,
                        "late and never-updated classes");
   // (3) No retraining at all: every class deploys its majority, or has
