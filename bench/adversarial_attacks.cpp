@@ -178,11 +178,11 @@ int run() {
     serve::Server server(trained, config);
     std::ignore = server.predict_all(traffic);  // warm the engine's gates
     server.drain();
-    server.reset_stats();
+    const auto before = server.metrics();
     adversary::PoisonCampaign campaign(trained, poison);
     std::ignore = campaign.run(server);
     server.drain();
-    undefended_stats = server.stats();
+    undefended_stats = serve::ServerStats(server.metrics() - before);
     undefended_wrong_bits = adversary::PoisonCampaign::wrong_bits(
         trained, *server.current_model());
     server.shutdown();
@@ -215,7 +215,7 @@ int run() {
         std::span<const hv::BinVec>(traffic.data(),
                                     std::min<std::size_t>(64, traffic.size())));
     server.drain();
-    server.reset_stats();
+    const auto before = server.metrics();
 
     adversary::PoisonCampaign campaign(trained, poison);
     const auto start = std::chrono::steady_clock::now();
@@ -232,7 +232,7 @@ int run() {
       std::ignore = server.predict_all(traffic);
     }
     server.drain();
-    defended_stats = server.stats();
+    defended_stats = serve::ServerStats(server.metrics() - before);
     canary_accuracy = defended_stats.canary_accuracy;
     defended_wrong_bits = adversary::PoisonCampaign::wrong_bits(
         trained, *server.current_model());

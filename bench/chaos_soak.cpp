@@ -55,11 +55,13 @@ struct PhaseResult {
 };
 
 /// Drives predict_all passes over `queries` for ~`seconds`, tallying
-/// accuracy on the responses that carried a prediction.
+/// accuracy on the responses that carried a prediction. The stats are the
+/// phase's: the server's metrics after it, less those before it.
 PhaseResult soak(serve::Server& server,
                  const std::vector<hv::BinVec>& queries,
                  const std::vector<int>& labels, double seconds) {
   PhaseResult result;
+  const auto before = server.metrics();
   std::size_t answered = 0;
   std::size_t correct = 0;
   std::size_t scored = 0;
@@ -80,7 +82,7 @@ PhaseResult soak(serve::Server& server,
       scored == 0 ? 0.0
                   : static_cast<double>(correct) /
                         static_cast<double>(scored);
-  result.stats = server.stats();
+  result.stats = serve::ServerStats(server.metrics() - before);
   return result;
 }
 
@@ -146,13 +148,11 @@ int run() {
   double canary_accuracy = 0.0;
   {
     serve::Server server(trained, chaos_config);
-    // Warm the batch/encode paths, then measure from a clean slate — the
-    // bench-facing use of Server::reset_stats().
+    // Warm the batch/encode paths; the soak measures from there.
     std::ignore = server.predict_all(
         std::span<const hv::BinVec>(traffic.data(),
                                     std::min<std::size_t>(64, traffic.size())));
     server.drain();
-    server.reset_stats();
     chaos = soak(server, traffic, traffic_labels, phase_seconds);
     canary_accuracy = chaos.stats.canary_accuracy;
     server.shutdown();

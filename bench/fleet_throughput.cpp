@@ -254,9 +254,10 @@ int main() {
     std::cout << "shards=" << r.shards << " clients=" << r.clients
               << " qps=" << static_cast<std::uint64_t>(r.qps)
               << " p50=" << r.p50_ms << "ms p99=" << r.p99_ms << "ms"
-              << " repairs=" << r.fleet_stats.scrub_repairs
-              << " degraded=" << r.fleet_stats.degraded_responses
-              << " abstained=" << r.fleet_stats.abstained_responses << "\n";
+              << " repairs=" << r.fleet_stats.total.scrub_repairs
+              << " degraded=" << r.fleet_stats.total.degraded_responses
+              << " abstained=" << r.fleet_stats.total.abstained_responses
+              << "\n";
   }
 
   // Core-aware efficiency per point, relative to the 1-shard baseline.
@@ -295,7 +296,7 @@ int main() {
            << ",\"degraded\":" << sh.degraded_responses
            << ",\"abstained\":" << sh.abstained_responses
            << ",\"breaker_trips\":" << sh.breaker_trips
-           << ",\"p99_ms\":" << sh.p99_ms << "}";
+           << ",\"p99_ms\":" << sh.end_to_end.p99_ns / 1e6 << "}";
     }
     json << "]}";
   }

@@ -395,11 +395,11 @@ int run() {
 
     fleet.drain();
     canary_accuracy = min_canary_accuracy(fleet, world);
-    const auto wire = chaos.counters();
-    wire_flips = wire.bits_flipped;
-    wire_resets = wire.resets_injected;
-    wire_drops = wire.chunks_dropped;
-    blackholed_chunks = wire.blackholed_chunks;
+    const auto wire = chaos.metrics();
+    wire_flips = wire.counter("netchaos.bits_flipped");
+    wire_resets = wire.counter("netchaos.resets_injected");
+    wire_drops = wire.counter("netchaos.chunks_dropped");
+    blackholed_chunks = wire.counter("netchaos.blackholed_chunks");
     const auto fcnt = frontend.counters();
     frontend_protocol_errors = fcnt.protocol_errors;
     frontend_deadline_sheds = fcnt.deadline_sheds;

@@ -31,6 +31,7 @@
 #include "robusthd/hv/binvec.hpp"
 #include "robusthd/model/hdc_model.hpp"
 #include "robusthd/serve/server.hpp"
+#include "robusthd/util/metrics.hpp"
 
 namespace robusthd::fleet {
 
@@ -48,22 +49,17 @@ struct FleetConfig {
   std::string persist_dir;
 };
 
-/// Aggregate + per-shard counters (Fleet::stats()).
+/// Fleet::stats(): each shard's ServerStats, their sum and the router's
+/// own counters.
 struct FleetStats {
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t scrub_repairs = 0;
-  std::uint64_t scrub_substituted_bits = 0;
-  std::uint64_t degraded_responses = 0;
-  std::uint64_t abstained_responses = 0;
-  std::uint64_t breaker_trips = 0;
+  serve::ServerStats total;  ///< every shard's metrics, summed
+  std::vector<serve::ServerStats> shards;
   std::uint64_t failovers = 0;      ///< requests routed around a shard
   std::uint64_t shed_unrouteable = 0;  ///< whole model group unhealthy
   /// Deadline-driven sheds: admission-time (the budget was already spent
   /// or the estimated queue wait exceeded it) plus in-queue expiries
-  /// counted by the shards' servers.
+  /// counted by the shards' servers (total.deadline_sheds).
   std::uint64_t deadline_sheds = 0;
-  std::vector<ShardStats> shards;
 };
 
 /// Why try_submit_to refused a request.
@@ -141,9 +137,11 @@ class Fleet {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<Router> router_;
   std::size_t dimension_ = 0;
-  std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<std::uint64_t> shed_unrouteable_{0};
-  std::atomic<std::uint64_t> deadline_sheds_{0};  ///< admission-time sheds
+  util::MetricsRegistry metrics_;
+  util::Counter& failovers_ = metrics_.counter("fleet.failovers");
+  util::Counter& shed_unrouteable_ = metrics_.counter("fleet.shed_unrouteable");
+  /// Admission-time sheds.
+  util::Counter& deadline_sheds_ = metrics_.counter("fleet.deadline_sheds");
 };
 
 }  // namespace robusthd::fleet

@@ -59,6 +59,7 @@
 
 #include "robusthd/fleet/fleet.hpp"
 #include "robusthd/fleet/wire.hpp"
+#include "robusthd/util/metrics.hpp"
 
 namespace robusthd::fleet {
 
@@ -87,6 +88,7 @@ struct FrontendConfig {
   bool admission_control = true;
 };
 
+/// The frontend's metrics by name (Frontend::counters()).
 struct FrontendCounters {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -141,19 +143,28 @@ class Frontend {
   std::atomic<bool> running_{false};
   bool started_ = false;
 
-  // Shared counters (all loops record into these).
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_closed_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> busy_rejections_{0};
-  std::atomic<std::uint64_t> dimension_rejections_{0};
-  std::atomic<std::uint64_t> bad_requests_{0};
-  std::atomic<std::uint64_t> deadline_sheds_{0};
-  std::atomic<std::uint64_t> reaped_connections_{0};
-  std::atomic<std::uint64_t> stale_completions_{0};
-  std::atomic<std::uint64_t> answered_inline_{0};
+  // Metrics (all loops record into these).
+  util::MetricsRegistry metrics_;
+  util::Counter& connections_accepted_ =
+      metrics_.counter("frontend.connections_accepted");
+  util::Counter& connections_closed_ =
+      metrics_.counter("frontend.connections_closed");
+  util::Counter& protocol_errors_ =
+      metrics_.counter("frontend.protocol_errors");
+  util::Counter& frames_in_ = metrics_.counter("frontend.frames_in");
+  util::Counter& frames_out_ = metrics_.counter("frontend.frames_out");
+  util::Counter& busy_rejections_ =
+      metrics_.counter("frontend.busy_rejections");
+  util::Counter& dimension_rejections_ =
+      metrics_.counter("frontend.dimension_rejections");
+  util::Counter& bad_requests_ = metrics_.counter("frontend.bad_requests");
+  util::Counter& deadline_sheds_ = metrics_.counter("frontend.deadline_sheds");
+  util::Counter& reaped_connections_ =
+      metrics_.counter("frontend.reaped_connections");
+  util::Counter& stale_completions_ =
+      metrics_.counter("frontend.stale_completions");
+  util::Counter& answered_inline_ =
+      metrics_.counter("frontend.answered_inline");
 
   void loop_main(Loop& loop);
   friend struct Loop;

@@ -24,7 +24,7 @@
 //     at arbitrary byte boundaries (1 = byte-at-a-time slowloris);
 //   * payload corruption: with `flip_rate` per chunk one random bit is
 //     flipped in flight — the wire CRCs must catch every one
-//     (counters().bits_flipped vs the peers' protocol_errors).
+//     (netchaos.bits_flipped vs the peers' protocol_errors).
 //
 // Determinism: every accepted connection gets its own Xoshiro256 stream
 // derived from (seed, connection index), so a run's fault schedule
@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "robusthd/fleet/client.hpp"  // Endpoint
+#include "robusthd/util/metrics.hpp"
 
 namespace robusthd::fleet {
 
@@ -70,18 +71,6 @@ struct NetChaosConfig {
   /// Loop poll cadence; also the pacing quantum for throttled writes.
   std::chrono::milliseconds poll_interval{1};
   int backlog = 64;
-};
-
-struct NetChaosCounters {
-  std::uint64_t connections = 0;        ///< client connections accepted
-  std::uint64_t resets_injected = 0;    ///< RSTs fired at clients
-  std::uint64_t chunks_delayed = 0;
-  std::uint64_t chunks_dropped = 0;
-  std::uint64_t bits_flipped = 0;
-  std::uint64_t throttled_writes = 0;   ///< partial writes forced by throttle
-  std::uint64_t blackholed_chunks = 0;  ///< swallowed by a partition
-  std::uint64_t bytes_in = 0;           ///< received from clients
-  std::uint64_t bytes_out = 0;          ///< received from upstreams
 };
 
 class NetChaos {
@@ -114,7 +103,11 @@ class NetChaos {
   void set_blackholed(std::size_t upstream, bool blackholed);
   bool blackholed(std::size_t upstream) const;
 
-  NetChaosCounters counters() const;
+  /// netchaos.* counters: connections, resets_injected, chunks_delayed,
+  /// chunks_dropped, bits_flipped, throttled_writes (partial writes the
+  /// throttle forced), blackholed_chunks, bytes_in (from clients) and
+  /// bytes_out (from upstreams).
+  util::MetricsSnapshot metrics() const { return metrics_.snapshot(); }
 
  private:
   struct Pipe;
@@ -138,15 +131,19 @@ class NetChaos {
   bool started_ = false;
   std::uint64_t next_conn_index_ = 0;
 
-  std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> resets_injected_{0};
-  std::atomic<std::uint64_t> chunks_delayed_{0};
-  std::atomic<std::uint64_t> chunks_dropped_{0};
-  std::atomic<std::uint64_t> bits_flipped_{0};
-  std::atomic<std::uint64_t> throttled_writes_{0};
-  std::atomic<std::uint64_t> blackholed_chunks_{0};
-  std::atomic<std::uint64_t> bytes_in_{0};
-  std::atomic<std::uint64_t> bytes_out_{0};
+  util::MetricsRegistry metrics_;
+  util::Counter& connections_ = metrics_.counter("netchaos.connections");
+  util::Counter& resets_injected_ =
+      metrics_.counter("netchaos.resets_injected");
+  util::Counter& chunks_delayed_ = metrics_.counter("netchaos.chunks_delayed");
+  util::Counter& chunks_dropped_ = metrics_.counter("netchaos.chunks_dropped");
+  util::Counter& bits_flipped_ = metrics_.counter("netchaos.bits_flipped");
+  util::Counter& throttled_writes_ =
+      metrics_.counter("netchaos.throttled_writes");
+  util::Counter& blackholed_chunks_ =
+      metrics_.counter("netchaos.blackholed_chunks");
+  util::Counter& bytes_in_ = metrics_.counter("netchaos.bytes_in");
+  util::Counter& bytes_out_ = metrics_.counter("netchaos.bytes_out");
 };
 
 }  // namespace robusthd::fleet

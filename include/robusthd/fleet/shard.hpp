@@ -33,29 +33,6 @@ struct ShardConfig {
   std::vector<int> cpus;
 };
 
-/// Per-shard counter snapshot surfaced into FleetStats.
-struct ShardStats {
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t scrub_repairs = 0;
-  std::uint64_t scrub_substituted_bits = 0;
-  std::uint64_t faults_injected = 0;
-  std::size_t quarantined_chunks = 0;
-  std::uint64_t degraded_responses = 0;
-  std::uint64_t abstained_responses = 0;
-  std::uint64_t deadline_sheds = 0;  ///< expired in-queue, shed unscored
-  std::uint64_t breaker_trips = 0;
-  bool breaker_open = false;
-  double canary_accuracy = 0.0;
-  std::uint64_t model_version = 0;
-  double p99_ms = 0.0;  ///< shard-local end-to-end p99
-  /// Plane-arena footprint of this shard's live snapshot in bytes and
-  /// whether the kernel granted the hugepage request — the per-shard
-  /// NUMA/THP placement signal.
-  std::size_t arena_bytes = 0;
-  bool arena_hugepage = false;
-};
-
 class Shard {
  public:
   /// When config.server.persist.dir names a directory that already holds
@@ -72,8 +49,6 @@ class Shard {
 
   /// Router health probe: false while the shard's breaker is open.
   bool healthy() const noexcept { return !server_->breaker_open(); }
-
-  ShardStats stats() const;
 
  private:
   std::size_t index_;

@@ -32,10 +32,10 @@
 // thread (in practice the scrub thread and reload callers); everything
 // that touches the filesystem or the shadow runs on the single log
 // thread. Filesystem failures on that thread cannot propagate to the
-// appenders — the log trips a permanent failed flag (PersistCounters::
-// io_errors), stops writing, and the server keeps serving undurably,
-// mirroring the degradation ladder's "shed the feature, not the
-// service" stance.
+// appenders — the log trips a permanent failed flag (counted in
+// persist.io_errors), stops writing, and the server keeps serving
+// undurably, mirroring the degradation ladder's "shed the feature, not
+// the service" stance.
 
 #include <atomic>
 #include <chrono>
@@ -52,6 +52,7 @@
 #include "robusthd/core/serialize.hpp"
 #include "robusthd/model/recovery.hpp"
 #include "robusthd/persist/wal.hpp"
+#include "robusthd/util/metrics.hpp"
 
 namespace robusthd::persist {
 
@@ -66,18 +67,6 @@ struct PersistConfig {
   /// Generation WAL ceiling: past this, closed epochs are folded into a
   /// fresh base checkpoint (compaction) and the old generation deleted.
   std::size_t compact_bytes = 64u << 20;
-};
-
-/// Monotone counters surfaced into ServerStats.
-struct PersistCounters {
-  std::uint64_t epochs_closed = 0;
-  std::uint64_t wal_bytes = 0;      ///< record bytes written, all gens
-  std::uint64_t deltas_appended = 0;
-  std::uint64_t stale_discards = 0; ///< deltas dropped at a rotation fence
-  std::uint64_t rotations = 0;      ///< generation starts (reload/compact)
-  std::uint64_t compactions = 0;
-  std::uint64_t segments_opened = 0;
-  std::uint64_t io_errors = 0;      ///< nonzero => log is dead, serving isn't
 };
 
 /// One rewritten word range, captured at publication time. `words` holds
@@ -105,9 +94,10 @@ class EpochLog {
   /// starts the log thread. `base_version` is the snapshot version the
   /// base corresponds to: only deltas with a strictly greater version
   /// are accepted into this generation. Throws core::SerializeError /
-  /// util::FsError when the directory or blob is unusable.
+  /// util::FsError when the directory or blob is unusable. Records into
+  /// `metrics` (persist.* counters), which must outlive the log.
   EpochLog(PersistConfig config, std::vector<std::byte> base_blob,
-           std::uint64_t base_version);
+           std::uint64_t base_version, util::MetricsRegistry& metrics);
   ~EpochLog();
 
   EpochLog(const EpochLog&) = delete;
@@ -136,7 +126,6 @@ class EpochLog {
   /// destructor calls it.
   void stop();
 
-  PersistCounters counters() const noexcept;
   std::uint64_t generation() const noexcept;
 
  private:
@@ -166,6 +155,7 @@ class EpochLog {
   void fail_log() noexcept;
 
   PersistConfig config_;
+  util::MetricsRegistry& metrics_;
 
   // Log-thread state (constructor-then-log-thread only).
   std::uint64_t generation_ = 0;
@@ -195,15 +185,18 @@ class EpochLog {
   bool stop_ = false;
   std::atomic<bool> failed_{false};
 
-  // Counters (relaxed atomics; read from any thread).
-  std::atomic<std::uint64_t> epochs_closed_{0};
-  std::atomic<std::uint64_t> wal_bytes_{0};
-  std::atomic<std::uint64_t> deltas_appended_{0};
-  std::atomic<std::uint64_t> stale_discards_{0};
-  std::atomic<std::uint64_t> rotations_{0};
-  std::atomic<std::uint64_t> compactions_{0};
-  std::atomic<std::uint64_t> segments_opened_{0};
-  std::atomic<std::uint64_t> io_errors_{0};
+  util::Counter& epochs_closed_ = metrics_.counter("persist.epochs_closed");
+  /// Record bytes written, all generations.
+  util::Counter& wal_bytes_ = metrics_.counter("persist.wal_bytes");
+  util::Counter& deltas_appended_ = metrics_.counter("persist.deltas_appended");
+  /// Deltas dropped at a rotation fence.
+  util::Counter& stale_discards_ = metrics_.counter("persist.stale_discards");
+  /// Generation starts (reload/compact).
+  util::Counter& rotations_ = metrics_.counter("persist.rotations");
+  util::Counter& compactions_ = metrics_.counter("persist.compactions");
+  util::Counter& segments_opened_ = metrics_.counter("persist.segments_opened");
+  /// Nonzero => the log is dead; serving is not.
+  util::Counter& io_errors_ = metrics_.counter("persist.io_errors");
 
   std::thread thread_;
   bool started_ = false;

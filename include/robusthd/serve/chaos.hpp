@@ -41,6 +41,7 @@
 #include "robusthd/fault/injector.hpp"
 #include "robusthd/serve/model_snapshot.hpp"
 #include "robusthd/serve/scrubber.hpp"
+#include "robusthd/util/metrics.hpp"
 #include "robusthd/util/rng.hpp"
 
 namespace robusthd::serve {
@@ -61,14 +62,6 @@ struct ChaosConfig {
   std::uint64_t seed = 0xc4a05;
 };
 
-/// Counters exported into ServerStats.
-struct ChaosCounters {
-  std::uint64_t ticks = 0;           ///< attack ticks executed
-  std::uint64_t flips_scheduled = 0; ///< total flip budget dispatched
-  std::uint64_t direct_publishes = 0;  ///< scrubber-less publications
-  std::uint64_t publish_conflicts = 0; ///< try_publish losses (retried)
-};
-
 /// The chaos thread. Lifecycle: construct, start(), stop() (or
 /// destruction). tick() is public so tests and benches can drive the
 /// campaign deterministically without the thread.
@@ -78,8 +71,11 @@ class ChaosAgent {
   /// or npos to spread the budget over the whole model.
   using TargetProvider = std::function<std::size_t()>;
 
+  /// Records into `metrics` (chaos.* counters), which must outlive the
+  /// agent.
   ChaosAgent(ModelSnapshot& snapshot, Scrubber* scrubber,
-             const ChaosConfig& config, TargetProvider target = {});
+             const ChaosConfig& config, util::MetricsRegistry& metrics,
+             TargetProvider target = {});
   ~ChaosAgent();
 
   ChaosAgent(const ChaosAgent&) = delete;
@@ -96,10 +92,8 @@ class ChaosAgent {
 
   /// True once all steps_to_full ticks have run (budget exhausted).
   bool campaign_done() const noexcept {
-    return ticks_.load(std::memory_order_acquire) >= config_.steps_to_full;
+    return ticks_.value(std::memory_order_acquire) >= config_.steps_to_full;
   }
-
-  ChaosCounters counters() const noexcept;
 
  private:
   void thread_main();
@@ -108,16 +102,19 @@ class ChaosAgent {
   Scrubber* scrubber_;  ///< may be null (direct-publish mode)
   const ChaosConfig config_;
   const TargetProvider target_;
+  util::MetricsRegistry& metrics_;
 
   std::mutex tick_mutex_;
   util::Xoshiro256 rng_;
   double carry_bits_ = 0.0;
   std::size_t total_bits_ = 0;  ///< lazily measured from the snapshot
 
-  std::atomic<std::uint64_t> ticks_{0};
-  std::atomic<std::uint64_t> flips_scheduled_{0};
-  std::atomic<std::uint64_t> direct_publishes_{0};
-  std::atomic<std::uint64_t> publish_conflicts_{0};
+  util::Counter& ticks_ = metrics_.counter("chaos.ticks");
+  util::Counter& flips_scheduled_ = metrics_.counter("chaos.flips");
+  /// Scrubber-less publications, and their try_publish losses (retried).
+  util::Counter& direct_publishes_ = metrics_.counter("chaos.direct_publishes");
+  util::Counter& publish_conflicts_ =
+      metrics_.counter("chaos.publish_conflicts");
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -46,24 +46,29 @@ class RequestQueue {
   RequestQueue& operator=(const RequestQueue&) = delete;
 
   /// Blocks while the queue is full. Returns false (item not consumed)
-  /// if the queue is closed.
-  bool push(T&& item) {
+  /// if the queue is closed. `on_push` runs under the lock once the item
+  /// is queued, so it happens before any consumer can take the item.
+  template <typename OnPush = void (*)()>
+  bool push(T&& item, OnPush on_push = [] {}) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_full_.wait(lock,
                    [&] { return closed_ || items_.size() < capacity_; });
     if (closed_) return false;
     items_.push_back(std::move(item));
+    on_push();
     lock.unlock();
     not_empty_.notify_one();
     return true;
   }
 
   /// Non-blocking push; on failure (full or closed) `item` is untouched.
-  bool try_push(T& item) {
+  template <typename OnPush = void (*)()>
+  bool try_push(T& item, OnPush on_push = [] {}) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
+      on_push();
     }
     not_empty_.notify_one();
     return true;

@@ -178,28 +178,6 @@ struct ScrubberConfig {
   TrustGateConfig gate{};
 };
 
-/// Counters exported into ServerStats.
-struct ScrubberCounters {
-  std::uint64_t offered = 0;    ///< queries accepted into the ring
-  std::uint64_t trust_drops = 0;///< offers rejected — ring full, hint lost
-  std::uint64_t processed = 0;  ///< queries replayed through the engine
-  std::uint64_t repairs = 0;
-  std::uint64_t substituted_bits = 0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t snapshots_published = 0;
-  /// Times the scrub thread adopted an externally published snapshot
-  /// (Server::reload) as its new working copy, resetting the engine.
-  std::uint64_t resyncs = 0;
-  /// Repair-priority changes applied to the engine (sentinel escalations).
-  std::uint64_t priority_marks = 0;
-  /// Trust-gate telemetry (zero when no gate is installed).
-  std::uint64_t poisoned_offers = 0;  ///< offers flagged suspect by the gate
-  std::uint64_t gate_rejects = 0;     ///< offers rejected by the gate
-  /// Bits substituted by queries the gate had flagged suspect — in shadow
-  /// mode, the measured wrong-bit poisoning of the recovery engine.
-  std::uint64_t suspect_substitutions = 0;
-};
-
 /// One contiguous span of plane words rewritten since the last snapshot
 /// publication, in whole words. What the persistence layer journals as a
 /// WAL plane delta.
@@ -227,7 +205,10 @@ class Scrubber {
       std::span<const RepairedRange> ranges,
       const model::RecoveryEngineState& state)>;
 
-  Scrubber(ModelSnapshot& snapshot, const ScrubberConfig& config);
+  /// Records into `metrics` (scrub.* counters, and serve.faults_injected
+  /// for the flips it injects), which must outlive the scrubber.
+  Scrubber(ModelSnapshot& snapshot, const ScrubberConfig& config,
+           util::MetricsRegistry& metrics);
   ~Scrubber();
 
   Scrubber(const Scrubber&) = delete;
@@ -256,8 +237,8 @@ class Scrubber {
   const TrustGate* trust_gate() const noexcept { return gate_.get(); }
 
   /// Hands a copy of a trusted query to the recovery loop. Returns false
-  /// when the ring is full — the hint is dropped, recorded in
-  /// trust_drops, and callers must never retry (recovery pressure is
+  /// when the ring is full — the hint is dropped, counted in
+  /// scrub.trust_drops, and callers must never retry (recovery pressure is
   /// advisory). Never wakes the scrub thread: it picks the query up
   /// within ScrubberConfig::idle_wait.
   bool offer(const hv::BinVec& query);
@@ -270,10 +251,9 @@ class Scrubber {
   };
 
   /// The gated offer path: consults the installed TrustGate with the
-  /// worker's confidence verdict before pushing. Gate rejections are NOT
-  /// ring-full drops — callers should only count kRingFull into their
-  /// drop telemetry. Without an installed gate this is offer() with a
-  /// three-way result.
+  /// worker's confidence verdict before pushing. Gate rejections are not
+  /// ring-full drops: the gate counts them, the ring only kRingFull.
+  /// Without an installed gate this is offer() with a three-way result.
   OfferOutcome offer_trusted(const hv::BinVec& query, int predicted,
                              double margin);
 
@@ -305,8 +285,6 @@ class Scrubber {
   /// processed. The scrubber must be started.
   void drain();
 
-  ScrubberCounters counters() const noexcept;
-
   /// The recovery engine's working model. Only meaningful while the
   /// scrubber thread is stopped (tests / post-shutdown inspection).
   const model::HdcModel& working_model() const noexcept { return working_; }
@@ -336,6 +314,8 @@ class Scrubber {
   void enqueue_command(Command cmd);
 
   void thread_main();
+  /// Runs one trusted query through the engine and counts what it did.
+  void replay(const TrustedQuery& entry);
   void run_commands();
   void publish_if_dirty();
   /// Buffers the word range one engine repair rewrote (scrub thread).
@@ -351,6 +331,7 @@ class Scrubber {
 
   ModelSnapshot& snapshot_;
   ScrubberConfig config_;
+  util::MetricsRegistry& metrics_;
   model::HdcModel working_;      ///< the live (authoritative) model
   /// Engine bound to working_; optional so a resync can rebuild it
   /// against the reloaded weights. Never empty after construction.
@@ -373,20 +354,22 @@ class Scrubber {
   // offered_/scheduled_ are bumped by producers *after* a successful
   // hand-off; done_ by the consumer after processing. drain() waits for
   // done_ to catch the snapshot it took of the hand-off counters.
-  std::atomic<std::uint64_t> offered_{0};
+  util::Counter& offered_ = metrics_.counter("scrub.offered");
   std::atomic<std::uint64_t> scheduled_commands_{0};
-  std::atomic<std::uint64_t> done_{0};
+  util::Counter& done_ = metrics_.counter("scrub.processed");
   std::atomic<std::uint64_t> done_commands_{0};
 
-  std::atomic<std::uint64_t> repairs_{0};
-  std::atomic<std::uint64_t> substituted_bits_{0};
-  std::atomic<std::uint64_t> faults_injected_{0};
-  std::atomic<std::uint64_t> published_{0};
-  std::atomic<std::uint64_t> drops_{0};    ///< offer() ring-full rejections
-  std::atomic<std::uint64_t> resyncs_{0};  ///< reloads adopted by the thread
-  std::atomic<std::uint64_t> priority_marks_{0};
+  util::Counter& repairs_ = metrics_.counter("scrub.repairs");
+  util::Counter& substituted_bits_ = metrics_.counter("scrub.substituted_bits");
+  util::Counter& faults_injected_ = metrics_.counter("serve.faults_injected");
+  util::Counter& published_ = metrics_.counter("scrub.snapshots_published");
+  util::Counter& drops_ = metrics_.counter("scrub.trust_drops");  ///< ring full
+  /// Reloads the scrub thread adopted.
+  util::Counter& resyncs_ = metrics_.counter("scrub.resyncs");
+  util::Counter& priority_marks_ = metrics_.counter("scrub.priority_marks");
   /// Bits substituted by gate-flagged suspect queries (scrub thread).
-  std::atomic<std::uint64_t> suspect_substitutions_{0};
+  util::Counter& suspect_substitutions_ =
+      metrics_.counter("scrub.suspect_substitutions");
   std::uint64_t dirty_bits_ = 0;  ///< scrubber-thread-local
 
   /// Installed before start(); read lock-free from worker threads.

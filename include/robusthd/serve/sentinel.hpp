@@ -47,6 +47,7 @@
 #include "robusthd/hv/binvec.hpp"
 #include "robusthd/model/hdc_model.hpp"
 #include "robusthd/serve/model_snapshot.hpp"
+#include "robusthd/util/metrics.hpp"
 
 namespace robusthd::serve {
 
@@ -121,16 +122,6 @@ struct HealthReport {
   bool breaker_open = false;
 };
 
-/// Counters exported into ServerStats.
-struct SentinelCounters {
-  std::uint64_t rounds = 0;  ///< canary replays completed
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t reload_retries = 0;  ///< last-good reload attempts
-  std::uint64_t quarantine_events = 0;
-  std::uint64_t release_events = 0;
-  std::uint64_t rebases = 0;  ///< reference re-captures adopted
-};
-
 /// Escalation hooks: how verdicts reach the rest of the server. Every hook
 /// is optional; missing hooks turn the corresponding rung into a no-op
 /// (detection still runs and shows up in report()). Hooks are invoked on
@@ -155,9 +146,11 @@ struct SentinelHooks {
 /// publication, stop() (or destruction) to halt.
 class Sentinel {
  public:
+  /// Records into `metrics` (sentinel.* counters and gauges), which must
+  /// outlive the sentinel.
   Sentinel(ModelSnapshot& snapshot, std::vector<hv::BinVec> canaries,
            std::vector<int> canary_labels, const SentinelConfig& config,
-           SentinelHooks hooks);
+           SentinelHooks hooks, util::MetricsRegistry& metrics);
   ~Sentinel();
 
   Sentinel(const Sentinel&) = delete;
@@ -178,7 +171,6 @@ class Sentinel {
   void rebase() noexcept { rebase_requested_.store(true, std::memory_order_release); }
 
   HealthReport report() const;
-  SentinelCounters counters() const noexcept;
 
   /// The class whose canaries currently score with the highest mean
   /// winning similarity — the ChaosAgent's target for the
@@ -188,13 +180,8 @@ class Sentinel {
   }
 
   bool breaker_open() const noexcept {
-    return breaker_open_flag_.load(std::memory_order_acquire);
+    return breaker_open_gauge_.value() != 0.0;
   }
-  std::size_t quarantined_count() const noexcept {
-    return quarantined_count_.load(std::memory_order_acquire);
-  }
-  /// Latest effective (client-view) canary accuracy.
-  double latest_accuracy() const noexcept;
 
  private:
   void thread_main();
@@ -214,6 +201,7 @@ class Sentinel {
   const SentinelHooks hooks_;
   const std::vector<hv::BinVec> canaries_;
   const std::vector<int> labels_;
+  util::MetricsRegistry& metrics_;
 
   mutable std::mutex state_mutex_;
   model::HdcModel reference_;  ///< last blessed model (also breaker fallback)
@@ -232,15 +220,21 @@ class Sentinel {
 
   std::atomic<bool> rebase_requested_{false};
   std::atomic<std::size_t> most_confident_{static_cast<std::size_t>(-1)};
-  std::atomic<bool> breaker_open_flag_{false};
-  std::atomic<std::size_t> quarantined_count_{0};
 
-  std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> breaker_trips_{0};
-  std::atomic<std::uint64_t> reload_retries_{0};
-  std::atomic<std::uint64_t> quarantine_events_{0};
-  std::atomic<std::uint64_t> release_events_{0};
-  std::atomic<std::uint64_t> rebases_{0};
+  util::Counter& rounds_ = metrics_.counter("sentinel.rounds");
+  util::Counter& breaker_trips_ = metrics_.counter("sentinel.breaker_trips");
+  /// Last-good reload attempts.
+  util::Counter& reload_retries_ = metrics_.counter("sentinel.reload_retries");
+  util::Counter& quarantine_events_ =
+      metrics_.counter("sentinel.quarantine_events");
+  util::Counter& release_events_ = metrics_.counter("sentinel.release_events");
+  /// Reference re-captures adopted.
+  util::Counter& rebases_ = metrics_.counter("sentinel.rebases");
+  /// Effective (client-view) canary accuracy of the latest round.
+  util::Gauge& canary_accuracy_ = metrics_.gauge("sentinel.canary_accuracy");
+  util::Gauge& quarantined_chunks_ =
+      metrics_.gauge("sentinel.quarantined_chunks");
+  util::Gauge& breaker_open_gauge_ = metrics_.gauge("sentinel.breaker_open");
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -203,7 +203,7 @@ class Server {
   /// atomics only.
   bool inline_pays(std::size_t n);
   /// Hand-offs inline_pays() decides from (ServerStats::handoff counts
-  /// them all).
+  /// them all, since construction).
   static constexpr std::uint64_t kMinHandoffs = 8;
   /// One inline-eligible batch in this many goes to a worker.
   static constexpr std::uint64_t kHandoffRefresh = 1024;
@@ -265,7 +265,13 @@ class Server {
   /// drain + stop the scrubber. Idempotent; the destructor calls it.
   void shutdown();
 
-  ServerStats stats() const;
+  /// Every metric of the server and its subsystems (scrubber, trust gate,
+  /// sentinel, chaos agent, epoch log), with the gauges read now: queue
+  /// depth, model version, arena footprint, replay records. Subtract two
+  /// for a phase: ServerStats(server.metrics() - before).
+  util::MetricsSnapshot metrics() const;
+  /// The named view of metrics().
+  ServerStats stats() const { return ServerStats(metrics()); }
 
   /// Instantaneous circuit-breaker gauge, cheap enough to consult per
   /// request (one relaxed load) — the fleet router's health probe.
@@ -279,14 +285,6 @@ class Server {
   /// can consult it per request for queue-aware admission; returns 0 with
   /// an empty queue or before any batch has been measured.
   std::uint64_t estimated_wait_ns() const;
-
-  /// Re-zeroes the cumulative counters and latency histograms so a bench
-  /// can measure phases (baseline vs chaos) independently. Call while the
-  /// server is quiesced (drain() first): resetting races in-flight
-  /// recording and could transiently confuse drain()'s submitted/completed
-  /// comparison otherwise. Gauges (queue depth, model version, quarantine,
-  /// breaker state) are preserved.
-  void reset_stats();
 
   /// The model snapshot workers are currently scoring against.
   std::shared_ptr<const model::HdcModel> current_model() const {
@@ -341,6 +339,9 @@ class Server {
   bool publish_last_good();
 
   ServerConfig config_;
+  /// Declared before everything that records into it, so it outlives the
+  /// subsystems' threads.
+  util::MetricsRegistry metrics_;
   ModelSnapshot snapshot_;
   RequestQueue<Request> queue_;
   /// WAL durability layer; null when persist.dir is empty. Declared
@@ -379,40 +380,34 @@ class Server {
   std::atomic<std::uint64_t> quarantine_version_{0};
   std::atomic<bool> breaker_open_{false};
 
-  // Counters (relaxed; monotone).
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> trusted_{0};
-  std::atomic<std::uint64_t> scrub_dropped_{0};
-  std::atomic<std::uint64_t> direct_faults_{0};  ///< no-scrubber injections
-  std::atomic<std::uint64_t> reloads_{0};        ///< successful hot reloads
-  std::atomic<std::uint64_t> integrity_failures_{0};  ///< rejected blobs
-  std::atomic<std::uint64_t> degraded_{0};   ///< masked-scoring responses
-  std::atomic<std::uint64_t> abstained_{0};  ///< breaker-shed responses
-  std::atomic<std::uint64_t> deadline_sheds_{0};  ///< expired before scoring
-  LatencyHistogram queue_wait_;
-  LatencyHistogram service_;
-  LatencyHistogram end_to_end_;
+  // Metrics (relaxed; drain() pairs completed_ with submitted_).
+  util::Counter& submitted_ = metrics_.counter("serve.submitted");
+  util::Counter& rejected_ = metrics_.counter("serve.rejected");
+  util::Counter& completed_ = metrics_.counter("serve.completed");
+  util::Counter& trusted_ = metrics_.counter("serve.trusted");
+  /// Flips injected, by inject_faults() without a scrubber or by the
+  /// scrubber (which registers the same counter).
+  util::Counter& faults_injected_ = metrics_.counter("serve.faults_injected");
+  util::Counter& reloads_ = metrics_.counter("serve.reloads");
+  util::Counter& integrity_failures_ =
+      metrics_.counter("serve.integrity_failures");
+  util::Counter& degraded_ = metrics_.counter("serve.degraded_responses");
+  util::Counter& abstained_ = metrics_.counter("serve.abstained_responses");
+  util::Counter& deadline_sheds_ = metrics_.counter("serve.deadline_sheds");
+  LatencyHistogram& queue_wait_ = metrics_.latency("serve.queue_wait_ns");
+  LatencyHistogram& service_ = metrics_.latency("serve.service_ns");
+  LatencyHistogram& end_to_end_ = metrics_.latency("serve.end_to_end_ns");
   /// Queue wait of the requests that arrived while a worker was idle: the
   /// cost of one hand-off, which answering inline saves (inline_pays).
-  LatencyHistogram handoff_;
+  LatencyHistogram& handoff_ = metrics_.latency("serve.handoff_ns");
+  BatchSizeDistribution& batch_sizes_ =
+      metrics_.batch_sizes("serve.batch_size");
   /// The last kMinHandoffs of those waits, in ns: hand-off n (counted
-  /// from 0 since the last reset_stats) is slot n % kMinHandoffs.
+  /// from 0 at construction) is slot n % kMinHandoffs.
   std::array<std::atomic<std::uint64_t>, kMinHandoffs> recent_handoffs_{};
   std::atomic<std::uint64_t> handoffs_seen_{0};
   /// inline_pays() calls whose costs favoured answering inline.
   std::atomic<std::uint64_t> inline_eligible_{0};
-  BatchSizeDistribution batch_sizes_;
-
-  /// reset_stats() baselines for counters owned by the subsystems (the
-  /// scrubber's offered/done atomics back drain() and must never be
-  /// zeroed; chaos/sentinel counters are baselined for symmetry). stats()
-  /// reports deltas against these. Guarded by baseline_mutex_.
-  mutable std::mutex baseline_mutex_;
-  ScrubberCounters scrub_baseline_{};
-  ChaosCounters chaos_baseline_{};
-  SentinelCounters sentinel_baseline_{};
 };
 
 }  // namespace robusthd::serve

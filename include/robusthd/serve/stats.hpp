@@ -1,163 +1,30 @@
 #pragma once
 // Observability surface of the serving runtime.
 //
-// Everything here is updated from hot paths, so the recording side is
-// lock-free: log2-bucketed histograms over relaxed atomic counters. The
-// reading side (stats()) takes a consistent-enough snapshot for
-// monitoring — counters are monotone, so a snapshot is always a valid
-// recent state even while workers keep recording.
+// A server and its subsystems record into one util::MetricsRegistry
+// (lock-free: relaxed atomic counters and log2-bucketed histograms).
+// ServerStats names the serving metrics of one snapshot of it. Counters
+// are monotone, so a snapshot is always a valid recent state even while
+// workers keep recording, and a phase is the difference of two:
+// ServerStats(after - before).
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
+#include "robusthd/util/metrics.hpp"
+
 namespace robusthd::serve {
 
-/// Lock-free latency histogram: value v lands in bucket floor(log2(v)),
-/// covering 1ns .. ~2^47 ns (~1.6 days) — far wider than any sane service
-/// time. Percentiles are bucket-resolution (a factor-of-2 band), which is
-/// the standard monitoring trade-off.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kBuckets = 48;
+using util::BatchSizeDistribution;
+using util::LatencyHistogram;
 
-  void record(std::uint64_t nanos) noexcept {
-    const auto bucket = static_cast<std::size_t>(
-        std::bit_width(nanos | 1) - 1);  // log2, 0 for 0/1ns
-    buckets_[bucket < kBuckets ? bucket : kBuckets - 1].fetch_add(
-        1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_ns_.fetch_add(nanos, std::memory_order_relaxed);
-  }
-
-  struct Summary {
-    std::uint64_t count = 0;
-    double mean_ns = 0.0;
-    double p50_ns = 0.0;
-    double p99_ns = 0.0;
-  };
-
-  /// Running mean in nanoseconds — two relaxed loads, cheap enough for a
-  /// per-request admission estimate (Server::estimated_wait_ns).
-  double mean_ns() const noexcept {
-    const auto c = count_.load(std::memory_order_relaxed);
-    return c == 0 ? 0.0
-                  : static_cast<double>(
-                        sum_ns_.load(std::memory_order_relaxed)) /
-                        static_cast<double>(c);
-  }
-
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-
-  /// The p-quantile (0 < p < 1) at bucket resolution: the midpoint of
-  /// the bucket holding the value of rank floor(p * (count - 1)) + 1, or 0
-  /// when empty. Unlike the mean, a few outliers do not move it.
-  double percentile_ns(double p) const noexcept {
-    std::array<std::uint64_t, kBuckets> counts{};
-    std::uint64_t total = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      counts[b] = buckets_[b].load(std::memory_order_relaxed);
-      total += counts[b];
-    }
-    return total == 0 ? 0.0 : percentile_from(counts, total, p);
-  }
-
-  Summary summarize() const noexcept {
-    Summary s;
-    std::array<std::uint64_t, kBuckets> counts{};
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      counts[b] = buckets_[b].load(std::memory_order_relaxed);
-      s.count += counts[b];
-    }
-    if (s.count == 0) return s;
-    s.mean_ns = static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) /
-                static_cast<double>(s.count);
-    s.p50_ns = percentile_from(counts, s.count, 0.50);
-    s.p99_ns = percentile_from(counts, s.count, 0.99);
-    return s;
-  }
-
-  /// Zeroes the histogram so measurement phases (e.g. soak baseline vs
-  /// under-chaos) can be read independently. Not atomic with respect to
-  /// concurrent record() calls — callers quiesce or accept a few straddling
-  /// samples, the standard monitoring trade-off.
-  void reset() noexcept {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_ns_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  static double percentile_from(
-      const std::array<std::uint64_t, kBuckets>& counts, std::uint64_t total,
-      double p) noexcept {
-    const auto rank = static_cast<std::uint64_t>(
-        p * static_cast<double>(total - 1)) + 1;
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      seen += counts[b];
-      if (seen >= rank) {
-        // Geometric midpoint of the bucket's [2^b, 2^(b+1)) band.
-        return static_cast<double>(1ull << b) * 1.5;
-      }
-    }
-    return static_cast<double>(1ull << (kBuckets - 1));
-  }
-
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_ns_{0};
-};
-
-/// Exact small-value distribution for batch sizes (1..kMax, clamped).
-class BatchSizeDistribution {
- public:
-  static constexpr std::size_t kMax = 64;
-
-  void record(std::size_t batch) noexcept {
-    const std::size_t slot = batch == 0 ? 0 : (batch <= kMax ? batch - 1
-                                                             : kMax - 1);
-    buckets_[slot].fetch_add(1, std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    items_.fetch_add(batch, std::memory_order_relaxed);
-  }
-
-  std::uint64_t batches() const noexcept {
-    return batches_.load(std::memory_order_relaxed);
-  }
-
-  double mean() const noexcept {
-    const auto b = batches_.load(std::memory_order_relaxed);
-    return b == 0 ? 0.0
-                  : static_cast<double>(items_.load(std::memory_order_relaxed)) /
-                        static_cast<double>(b);
-  }
-
-  std::uint64_t at(std::size_t batch_size) const noexcept {
-    return batch_size == 0 || batch_size > kMax
-               ? 0
-               : buckets_[batch_size - 1].load(std::memory_order_relaxed);
-  }
-
-  /// Zeroes the distribution (same caveats as LatencyHistogram::reset).
-  void reset() noexcept {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    batches_.store(0, std::memory_order_relaxed);
-    items_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kMax> buckets_{};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> items_{0};
-};
-
-/// Point-in-time snapshot returned by Server::stats().
+/// Point-in-time view of a server's metrics, returned by Server::stats().
 struct ServerStats {
+  ServerStats() = default;
+  /// The serving metrics of `m`: a Server::metrics() snapshot, or a phase
+  /// (the difference of two), whose gauges hold the later reading.
+  explicit ServerStats(const util::MetricsSnapshot& m);
+
   // Admission.
   std::uint64_t submitted = 0;   ///< requests accepted into the queue
   std::uint64_t rejected = 0;    ///< try_submit failures (queue full/closed)
@@ -188,10 +55,7 @@ struct ServerStats {
   // Recovery / trust flow.
   std::uint64_t trusted = 0;        ///< confidence cleared the gate
   std::uint64_t scrub_offered = 0;  ///< trusted queries handed to the ring
-  std::uint64_t scrub_dropped = 0;  ///< worker offers lost to a full ring
-  /// Ring-full drops counted at the ring itself (all producers, not just
-  /// the serving workers) — the authoritative silent-drop count.
-  std::uint64_t trust_drops = 0;
+  std::uint64_t trust_drops = 0;    ///< offers lost to a full ring
   std::uint64_t scrub_processed = 0;
   std::uint64_t scrub_repairs = 0;          ///< engine updates committed
   std::uint64_t scrub_substituted_bits = 0; ///< bits actually rewritten
@@ -243,31 +107,8 @@ struct ServerStats {
   std::uint64_t wal_rotations = 0;   ///< generation starts (reload/compact)
   std::uint64_t wal_compactions = 0; ///< WALs folded into a fresh base
   std::uint64_t persist_io_errors = 0; ///< nonzero => the log shut itself off
-  /// Records committed by Server::recover at startup — a replay gauge, not
-  /// a serving counter (preserved across reset()).
+  /// Records committed by Server::recover at startup (a gauge).
   std::uint64_t replay_records = 0;
-
-  /// Zeroes every cumulative field of this snapshot, keeping the
-  /// instantaneous gauges (queue_depth, model_version, quarantined_chunks,
-  /// breaker_open). Soak phases subtract a baseline snapshot this way;
-  /// Server::reset_stats() resets the live counters themselves.
-  void reset() noexcept {
-    const std::size_t depth = queue_depth;
-    const std::uint64_t version = model_version;
-    const std::size_t quarantined = quarantined_chunks;
-    const bool open = breaker_open;
-    const std::size_t arena = arena_bytes;
-    const bool huge = arena_hugepage;
-    const std::uint64_t replayed = replay_records;
-    *this = ServerStats{};
-    queue_depth = depth;
-    model_version = version;
-    quarantined_chunks = quarantined;
-    breaker_open = open;
-    arena_bytes = arena;
-    arena_hugepage = huge;
-    replay_records = replayed;
-  }
 };
 
 }  // namespace robusthd::serve

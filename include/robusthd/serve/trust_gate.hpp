@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "robusthd/hv/binvec.hpp"
+#include "robusthd/util/metrics.hpp"
 
 namespace robusthd::serve {
 
@@ -95,15 +96,6 @@ struct TrustGateConfig {
   std::size_t max_alien_chunks = 1;
 };
 
-/// Monotone gate counters (merged into ScrubberCounters / ServerStats).
-struct TrustGateCounters {
-  std::uint64_t checked = 0;        ///< offers inspected
-  std::uint64_t margin_rejects = 0; ///< failed the margin floor
-  std::uint64_t rate_rejects = 0;   ///< failed fair-share admission
-  std::uint64_t poisoned_offers = 0;///< flagged suspect by canary agreement
-  std::uint64_t gate_rejects = 0;   ///< offers actually rejected (enforce)
-};
-
 /// Thread-safe admission gate; one instance per Scrubber, shared by every
 /// worker thread. All state is atomic — check() takes no locks.
 class TrustGate {
@@ -112,10 +104,12 @@ class TrustGate {
   /// canaries of each label). Classes with no canaries get an empty
   /// centroid and skip the agreement check. `config.chunks` must be
   /// normalised (> 0) by the caller when alien_sigma > 0 and canaries
-  /// exist; Server does this from RecoveryConfig::chunks.
+  /// exist; Server does this from RecoveryConfig::chunks. Records into
+  /// `metrics` (gate.* counters), which must outlive the gate.
   TrustGate(const TrustGateConfig& config, std::size_t num_classes,
             std::size_t dimension, std::span<const hv::BinVec> canaries,
-            std::span<const int> canary_labels);
+            std::span<const int> canary_labels,
+            util::MetricsRegistry& metrics);
 
   struct Verdict {
     bool accept = true;   ///< may enter the trust ring
@@ -126,8 +120,6 @@ class TrustGate {
   /// worker's confidence assessment of the query.
   Verdict check(const hv::BinVec& query, int predicted,
                 double margin) noexcept;
-
-  TrustGateCounters counters() const noexcept;
 
   const TrustGateConfig& config() const noexcept { return config_; }
   /// The class centroid the agreement check compares against (empty when
@@ -152,11 +144,14 @@ class TrustGate {
   std::atomic<std::uint64_t> window_total_{0};
   std::vector<std::atomic<std::uint32_t>> class_counts_;
 
-  mutable std::atomic<std::uint64_t> checked_{0};
-  mutable std::atomic<std::uint64_t> margin_rejects_{0};
-  mutable std::atomic<std::uint64_t> rate_rejects_{0};
-  mutable std::atomic<std::uint64_t> poisoned_offers_{0};
-  mutable std::atomic<std::uint64_t> gate_rejects_{0};
+  util::MetricsRegistry& metrics_;
+  util::Counter& checked_ = metrics_.counter("gate.checked");  ///< offers seen
+  util::Counter& margin_rejects_ = metrics_.counter("gate.margin_rejects");
+  util::Counter& rate_rejects_ = metrics_.counter("gate.rate_rejects");
+  /// Flagged suspect by canary agreement (counted in shadow mode too).
+  util::Counter& poisoned_offers_ = metrics_.counter("gate.poisoned_offers");
+  /// Offers actually rejected (enforce mode).
+  util::Counter& gate_rejects_ = metrics_.counter("gate.rejects");
 };
 
 }  // namespace robusthd::serve

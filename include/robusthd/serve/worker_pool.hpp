@@ -1,7 +1,7 @@
 #pragma once
 // Persistent serving workers.
 //
-// Unlike util::ThreadPool (fork/join over an index range), serving
+// Unlike util::parallel_for (fork/join over an index range), serving
 // workers are long-running: each one loops "take a batch, score it,
 // complete the requests" until the request queue closes and drains. This
 // class owns only the thread lifecycle — start N workers on the same

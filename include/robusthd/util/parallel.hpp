@@ -7,17 +7,12 @@
 // serial loop — determinism is a core property of this repo's experiments
 // and must survive the speedup.
 //
-// Two entry points:
-//  * the templated overload invokes the callable directly (no
-//    std::function type-erasure) — use it on hot paths where fn is a
-//    small lambda called millions of times;
-//  * the std::function overload is kept for existing callers and for
-//    call sites that genuinely hold a type-erased callable.
+// The callable is invoked directly (no std::function type-erasure), so
+// the per-index cost is one inlinable call.
 
 #include <algorithm>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -75,13 +70,6 @@ void parallel_run(std::size_t n, Fn& fn, std::size_t max_threads) {
 /// Invokes fn(i) for every i in [0, n), in parallel when n is large
 /// enough to amortise thread startup. `max_threads` == 0 means use all
 /// hardware threads. Exceptions thrown by fn are rethrown (first one wins).
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t max_threads = 0);
-
-/// Type-preserving overload: the callable is invoked directly, so the
-/// per-index cost is one (inlinable) call instead of a std::function
-/// dispatch. Preferred on hot paths (batched scoring, encoding). Lambdas
-/// bind here; std::function lvalues keep binding to the overload above.
 template <typename Fn>
 void parallel_for(std::size_t n, Fn fn, std::size_t max_threads = 0) {
   detail::parallel_run(n, fn, max_threads);

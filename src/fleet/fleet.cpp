@@ -48,9 +48,9 @@ void Fleet::refresh_health() noexcept {
 Router::Decision Fleet::route(std::uint64_t tenant_id) noexcept {
   refresh_health();
   const auto d = router_->route_healthy(tenant_id);
-  if (d.failover) failovers_.fetch_add(1, std::memory_order_relaxed);
+  if (d.failover) failovers_.add();
   if (d.all_unhealthy) {
-    shed_unrouteable_.fetch_add(1, std::memory_order_relaxed);
+    shed_unrouteable_.add();
   }
   return d;
 }
@@ -66,7 +66,7 @@ bool Fleet::shed_expired(std::chrono::steady_clock::time_point deadline) {
       std::chrono::steady_clock::now() < deadline) {
     return false;
   }
-  deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+  deadline_sheds_.add();
   return true;
 }
 
@@ -83,7 +83,7 @@ SubmitReject Fleet::try_submit_to(
     // costs a queue slot, a dequeue, and a shed anyway.
     const auto wait = std::chrono::nanoseconds(server.estimated_wait_ns());
     if (std::chrono::steady_clock::now() + wait >= deadline) {
-      deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+      deadline_sheds_.add();
       return SubmitReject::kPredictedLate;
     }
   }
@@ -94,22 +94,16 @@ SubmitReject Fleet::try_submit_to(
 
 FleetStats Fleet::stats() const {
   FleetStats out;
-  out.failovers = failovers_.load(std::memory_order_relaxed);
-  out.shed_unrouteable = shed_unrouteable_.load(std::memory_order_relaxed);
-  out.deadline_sheds = deadline_sheds_.load(std::memory_order_relaxed);
-  out.shards.reserve(shards_.size());
+  util::MetricsSnapshot total;
   for (const auto& shard : shards_) {
-    out.shards.push_back(shard->stats());
-    const auto& s = out.shards.back();
-    out.completed += s.completed;
-    out.rejected += s.rejected;
-    out.scrub_repairs += s.scrub_repairs;
-    out.scrub_substituted_bits += s.scrub_substituted_bits;
-    out.degraded_responses += s.degraded_responses;
-    out.abstained_responses += s.abstained_responses;
-    out.deadline_sheds += s.deadline_sheds;
-    out.breaker_trips += s.breaker_trips;
+    const auto m = shard->server().metrics();
+    out.shards.emplace_back(m);
+    total += m;
   }
+  out.total = serve::ServerStats(total);
+  out.failovers = failovers_.value();
+  out.shed_unrouteable = shed_unrouteable_.value();
+  out.deadline_sheds = deadline_sheds_.value() + out.total.deadline_sheds;
   return out;
 }
 

@@ -185,22 +185,20 @@ void Frontend::stop() {
 }
 
 FrontendCounters Frontend::counters() const {
+  const auto m = metrics_.snapshot();
   FrontendCounters c;
-  c.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  c.connections_closed = connections_closed_.load(std::memory_order_relaxed);
-  c.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  c.frames_in = frames_in_.load(std::memory_order_relaxed);
-  c.frames_out = frames_out_.load(std::memory_order_relaxed);
-  c.busy_rejections = busy_rejections_.load(std::memory_order_relaxed);
-  c.dimension_rejections =
-      dimension_rejections_.load(std::memory_order_relaxed);
-  c.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  c.deadline_sheds = deadline_sheds_.load(std::memory_order_relaxed);
-  c.reaped_connections =
-      reaped_connections_.load(std::memory_order_relaxed);
-  c.stale_completions = stale_completions_.load(std::memory_order_relaxed);
-  c.answered_inline = answered_inline_.load(std::memory_order_relaxed);
+  c.connections_accepted = m.counter("frontend.connections_accepted");
+  c.connections_closed = m.counter("frontend.connections_closed");
+  c.protocol_errors = m.counter("frontend.protocol_errors");
+  c.frames_in = m.counter("frontend.frames_in");
+  c.frames_out = m.counter("frontend.frames_out");
+  c.busy_rejections = m.counter("frontend.busy_rejections");
+  c.dimension_rejections = m.counter("frontend.dimension_rejections");
+  c.bad_requests = m.counter("frontend.bad_requests");
+  c.deadline_sheds = m.counter("frontend.deadline_sheds");
+  c.reaped_connections = m.counter("frontend.reaped_connections");
+  c.stale_completions = m.counter("frontend.stale_completions");
+  c.answered_inline = m.counter("frontend.answered_inline");
   return c;
 }
 
@@ -221,7 +219,7 @@ void Frontend::loop_main(Loop& loop) {
                               std::uint64_t request_id, wire::ErrorCode code,
                               std::string_view message) {
     wire::append_error(conn.out, tenant_id, request_id, code, message);
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
+    frames_out_.add();
   };
 
   const auto send_answer = [&](Connection& conn, std::uint64_t tenant_id,
@@ -235,7 +233,7 @@ void Frontend::loop_main(Loop& loop) {
     result.degraded = response.degraded;
     result.abstained = response.abstained;
     wire::append_predict_response(conn.out, tenant_id, request_id, result);
-    frames_out_.fetch_add(1, std::memory_order_relaxed);
+    frames_out_.add();
   };
 
   // Parses and validates; a valid predict request joins `pending` for
@@ -246,19 +244,19 @@ void Frontend::loop_main(Loop& loop) {
       case wire::FrameType::kPing:
         wire::append_frame(conn.out, wire::FrameType::kPong, 0,
                            frame.tenant_id, frame.request_id, {});
-        frames_out_.fetch_add(1, std::memory_order_relaxed);
+        frames_out_.add();
         return true;
       case wire::FrameType::kPredictRequest: {
         hv::BinVec query;
         if (!wire::parse_predict_request(frame.payload, query)) {
-          bad_requests_.fetch_add(1, std::memory_order_relaxed);
+          bad_requests_.add();
           send_error(conn, frame.tenant_id, frame.request_id,
                      wire::ErrorCode::kBadRequest,
                      "malformed predict payload");
           return true;
         }
         if (query.dimension() != fleet_.dimension()) {
-          dimension_rejections_.fetch_add(1, std::memory_order_relaxed);
+          dimension_rejections_.add();
           send_error(conn, frame.tenant_id, frame.request_id,
                      wire::ErrorCode::kDimensionMismatch,
                      "query dimension != serving dimension");
@@ -278,7 +276,7 @@ void Frontend::loop_main(Loop& loop) {
       }
       default:
         // Clients have no business sending responses/errors/pongs.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        protocol_errors_.add();
         return false;
     }
   };
@@ -291,7 +289,7 @@ void Frontend::loop_main(Loop& loop) {
     loop.free_slots.push_back(c.tag);
     const auto it = loop.conns.find(slot.fd);
     if (it == loop.conns.end() || it->second->generation != slot.generation) {
-      stale_completions_.fetch_add(1, std::memory_order_relaxed);
+      stale_completions_.add();
       return;
     }
     Connection& conn = *it->second;
@@ -303,7 +301,7 @@ void Frontend::loop_main(Loop& loop) {
       case serve::CompletionStatus::kExpired:
         // Shed in-queue by the server: nobody scored it, so there is no
         // prediction to frame — surface the spent budget instead.
-        deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+        deadline_sheds_.add();
         send_error(conn, slot.tenant_id, slot.request_id,
                    wire::ErrorCode::kDeadlineExceeded,
                    "deadline expired in queue");
@@ -319,7 +317,7 @@ void Frontend::loop_main(Loop& loop) {
   // The budget was spent before we could even enqueue — retrying is
   // futile and the error code says so.
   const auto refuse_expired = [&](const Pending& p) {
-    deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+    deadline_sheds_.add();
     send_error(*p.conn, p.tenant_id, p.request_id,
                wire::ErrorCode::kDeadlineExceeded,
                "deadline passed before enqueue");
@@ -343,12 +341,12 @@ void Frontend::loop_main(Loop& loop) {
     } else if (reject == SubmitReject::kPredictedLate) {
       // Early kBusy: the queue cannot serve it within the budget, but
       // another shard (or a later retry) still might.
-      deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
-      busy_rejections_.fetch_add(1, std::memory_order_relaxed);
+      deadline_sheds_.add();
+      busy_rejections_.add();
       send_error(conn, p.tenant_id, p.request_id, wire::ErrorCode::kBusy,
                  "estimated queue wait exceeds deadline");
     } else {
-      busy_rejections_.fetch_add(1, std::memory_order_relaxed);
+      busy_rejections_.add();
       send_error(conn, p.tenant_id, p.request_id, wire::ErrorCode::kBusy,
                  "shard queue full");
     }
@@ -381,7 +379,7 @@ void Frontend::loop_main(Loop& loop) {
                           server.inline_pays(group.size()) &&
                           server.answer_now(loop.lane, batch);
     if (answered) {
-      answered_inline_.fetch_add(group.size(), std::memory_order_relaxed);
+      answered_inline_.add(group.size());
     }
     // The group goes first: a request queued before it would make
     // answer_now refuse.
@@ -473,7 +471,7 @@ void Frontend::loop_main(Loop& loop) {
                                                  config_.max_payload);
         conn->last_activity = std::chrono::steady_clock::now();
         loop.conns.emplace(cfd, std::move(conn));
-        connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+        connections_accepted_.add();
       }
     }
 
@@ -513,7 +511,7 @@ void Frontend::loop_main(Loop& loop) {
           }
         }
         if (conn.reader.poisoned()) {
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+          protocol_errors_.add();
           poisoned = true;
         }
         // Read-deadline bookkeeping: a partial frame starts the clock,
@@ -535,7 +533,7 @@ void Frontend::loop_main(Loop& loop) {
 
     // Answer or queue what was read.
     dispatch();
-    frames_in_.fetch_add(frames_read, std::memory_order_relaxed);
+    frames_in_.add(frames_read);
     frames_read = 0;
 
     // Reap connections stuck mid-frame past the read deadline (slowloris
@@ -555,7 +553,7 @@ void Frontend::loop_main(Loop& loop) {
             conn->unflushed() == 0 &&
             now - conn->last_activity > config_.idle_timeout;
         if (stuck_mid_frame || idle) {
-          reaped_connections_.fetch_add(1, std::memory_order_relaxed);
+          reaped_connections_.add();
           close_conn(fd);
         }
       }
@@ -573,7 +571,7 @@ void Frontend::loop_main(Loop& loop) {
       if (it == loop.conns.end()) continue;
       ::close(fd);
       loop.conns.erase(it);
-      connections_closed_.fetch_add(1, std::memory_order_relaxed);
+      connections_closed_.add();
     }
     to_close.clear();
   }

@@ -132,19 +132,6 @@ bool NetChaos::blackholed(std::size_t upstream) const {
   return blackholed_[upstream].load(std::memory_order_relaxed);
 }
 
-NetChaosCounters NetChaos::counters() const {
-  NetChaosCounters out;
-  out.connections = connections_.load(std::memory_order_relaxed);
-  out.resets_injected = resets_injected_.load(std::memory_order_relaxed);
-  out.chunks_delayed = chunks_delayed_.load(std::memory_order_relaxed);
-  out.chunks_dropped = chunks_dropped_.load(std::memory_order_relaxed);
-  out.bits_flipped = bits_flipped_.load(std::memory_order_relaxed);
-  out.throttled_writes = throttled_writes_.load(std::memory_order_relaxed);
-  out.blackholed_chunks = blackholed_chunks_.load(std::memory_order_relaxed);
-  out.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  out.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  return out;
-}
 
 void NetChaos::accept_pending(std::size_t upstream) {
   for (;;) {
@@ -184,7 +171,7 @@ void NetChaos::accept_pending(std::size_t upstream) {
     pipe->rng = util::Xoshiro256(config_.seed ^
                                  util::SplitMix64(next_conn_index_++).next());
     pipes_.push_back(std::move(pipe));
-    connections_.fetch_add(1, std::memory_order_relaxed);
+    connections_.add();
   }
 }
 
@@ -205,7 +192,7 @@ void NetChaos::inject_reset(Pipe& pipe) {
     ::close(pipe.upstream_fd);
     pipe.upstream_fd = -1;
   }
-  resets_injected_.fetch_add(1, std::memory_order_relaxed);
+  resets_injected_.add();
   pipe.dead = true;
 }
 
@@ -217,12 +204,11 @@ bool NetChaos::pump_read(Pipe& pipe, bool from_client) {
     const auto n = ::recv(fd, buf, sizeof buf, 0);
     if (n > 0) {
       const auto size = static_cast<std::size_t>(n);
-      (from_client ? bytes_in_ : bytes_out_)
-          .fetch_add(size, std::memory_order_relaxed);
+      (from_client ? bytes_in_ : bytes_out_).add(size);
       // Fault pipeline, in severity order. Blackhole first: a
       // partitioned upstream swallows everything, both directions.
       if (blackholed_[pipe.upstream].load(std::memory_order_relaxed)) {
-        blackholed_chunks_.fetch_add(1, std::memory_order_relaxed);
+        blackholed_chunks_.add();
         continue;
       }
       if (config_.reset_rate > 0.0 &&
@@ -231,7 +217,7 @@ bool NetChaos::pump_read(Pipe& pipe, bool from_client) {
         return false;
       }
       if (config_.drop_rate > 0.0 && pipe.rng.bernoulli(config_.drop_rate)) {
-        chunks_dropped_.fetch_add(1, std::memory_order_relaxed);
+        chunks_dropped_.add();
         continue;
       }
       Pipe::Chunk chunk;
@@ -239,7 +225,7 @@ bool NetChaos::pump_read(Pipe& pipe, bool from_client) {
       if (config_.flip_rate > 0.0 && pipe.rng.bernoulli(config_.flip_rate)) {
         const auto bit = pipe.rng.below(size * 8);
         chunk.data[bit / 8] ^= std::byte{1} << (bit % 8);
-        bits_flipped_.fetch_add(1, std::memory_order_relaxed);
+        bits_flipped_.add();
       }
       auto due = Clock::now();
       if (config_.delay.count() > 0 &&
@@ -251,7 +237,7 @@ bool NetChaos::pump_read(Pipe& pipe, bool from_client) {
               static_cast<double>(config_.delay_jitter.count())));
         }
         due += extra;
-        chunks_delayed_.fetch_add(1, std::memory_order_relaxed);
+        chunks_delayed_.add();
       }
       chunk.due = due;
       (from_client ? pipe.to_upstream : pipe.to_client)
@@ -305,7 +291,7 @@ bool NetChaos::pump_write(Pipe& pipe, bool to_client) {
     } else if (budget == 0 && config_.throttle_bytes > 0) {
       // The throttle split this chunk mid-frame — the receiver now
       // holds a torn frame until the next tick tops it up.
-      throttled_writes_.fetch_add(1, std::memory_order_relaxed);
+      throttled_writes_.add();
     }
   }
   return true;

@@ -25,26 +25,4 @@ Shard::Shard(std::size_t index, model::HdcModel model, ShardConfig config)
   }
 }
 
-ShardStats Shard::stats() const {
-  const auto s = server_->stats();
-  ShardStats out;
-  out.completed = s.completed;
-  out.rejected = s.rejected;
-  out.scrub_repairs = s.scrub_repairs;
-  out.scrub_substituted_bits = s.scrub_substituted_bits;
-  out.faults_injected = s.faults_injected;
-  out.quarantined_chunks = s.quarantined_chunks;
-  out.degraded_responses = s.degraded_responses;
-  out.abstained_responses = s.abstained_responses;
-  out.deadline_sheds = s.deadline_sheds;
-  out.breaker_trips = s.breaker_trips;
-  out.breaker_open = s.breaker_open;
-  out.canary_accuracy = s.canary_accuracy;
-  out.model_version = s.model_version;
-  out.p99_ms = s.end_to_end.p99_ns / 1e6;
-  out.arena_bytes = s.arena_bytes;
-  out.arena_hugepage = s.arena_hugepage;
-  return out;
-}
-
 }  // namespace robusthd::fleet

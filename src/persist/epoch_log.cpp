@@ -70,8 +70,8 @@ bool parse_segment_file_name(const std::string& name,
 }
 
 EpochLog::EpochLog(PersistConfig config, std::vector<std::byte> base_blob,
-                   std::uint64_t base_version)
-    : config_(std::move(config)) {
+                   std::uint64_t base_version, util::MetricsRegistry& metrics)
+    : config_(std::move(config)), metrics_(metrics) {
   if (config_.epoch_period.count() <= 0) {
     config_.epoch_period = std::chrono::milliseconds(1);
   }
@@ -153,19 +153,6 @@ void EpochLog::stop() {
   }
 }
 
-PersistCounters EpochLog::counters() const noexcept {
-  PersistCounters c;
-  c.epochs_closed = epochs_closed_.load(std::memory_order_relaxed);
-  c.wal_bytes = wal_bytes_.load(std::memory_order_relaxed);
-  c.deltas_appended = deltas_appended_.load(std::memory_order_relaxed);
-  c.stale_discards = stale_discards_.load(std::memory_order_relaxed);
-  c.rotations = rotations_.load(std::memory_order_relaxed);
-  c.compactions = compactions_.load(std::memory_order_relaxed);
-  c.segments_opened = segments_opened_.load(std::memory_order_relaxed);
-  c.io_errors = io_errors_.load(std::memory_order_relaxed);
-  return c;
-}
-
 std::uint64_t EpochLog::generation() const noexcept {
   return generation_public_.load(std::memory_order_acquire);
 }
@@ -227,14 +214,14 @@ void EpochLog::open_segment() {
   write_frames(frame);
   util::fsync_fd(segment_fd_);
   util::fsync_dir(config_.dir);
-  segments_opened_.fetch_add(1, std::memory_order_relaxed);
+  segments_opened_.add();
 }
 
 void EpochLog::write_frames(std::span<const std::byte> frames) {
   util::write_fd(segment_fd_, frames);
   segment_bytes_written_ += frames.size();
   generation_wal_bytes_ += frames.size();
-  wal_bytes_.fetch_add(frames.size(), std::memory_order_relaxed);
+  wal_bytes_.add(frames.size());
 }
 
 std::uint32_t EpochLog::shadow_crc() const noexcept {
@@ -267,7 +254,7 @@ void EpochLog::close_epoch_on_thread() {
   // after this returns, and replay commits exactly up to this record.
   util::fsync_fd(segment_fd_);
   dirty_ = false;
-  epochs_closed_.fetch_add(1, std::memory_order_relaxed);
+  epochs_closed_.add();
   maybe_rotate_segment();
   maybe_compact();
 }
@@ -306,8 +293,8 @@ void EpochLog::maybe_compact() {
   // new generation fences exactly there, so nothing queued is lost and
   // nothing folded is replayed twice.
   begin_generation(std::move(blob), max_applied_version_);
-  compactions_.fetch_add(1, std::memory_order_relaxed);
-  rotations_.fetch_add(1, std::memory_order_relaxed);
+  compactions_.add();
+  rotations_.add();
   // The engine's durable counters lived only in the old generation's WAL
   // (now deleted); re-persist them as the new generation's first epoch.
   if (carried_state) {
@@ -344,7 +331,7 @@ void EpochLog::fail_log() noexcept {
   }
   dirty_ = false;
   failed_.store(true, std::memory_order_release);
-  io_errors_.fetch_add(1, std::memory_order_relaxed);
+  io_errors_.add();
 }
 
 void EpochLog::thread_main() {
@@ -382,14 +369,13 @@ void EpochLog::thread_main() {
             // against the new weights, so the old counters must not leak
             // into the next generation.
             last_engine_state_.reset();
-            rotations_.fetch_add(1, std::memory_order_relaxed);
+            rotations_.add();
             continue;
           }
           if (op.model_version <= base_version_) {
             // The publication raced a rotation and describes pre-rotation
             // weights; folding it into the new base would corrupt it.
-            stale_discards_.fetch_add(op.writes.size(),
-                                      std::memory_order_relaxed);
+            stale_discards_.add(op.writes.size());
             continue;
           }
           for (auto& write : op.writes) {
@@ -400,7 +386,7 @@ void EpochLog::thread_main() {
                                     write.word_begin, std::move(write.words)});
             encode_record(frames, RecordType::kPlaneDelta, record_seq_++,
                           payload);
-            deltas_appended_.fetch_add(1, std::memory_order_relaxed);
+            deltas_appended_.add();
           }
           max_applied_version_ =
               std::max(max_applied_version_, op.model_version);

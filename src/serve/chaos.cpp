@@ -5,11 +5,13 @@
 namespace robusthd::serve {
 
 ChaosAgent::ChaosAgent(ModelSnapshot& snapshot, Scrubber* scrubber,
-                       const ChaosConfig& config, TargetProvider target)
+                       const ChaosConfig& config,
+                       util::MetricsRegistry& metrics, TargetProvider target)
     : snapshot_(snapshot),
       scrubber_(scrubber),
       config_(config),
       target_(std::move(target)),
+      metrics_(metrics),
       rng_(config.seed) {}
 
 ChaosAgent::~ChaosAgent() { stop(); }
@@ -41,7 +43,7 @@ void ChaosAgent::thread_main() {
 
 void ChaosAgent::tick() {
   const std::lock_guard<std::mutex> lock(tick_mutex_);
-  if (ticks_.load(std::memory_order_relaxed) >= config_.steps_to_full) {
+  if (ticks_.value() >= config_.steps_to_full) {
     return;  // campaign budget spent
   }
 
@@ -63,7 +65,7 @@ void ChaosAgent::tick() {
   carry_bits_ += per_tick;
   auto flips = static_cast<std::size_t>(carry_bits_);
   carry_bits_ -= static_cast<double>(flips);
-  ticks_.fetch_add(1, std::memory_order_release);
+  ticks_.add(1, std::memory_order_release);
   if (flips == 0) return;
 
   // Targeted campaigns pick the plane of the currently most confident
@@ -81,7 +83,7 @@ void ChaosAgent::tick() {
     }
   }
 
-  flips_scheduled_.fetch_add(flips, std::memory_order_relaxed);
+  flips_scheduled_.add(flips);
   const std::uint64_t seed = rng_.next();
 
   if (scrubber_ != nullptr) {
@@ -104,20 +106,11 @@ void ChaosAgent::tick() {
                                         target_plane,
                                         config_.cluster_fraction, rng);
     if (snapshot_.try_publish(std::move(damaged), version)) {
-      direct_publishes_.fetch_add(1, std::memory_order_relaxed);
+      direct_publishes_.add();
       return;
     }
-    publish_conflicts_.fetch_add(1, std::memory_order_relaxed);
+    publish_conflicts_.add();
   }
-}
-
-ChaosCounters ChaosAgent::counters() const noexcept {
-  ChaosCounters c;
-  c.ticks = ticks_.load(std::memory_order_relaxed);
-  c.flips_scheduled = flips_scheduled_.load(std::memory_order_relaxed);
-  c.direct_publishes = direct_publishes_.load(std::memory_order_relaxed);
-  c.publish_conflicts = publish_conflicts_.load(std::memory_order_relaxed);
-  return c;
 }
 
 }  // namespace robusthd::serve

@@ -8,8 +8,12 @@
 
 namespace robusthd::serve {
 
-Scrubber::Scrubber(ModelSnapshot& snapshot, const ScrubberConfig& config)
-    : snapshot_(snapshot), config_(config), ring_(config.ring_capacity) {
+Scrubber::Scrubber(ModelSnapshot& snapshot, const ScrubberConfig& config,
+                   util::MetricsRegistry& metrics)
+    : snapshot_(snapshot),
+      config_(config),
+      metrics_(metrics),
+      ring_(config.ring_capacity) {
   // Bind the working copy, the engine and the version marker to one
   // consistent read of the snapshot (a reload between separate reads
   // would leave them disagreeing).
@@ -55,12 +59,12 @@ void Scrubber::install_trust_gate(std::unique_ptr<TrustGate> gate) {
 
 bool Scrubber::offer(const hv::BinVec& query) {
   if (!ring_.push(query, false)) {
-    drops_.fetch_add(1, std::memory_order_relaxed);
+    drops_.add();
     return false;
   }
   // No wake-up: the scrub thread drains the ring at least every
   // idle_wait, so an offer costs the worker no syscall.
-  offered_.fetch_add(1, std::memory_order_release);
+  offered_.add(1, std::memory_order_release);
   return true;
 }
 
@@ -70,10 +74,10 @@ Scrubber::OfferOutcome Scrubber::offer_trusted(const hv::BinVec& query,
   if (gate_) verdict = gate_->check(query, predicted, margin);
   if (!verdict.accept) return OfferOutcome::kGateRejected;
   if (!ring_.push(query, verdict.suspect)) {
-    drops_.fetch_add(1, std::memory_order_relaxed);
+    drops_.add();
     return OfferOutcome::kRingFull;
   }
-  offered_.fetch_add(1, std::memory_order_release);  // no wake, as offer()
+  offered_.add(1, std::memory_order_release);  // no wake, as offer()
   return OfferOutcome::kAccepted;
 }
 
@@ -119,34 +123,13 @@ void Scrubber::prioritize_chunk(std::size_t cls, std::size_t chunk, bool on) {
 }
 
 void Scrubber::drain() {
-  const std::uint64_t target = offered_.load(std::memory_order_acquire);
+  const std::uint64_t target = offered_.value(std::memory_order_acquire);
   const std::uint64_t cmd_target =
       scheduled_commands_.load(std::memory_order_acquire);
-  while (done_.load(std::memory_order_acquire) < target ||
+  while (done_.value(std::memory_order_acquire) < target ||
          done_commands_.load(std::memory_order_acquire) < cmd_target) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-}
-
-ScrubberCounters Scrubber::counters() const noexcept {
-  ScrubberCounters c;
-  c.offered = offered_.load(std::memory_order_relaxed);
-  c.trust_drops = drops_.load(std::memory_order_relaxed);
-  c.processed = done_.load(std::memory_order_relaxed);
-  c.repairs = repairs_.load(std::memory_order_relaxed);
-  c.substituted_bits = substituted_bits_.load(std::memory_order_relaxed);
-  c.faults_injected = faults_injected_.load(std::memory_order_relaxed);
-  c.snapshots_published = published_.load(std::memory_order_relaxed);
-  c.resyncs = resyncs_.load(std::memory_order_relaxed);
-  c.priority_marks = priority_marks_.load(std::memory_order_relaxed);
-  c.suspect_substitutions =
-      suspect_substitutions_.load(std::memory_order_relaxed);
-  if (gate_) {
-    const auto gate = gate_->counters();
-    c.poisoned_offers = gate.poisoned_offers;
-    c.gate_rejects = gate.gate_rejects;
-  }
-  return c;
 }
 
 void Scrubber::resync_if_stale() {
@@ -160,7 +143,7 @@ void Scrubber::resync_if_stale() {
   engine_.emplace(working_, config_.recovery);
   dirty_bits_ = 0;  // pending old-model repairs are meaningless now
   pending_ranges_.clear();  // ...and so is their journal trail
-  resyncs_.fetch_add(1, std::memory_order_relaxed);
+  resyncs_.add();
 }
 
 void Scrubber::note_repair(const model::ObserveResult& result) {
@@ -210,7 +193,7 @@ void Scrubber::run_commands() {
       if (cmd.cls < working_.num_classes() &&
           cmd.chunk < config_.recovery.chunks) {
         engine_->set_chunk_priority(cmd.cls, cmd.chunk, cmd.on);
-        priority_marks_.fetch_add(1, std::memory_order_relaxed);
+        priority_marks_.add();
       }
       done_commands_.fetch_add(1, std::memory_order_release);
       continue;
@@ -235,8 +218,8 @@ void Scrubber::run_commands() {
       // this attempt (the resync above re-damages the *new* model).
       if (snapshot_.try_publish(working_, seen_version_)) {
         ++seen_version_;
-        faults_injected_.fetch_add(flipped, std::memory_order_relaxed);
-        published_.fetch_add(1, std::memory_order_relaxed);
+        faults_injected_.add(flipped);
+        published_.add();
         dirty_bits_ = 0;
         // Journal the damage as full-plane deltas: persistence is a
         // faithful record of the published model, and injected faults
@@ -268,7 +251,7 @@ void Scrubber::publish_if_dirty() {
   if (dirty_bits_ == 0) return;
   if (snapshot_.try_publish(working_, seen_version_)) {
     ++seen_version_;
-    published_.fetch_add(1, std::memory_order_relaxed);
+    published_.add();
     // Readers can now see these repairs — journal them under the version
     // that carries them.
     emit_publication(pending_ranges_);
@@ -280,6 +263,27 @@ void Scrubber::publish_if_dirty() {
   dirty_bits_ = 0;
 }
 
+void Scrubber::replay(const TrustedQuery& entry) {
+  // The full paper pipeline per trusted query: predict, re-gate the
+  // confidence, chunk-level fault detection, probabilistic substitution.
+  // The worker's trust decision was only a pre-filter; the engine's own
+  // gates remain authoritative.
+  const auto result = engine_->observe(entry.query);
+  if (result.substituted_bits > 0) {
+    repairs_.add();
+    substituted_bits_.add(result.substituted_bits);
+    dirty_bits_ += result.substituted_bits;
+    if (entry.suspect) {
+      // A gate-flagged query made it past the engine's own gates and
+      // rewrote bits — in shadow mode, this is the measured damage of a
+      // poisoning campaign.
+      suspect_substitutions_.add(result.substituted_bits);
+    }
+  }
+  note_repair(result);
+  done_.add(1, std::memory_order_release);
+}
+
 void Scrubber::thread_main() {
   TrustedQuery entry;
   for (;;) {
@@ -289,26 +293,7 @@ void Scrubber::thread_main() {
     bool worked = false;
     while (ring_.pop(entry)) {
       worked = true;
-      // The full paper pipeline per trusted query: predict, re-gate the
-      // confidence, chunk-level fault detection, probabilistic
-      // substitution. The worker's trust decision was only a pre-filter;
-      // the engine's own gates remain authoritative.
-      const auto result = engine_->observe(entry.query);
-      if (result.substituted_bits > 0) {
-        repairs_.fetch_add(1, std::memory_order_relaxed);
-        substituted_bits_.fetch_add(result.substituted_bits,
-                                    std::memory_order_relaxed);
-        dirty_bits_ += result.substituted_bits;
-        if (entry.suspect) {
-          // A gate-flagged query made it past the engine's own gates and
-          // rewrote bits — in shadow mode, this is the measured damage of
-          // a poisoning campaign.
-          suspect_substitutions_.fetch_add(result.substituted_bits,
-                                           std::memory_order_relaxed);
-        }
-      }
-      note_repair(result);
-      done_.fetch_add(1, std::memory_order_release);
+      replay(entry);
     }
 
     // Repairs are published at ring-empty boundaries: batches of repairs
@@ -322,21 +307,7 @@ void Scrubber::thread_main() {
       // in the ring so stop() == "process everything offered, then halt".
       resync_if_stale();
       run_commands();
-      while (ring_.pop(entry)) {
-        const auto result = engine_->observe(entry.query);
-        if (result.substituted_bits > 0) {
-          repairs_.fetch_add(1, std::memory_order_relaxed);
-          substituted_bits_.fetch_add(result.substituted_bits,
-                                      std::memory_order_relaxed);
-          dirty_bits_ += result.substituted_bits;
-          if (entry.suspect) {
-            suspect_substitutions_.fetch_add(result.substituted_bits,
-                                             std::memory_order_relaxed);
-          }
-        }
-        note_repair(result);
-        done_.fetch_add(1, std::memory_order_release);
-      }
+      while (ring_.pop(entry)) replay(entry);
       publish_if_dirty();
       return;
     }

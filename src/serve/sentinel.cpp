@@ -40,12 +40,14 @@ QuarantineMask build_quarantine_mask(
 
 Sentinel::Sentinel(ModelSnapshot& snapshot, std::vector<hv::BinVec> canaries,
                    std::vector<int> canary_labels,
-                   const SentinelConfig& config, SentinelHooks hooks)
+                   const SentinelConfig& config, SentinelHooks hooks,
+                   util::MetricsRegistry& metrics)
     : snapshot_(snapshot),
       config_(config),
       hooks_(std::move(hooks)),
       canaries_(std::move(canaries)),
-      labels_(std::move(canary_labels)) {
+      labels_(std::move(canary_labels)),
+      metrics_(metrics) {
   if (canaries_.empty() || canaries_.size() != labels_.size()) {
     throw std::invalid_argument(
         "Sentinel requires a non-empty canary set with one label per canary");
@@ -101,11 +103,11 @@ void Sentinel::capture_reference_locked() {
       quarantined_.end();
   quarantined_.assign(config_.chunks, false);
   mask_ = QuarantineMask{};
-  quarantined_count_.store(0, std::memory_order_release);
+  quarantined_chunks_.set(0);
   if (had_quarantine && hooks_.publish_quarantine) {
     hooks_.publish_quarantine(quarantined_);
   }
-  rebases_.fetch_add(1, std::memory_order_relaxed);
+  rebases_.add();
 }
 
 double Sentinel::score_canaries_locked(const model::HdcModel& model,
@@ -163,6 +165,7 @@ double Sentinel::score_canaries_locked(const model::HdcModel& model,
 void Sentinel::run_round() {
   const std::lock_guard<std::mutex> lock(state_mutex_);
   run_round_locked();
+  canary_accuracy_.set(last_effective_accuracy_);
 }
 
 void Sentinel::run_round_locked() {
@@ -195,7 +198,7 @@ void Sentinel::run_round_locked() {
             class_win_sim.begin()),
         std::memory_order_release);
   }
-  rounds_.fetch_add(1, std::memory_order_relaxed);
+  rounds_.add();
 
   // ---- Per-(class, chunk) drift vs the blessed reference ----------------
   const std::size_t k = reference_.num_classes();
@@ -287,15 +290,14 @@ void Sentinel::run_round_locked() {
   if (desired != quarantined_) {
     for (std::size_t c = 0; c < m; ++c) {
       if (desired[c] && !quarantined_[c]) {
-        quarantine_events_.fetch_add(1, std::memory_order_relaxed);
+        quarantine_events_.add();
       } else if (!desired[c] && quarantined_[c]) {
-        release_events_.fetch_add(1, std::memory_order_relaxed);
+        release_events_.add();
       }
     }
     quarantined_ = desired;
     mask_ = build_quarantine_mask(dim, quarantined_);
-    quarantined_count_.store(mask_.excluded_chunks,
-                             std::memory_order_release);
+    quarantined_chunks_.set(static_cast<double>(mask_.excluded_chunks));
     if (hooks_.publish_quarantine) hooks_.publish_quarantine(quarantined_);
     // The published mask changes what clients see this round already.
     const bool now_masked = mask_.excluded_chunks > 0;
@@ -313,15 +315,15 @@ void Sentinel::run_round_locked() {
       // Health recovered (a reload from a previous round, or the scrubber
       // healed the planes): close and resume serving.
       breaker_open_state_ = false;
-      breaker_open_flag_.store(false, std::memory_order_release);
+      breaker_open_gauge_.set(0);
       if (hooks_.set_breaker) hooks_.set_breaker(false);
     }
   }
   if (!breaker_open_state_ &&
       below_floor_streak_ >= config_.breaker_window) {
     breaker_open_state_ = true;
-    breaker_open_flag_.store(true, std::memory_order_release);
-    breaker_trips_.fetch_add(1, std::memory_order_relaxed);
+    breaker_open_gauge_.set(1);
+    breaker_trips_.add();
     if (hooks_.set_breaker) hooks_.set_breaker(true);
 
     // Bounded retry + exponential backoff reload of the last-good model.
@@ -329,7 +331,7 @@ void Sentinel::run_round_locked() {
     for (std::size_t attempt = 0;
          attempt < config_.breaker_reload_retries && hooks_.attempt_reload;
          ++attempt) {
-      reload_retries_.fetch_add(1, std::memory_order_relaxed);
+      reload_retries_.add();
       if (hooks_.attempt_reload()) {
         // The reload published a blessed model; adopt it as the new
         // reference and verify the canaries actually recovered.
@@ -343,7 +345,7 @@ void Sentinel::run_round_locked() {
           last_effective_accuracy_ = last_raw_accuracy_;
           if (last_raw_accuracy_ >= config_.breaker_floor) {
             breaker_open_state_ = false;
-            breaker_open_flag_.store(false, std::memory_order_release);
+            breaker_open_gauge_.set(0);
             below_floor_streak_ = 0;
             if (hooks_.set_breaker) hooks_.set_breaker(false);
             break;
@@ -363,7 +365,7 @@ void Sentinel::run_round_locked() {
 HealthReport Sentinel::report() const {
   const std::lock_guard<std::mutex> lock(state_mutex_);
   HealthReport r;
-  r.rounds = rounds_.load(std::memory_order_relaxed);
+  r.rounds = rounds_.value();
   r.raw_accuracy = last_raw_accuracy_;
   r.effective_accuracy = last_effective_accuracy_;
   r.class_accuracy = last_class_accuracy_;
@@ -381,25 +383,9 @@ HealthReport Sentinel::report() const {
       }
     }
   }
-  r.quarantined_chunks = quarantined_count_.load(std::memory_order_relaxed);
+  r.quarantined_chunks = mask_.excluded_chunks;
   r.breaker_open = breaker_open_state_;
   return r;
-}
-
-SentinelCounters Sentinel::counters() const noexcept {
-  SentinelCounters c;
-  c.rounds = rounds_.load(std::memory_order_relaxed);
-  c.breaker_trips = breaker_trips_.load(std::memory_order_relaxed);
-  c.reload_retries = reload_retries_.load(std::memory_order_relaxed);
-  c.quarantine_events = quarantine_events_.load(std::memory_order_relaxed);
-  c.release_events = release_events_.load(std::memory_order_relaxed);
-  c.rebases = rebases_.load(std::memory_order_relaxed);
-  return c;
-}
-
-double Sentinel::latest_accuracy() const noexcept {
-  const std::lock_guard<std::mutex> lock(state_mutex_);
-  return last_effective_accuracy_;
 }
 
 }  // namespace robusthd::serve

@@ -63,7 +63,8 @@ Server::Server(model::HdcModel model, const ServerConfig& config)
           "serve::Server recovery requires a binary (1-bit) model; "
           "set ServerConfig::enable_recovery = false for multi-bit models");
     }
-    scrubber_ = std::make_unique<Scrubber>(snapshot_, config_.scrubber);
+    scrubber_ =
+        std::make_unique<Scrubber>(snapshot_, config_.scrubber, metrics_);
     if (config_.scrubber.gate.enabled) {
       // Build the trust gate against the blessed (version-0) model and
       // the configured canary set; a zero chunk count inherits the
@@ -76,7 +77,7 @@ Server::Server(model::HdcModel model, const ServerConfig& config)
       const auto blessed = snapshot_.acquire();
       scrubber_->install_trust_gate(std::make_unique<TrustGate>(
           gate_config, blessed->num_classes(), blessed->dimension(),
-          config_.canaries, config_.canary_labels));
+          config_.canaries, config_.canary_labels, metrics_));
     }
   }
 
@@ -87,7 +88,7 @@ Server::Server(model::HdcModel model, const ServerConfig& config)
     // journaled as a delta above it.
     epoch_log_ = std::make_unique<persist::EpochLog>(
         config_.persist, core::serialize_model(*snapshot_.acquire(), {}),
-        snapshot_.version());
+        snapshot_.version(), metrics_);
     if (scrubber_) {
       // The hook runs on the scrub thread right after a successful
       // publication; it copies the rewritten words out of the (thread-
@@ -145,7 +146,7 @@ Server::Server(model::HdcModel model, const ServerConfig& config)
     hooks.attempt_reload = [this] { return publish_last_good(); };
     sentinel_ = std::make_unique<Sentinel>(
         snapshot_, config_.canaries, config_.canary_labels, config_.sentinel,
-        std::move(hooks));
+        std::move(hooks), metrics_);
     if (config_.sentinel.period.count() > 0) sentinel_->start();
   }
 
@@ -155,7 +156,8 @@ Server::Server(model::HdcModel model, const ServerConfig& config)
       target = [this] { return sentinel_->most_confident_class(); };
     }
     chaos_ = std::make_unique<ChaosAgent>(snapshot_, scrubber_.get(),
-                                          config_.chaos, std::move(target));
+                                          config_.chaos, metrics_,
+                                          std::move(target));
     if (config_.chaos.period.count() > 0) chaos_->start();
   }
 
@@ -166,9 +168,13 @@ Server::Server(model::HdcModel model, const ServerConfig& config)
 Server::~Server() { shutdown(); }
 
 bool Server::admit(Request& request, bool block) {
-  const bool accepted =
-      block ? queue_.push(std::move(request)) : queue_.try_push(request);
-  (accepted ? submitted_ : rejected_).fetch_add(1, std::memory_order_relaxed);
+  // Counted under the queue lock, before a worker can take the request:
+  // otherwise a worker could complete it first, and drain() see completed
+  // catch up with submitted while it is still in flight.
+  const auto count = [this] { submitted_.add(); };
+  const bool accepted = block ? queue_.push(std::move(request), count)
+                              : queue_.try_push(request, count);
+  if (!accepted) rejected_.add();
   return accepted;
 }
 
@@ -250,7 +256,7 @@ void Server::inject_faults(double rate, fault::AttackMode mode,
   util::Xoshiro256 rng(seed);
   auto regions = damaged.memory_regions();
   const auto report = fault::BitFlipInjector::inject(regions, rate, mode, rng);
-  direct_faults_.fetch_add(report.flipped, std::memory_order_relaxed);
+  faults_injected_.add(report.flipped);
   // Without a scrubber no hook journals this publication as deltas;
   // rotate the generation around the damaged model instead — published
   // state must be recoverable state, injected or not.
@@ -290,7 +296,7 @@ std::uint64_t Server::reload(model::HdcModel model) {
   // weights fall below the generation fence and are discarded — exactly
   // mirroring the scrubber's own discard of those repairs.
   if (epoch_log_) epoch_log_->rotate_generation(std::move(blob), version);
-  reloads_.fetch_add(1, std::memory_order_relaxed);
+  reloads_.add();
   // rebase() only sets a flag, so this is safe even when reload() is
   // reached from the sentinel's own breaker path (attempt_reload hook).
   if (sentinel_) sentinel_->rebase();
@@ -308,7 +314,7 @@ std::uint64_t Server::load_model(const std::string& path) {
   try {
     return reload(core::load_model(path).model());
   } catch (const std::runtime_error&) {
-    integrity_failures_.fetch_add(1, std::memory_order_relaxed);
+    integrity_failures_.add();
     throw;
   }
 }
@@ -352,8 +358,8 @@ bool Server::inline_pays(std::size_t n) {
 }
 
 void Server::drain() {
-  while (completed_.load(std::memory_order_acquire) <
-         submitted_.load(std::memory_order_acquire)) {
+  while (completed_.value(std::memory_order_acquire) <
+         submitted_.value(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   if (scrubber_) scrubber_->drain();
@@ -400,104 +406,72 @@ std::unique_ptr<Server> Server::recover(const std::string& dir,
   return server;
 }
 
-ServerStats Server::stats() const {
-  ServerStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.queue_depth = queue_.depth();
-  s.batches = batch_sizes_.batches();
-  s.mean_batch = batch_sizes_.mean();
-  s.queue_wait = queue_wait_.summarize();
-  s.handoff = handoff_.summarize();
-  s.service = service_.summarize();
-  s.end_to_end = end_to_end_.summarize();
-  s.trusted = trusted_.load(std::memory_order_relaxed);
-  s.scrub_dropped = scrub_dropped_.load(std::memory_order_relaxed);
-  s.faults_injected = direct_faults_.load(std::memory_order_relaxed);
-  s.reloads = reloads_.load(std::memory_order_relaxed);
-  s.integrity_failures = integrity_failures_.load(std::memory_order_relaxed);
-  s.degraded_responses = degraded_.load(std::memory_order_relaxed);
-  s.abstained_responses = abstained_.load(std::memory_order_relaxed);
-  s.deadline_sheds = deadline_sheds_.load(std::memory_order_relaxed);
-  // Subsystem counters are reported as deltas against the reset_stats()
-  // baselines (the scrubber's own atomics back drain() and are never
-  // zeroed in place).
-  const std::lock_guard<std::mutex> baseline_lock(baseline_mutex_);
-  if (scrubber_) {
-    const auto c = scrubber_->counters();
-    const auto& b = scrub_baseline_;
-    s.scrub_offered = c.offered - b.offered;
-    s.trust_drops = c.trust_drops - b.trust_drops;
-    s.scrub_processed = c.processed - b.processed;
-    s.scrub_repairs = c.repairs - b.repairs;
-    s.scrub_substituted_bits = c.substituted_bits - b.substituted_bits;
-    s.faults_injected += c.faults_injected - b.faults_injected;
-    s.snapshots_published = c.snapshots_published - b.snapshots_published;
-    s.scrub_resyncs = c.resyncs - b.resyncs;
-    s.priority_marks = c.priority_marks - b.priority_marks;
-    s.poisoned_offers = c.poisoned_offers - b.poisoned_offers;
-    s.gate_rejects = c.gate_rejects - b.gate_rejects;
-    s.suspect_substitutions =
-        c.suspect_substitutions - b.suspect_substitutions;
-  }
-  if (chaos_) {
-    const auto c = chaos_->counters();
-    const auto& b = chaos_baseline_;
-    s.chaos_ticks = c.ticks - b.ticks;
-    s.chaos_flips = c.flips_scheduled - b.flips_scheduled;
-  }
-  if (sentinel_) {
-    const auto c = sentinel_->counters();
-    const auto& b = sentinel_baseline_;
-    s.canary_runs = c.rounds - b.rounds;
-    s.breaker_trips = c.breaker_trips - b.breaker_trips;
-    s.reload_retries = c.reload_retries - b.reload_retries;
-    s.canary_accuracy = sentinel_->latest_accuracy();
-    s.quarantined_chunks = sentinel_->quarantined_count();
-    s.breaker_open = sentinel_->breaker_open();
-  }
-  s.model_version = snapshot_.version();
+util::MetricsSnapshot Server::metrics() const {
+  auto m = metrics_.snapshot();
+  m.set_gauge("serve.queue_depth", static_cast<double>(queue_.depth()));
   {
     const auto model = snapshot_.acquire();
-    s.arena_bytes = model->arena().bytes();
-    s.arena_hugepage = model->arena().hugepage_backed();
+    m.set_gauge("mem.arena_bytes",
+                static_cast<double>(model->arena().bytes()));
+    m.set_gauge("mem.arena_hugepage", model->arena().hugepage_backed());
   }
-  if (epoch_log_) {
-    const auto p = epoch_log_->counters();
-    s.epochs_closed = p.epochs_closed;
-    s.wal_bytes = p.wal_bytes;
-    s.wal_rotations = p.rotations;
-    s.wal_compactions = p.compactions;
-    s.persist_io_errors = p.io_errors;
-  }
-  s.replay_records = replay_stats_.replay_records;
-  return s;
+  m.set_gauge("persist.replay_records",
+              static_cast<double>(replay_stats_.replay_records));
+  m.set_gauge("serve.model_version", static_cast<double>(snapshot_.version()));
+  return m;
 }
 
-void Server::reset_stats() {
-  submitted_.store(0, std::memory_order_relaxed);
-  rejected_.store(0, std::memory_order_relaxed);
-  completed_.store(0, std::memory_order_relaxed);
-  trusted_.store(0, std::memory_order_relaxed);
-  scrub_dropped_.store(0, std::memory_order_relaxed);
-  direct_faults_.store(0, std::memory_order_relaxed);
-  reloads_.store(0, std::memory_order_relaxed);
-  integrity_failures_.store(0, std::memory_order_relaxed);
-  degraded_.store(0, std::memory_order_relaxed);
-  abstained_.store(0, std::memory_order_relaxed);
-  deadline_sheds_.store(0, std::memory_order_relaxed);
-  queue_wait_.reset();
-  service_.reset();
-  end_to_end_.reset();
-  handoff_.reset();
-  handoffs_seen_.store(0, std::memory_order_relaxed);
-  inline_eligible_.store(0, std::memory_order_relaxed);
-  batch_sizes_.reset();
-  const std::lock_guard<std::mutex> baseline_lock(baseline_mutex_);
-  if (scrubber_) scrub_baseline_ = scrubber_->counters();
-  if (chaos_) chaos_baseline_ = chaos_->counters();
-  if (sentinel_) sentinel_baseline_ = sentinel_->counters();
+ServerStats::ServerStats(const util::MetricsSnapshot& m) {
+  submitted = m.counter("serve.submitted");
+  rejected = m.counter("serve.rejected");
+  completed = m.counter("serve.completed");
+  deadline_sheds = m.counter("serve.deadline_sheds");
+  queue_depth = static_cast<std::size_t>(m.gauge("serve.queue_depth"));
+  const auto& batch = m["serve.batch_size"];
+  batches = batch.count;
+  mean_batch = batch.count == 0 ? 0.0
+                                : static_cast<double>(batch.sum) /
+                                      static_cast<double>(batch.count);
+  queue_wait = LatencyHistogram::summarize(m["serve.queue_wait_ns"]);
+  handoff = LatencyHistogram::summarize(m["serve.handoff_ns"]);
+  service = LatencyHistogram::summarize(m["serve.service_ns"]);
+  end_to_end = LatencyHistogram::summarize(m["serve.end_to_end_ns"]);
+  trusted = m.counter("serve.trusted");
+  scrub_offered = m.counter("scrub.offered");
+  trust_drops = m.counter("scrub.trust_drops");
+  scrub_processed = m.counter("scrub.processed");
+  scrub_repairs = m.counter("scrub.repairs");
+  scrub_substituted_bits = m.counter("scrub.substituted_bits");
+  faults_injected = m.counter("serve.faults_injected");
+  snapshots_published = m.counter("scrub.snapshots_published");
+  model_version = static_cast<std::uint64_t>(m.gauge("serve.model_version"));
+  poisoned_offers = m.counter("gate.poisoned_offers");
+  gate_rejects = m.counter("gate.rejects");
+  suspect_substitutions = m.counter("scrub.suspect_substitutions");
+  reloads = m.counter("serve.reloads");
+  integrity_failures = m.counter("serve.integrity_failures");
+  scrub_resyncs = m.counter("scrub.resyncs");
+  chaos_ticks = m.counter("chaos.ticks");
+  chaos_flips = m.counter("chaos.flips");
+  canary_runs = m.counter("sentinel.rounds");
+  canary_accuracy = m.gauge("sentinel.canary_accuracy");
+  quarantined_chunks =
+      static_cast<std::size_t>(m.gauge("sentinel.quarantined_chunks"));
+  priority_marks = m.counter("scrub.priority_marks");
+  degraded_responses = m.counter("serve.degraded_responses");
+  abstained_responses = m.counter("serve.abstained_responses");
+  breaker_trips = m.counter("sentinel.breaker_trips");
+  breaker_open = m.gauge("sentinel.breaker_open") != 0.0;
+  reload_retries = m.counter("sentinel.reload_retries");
+  arena_bytes = static_cast<std::size_t>(m.gauge("mem.arena_bytes"));
+  arena_hugepage = m.gauge("mem.arena_hugepage") != 0.0;
+  epochs_closed = m.counter("persist.epochs_closed");
+  wal_bytes = m.counter("persist.wal_bytes");
+  wal_rotations = m.counter("persist.rotations");
+  wal_compactions = m.counter("persist.compactions");
+  persist_io_errors = m.counter("persist.io_errors");
+  replay_records =
+      static_cast<std::uint64_t>(m.gauge("persist.replay_records"));
 }
 
 void Server::apply_quarantine(const std::vector<bool>& excluded) {
@@ -545,12 +519,12 @@ void Server::worker_main(std::size_t worker_index) {
         }
         const auto now = std::chrono::steady_clock::now();
         if (now < request.deadline) return false;
-        deadline_sheds_.fetch_add(1, std::memory_order_relaxed);
+        deadline_sheds_.add();
         queue_wait_.record(elapsed_ns(request.enqueued, now));
         end_to_end_.record(elapsed_ns(request.enqueued, now));
         Response response;
         response.expired = true;
-        completed_.fetch_add(1, std::memory_order_release);
+        completed_.add(1, std::memory_order_release);
         request.done.complete(CompletionStatus::kExpired, response);
         return true;
       });
@@ -593,7 +567,7 @@ bool Server::answer_now(Lane& lane, std::span<hv::BinVec> queries) {
     lane.batch_.push_back(Request{std::move(query), {}, false,
                                   CompletionTarget(), started});
   }
-  submitted_.fetch_add(queries.size(), std::memory_order_relaxed);
+  submitted_.add(queries.size());
   run_batch(lane, started);
   lane.batch_.clear();  // the queries are answered: free them now
   return true;
@@ -633,7 +607,7 @@ void Server::run_batch(Lane& lane,
       response.abstained = true;
       response.model_version = version;
     }
-    abstained_.fetch_add(batch.size(), std::memory_order_relaxed);
+    abstained_.add(batch.size());
   } else {
     // Server-side encoding for feature-mode requests, through the
     // lane's persistent workspace (the encoder's bit-sliced counter is
@@ -677,7 +651,7 @@ void Server::run_batch(Lane& lane,
     model->scores_batch(query_ptrs, lane.score_ws_,
                         degraded ? qmask->words.data() : nullptr,
                         effective_dim);
-    if (degraded) degraded_.fetch_add(batch.size(), std::memory_order_relaxed);
+    if (degraded) degraded_.add(batch.size());
     const std::size_t k = model->num_classes();
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -695,15 +669,12 @@ void Server::run_batch(Lane& lane,
         // rate limit, canary agreement) decides admission, and the
         // engine re-runs its own gates on the scrub thread. A full ring
         // drops the hint — serving latency must not wait on recovery.
-        // Gate rejections are counted by the gate itself, not as ring
-        // drops.
+        // The ring counts its drops (trust_drops) and the gate its
+        // rejections.
         response.trusted = true;
-        trusted_.fetch_add(1, std::memory_order_relaxed);
-        const auto outcome = scrubber_->offer_trusted(
-            batch[i].query, conf.predicted, conf.margin);
-        if (outcome == Scrubber::OfferOutcome::kRingFull) {
-          scrub_dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
+        trusted_.add();
+        scrubber_->offer_trusted(batch[i].query, conf.predicted,
+                                 conf.margin);
       }
     }
   }
@@ -721,7 +692,7 @@ void Server::run_batch(Lane& lane,
     end_to_end_.record(elapsed_ns(request.enqueued, end));
     // Count before completing: once a client sees its answer,
     // stats().completed already includes it.
-    completed_.fetch_add(1, std::memory_order_release);
+    completed_.add(1, std::memory_order_release);
     request.done.complete(CompletionStatus::kAnswered, responses[i]);
   }
 }

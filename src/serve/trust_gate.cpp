@@ -11,11 +11,13 @@ namespace robusthd::serve {
 TrustGate::TrustGate(const TrustGateConfig& config, std::size_t num_classes,
                      std::size_t dimension,
                      std::span<const hv::BinVec> canaries,
-                     std::span<const int> canary_labels)
+                     std::span<const int> canary_labels,
+                     util::MetricsRegistry& metrics)
     : config_(config),
       dim_(dimension),
       centroids_(num_classes),
-      class_counts_(num_classes) {
+      class_counts_(num_classes),
+      metrics_(metrics) {
   if (config_.margin_sigma > 0.0 && dimension > 0) {
     margin_floor_ = config_.margin_sigma * std::sqrt(2.0) * 0.5 /
                     std::sqrt(static_cast<double>(dimension));
@@ -117,7 +119,7 @@ bool TrustGate::canary_agrees(const hv::BinVec& query,
 
 TrustGate::Verdict TrustGate::check(const hv::BinVec& query, int predicted,
                                     double margin) noexcept {
-  checked_.fetch_add(1, std::memory_order_relaxed);
+  checked_.add();
   Verdict verdict;
   if (predicted < 0 ||
       static_cast<std::size_t>(predicted) >= centroids_.size()) {
@@ -127,12 +129,12 @@ TrustGate::Verdict TrustGate::check(const hv::BinVec& query, int predicted,
 
   bool ok = true;
   if (margin < margin_floor_) {
-    margin_rejects_.fetch_add(1, std::memory_order_relaxed);
+    margin_rejects_.add();
     ok = false;
   }
   if (!canary_agrees(query, cls)) {
     verdict.suspect = true;
-    poisoned_offers_.fetch_add(1, std::memory_order_relaxed);
+    poisoned_offers_.add();
     if (config_.enforce) ok = false;
   }
   // Fair-share admission runs last and only for offers that would still
@@ -140,26 +142,16 @@ TrustGate::Verdict TrustGate::check(const hv::BinVec& query, int predicted,
   // the class's window budget.
   if (ok || !config_.enforce) {
     if (!rate_admit(cls)) {
-      rate_rejects_.fetch_add(1, std::memory_order_relaxed);
+      rate_rejects_.add();
       ok = false;
     }
   }
 
   verdict.accept = config_.enforce ? ok : true;
   if (!verdict.accept) {
-    gate_rejects_.fetch_add(1, std::memory_order_relaxed);
+    gate_rejects_.add();
   }
   return verdict;
-}
-
-TrustGateCounters TrustGate::counters() const noexcept {
-  TrustGateCounters counters;
-  counters.checked = checked_.load(std::memory_order_relaxed);
-  counters.margin_rejects = margin_rejects_.load(std::memory_order_relaxed);
-  counters.rate_rejects = rate_rejects_.load(std::memory_order_relaxed);
-  counters.poisoned_offers = poisoned_offers_.load(std::memory_order_relaxed);
-  counters.gate_rejects = gate_rejects_.load(std::memory_order_relaxed);
-  return counters;
 }
 
 }  // namespace robusthd::serve

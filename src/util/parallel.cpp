@@ -7,9 +7,4 @@ std::size_t hardware_threads() noexcept {
   return n == 0 ? 1 : n;
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t max_threads) {
-  detail::parallel_run(n, fn, max_threads);
-}
-
 }  // namespace robusthd::util

@@ -204,8 +204,9 @@ TEST(TrustGate, CentroidIsThePerBitMajority) {
   labels.push_back(static_cast<int>(kClasses));
   canaries.push_back(hv::BinVec::random(kDim + 1, rng));
   labels.push_back(0);
+  util::MetricsRegistry metrics;
   const serve::TrustGate gate(gate_config(true), kClasses, kDim, canaries,
-                              labels);
+                              labels, metrics);
   for (std::size_t c = 0; c < kClasses; ++c) {
     std::size_t members = 0;
     std::vector<std::size_t> ones(kDim, 0);
@@ -237,8 +238,9 @@ TEST(TrustGate, CentroidIsThePerBitMajority) {
 
 TEST(TrustGate, AcceptsNaturalTraffic) {
   const auto world = make_world(0xc1);
+  util::MetricsRegistry metrics;
   serve::TrustGate gate(gate_config(true), kClasses, kDim, world.queries,
-                        world.labels);
+                        world.labels, metrics);
   model::ConfidenceConfig confidence;
   for (std::size_t i = 0; i < world.queries.size(); ++i) {
     const auto scores = world.model.scores(world.queries[i]);
@@ -248,16 +250,17 @@ TEST(TrustGate, AcceptsNaturalTraffic) {
     EXPECT_TRUE(verdict.accept);
     EXPECT_FALSE(verdict.suspect);
   }
-  const auto counters = gate.counters();
-  EXPECT_EQ(counters.checked, world.queries.size());
-  EXPECT_EQ(counters.poisoned_offers, 0u);
-  EXPECT_EQ(counters.gate_rejects, 0u);
+  const auto counters = metrics.snapshot();
+  EXPECT_EQ(counters.counter("gate.checked"), world.queries.size());
+  EXPECT_EQ(counters.counter("gate.poisoned_offers"), 0u);
+  EXPECT_EQ(counters.counter("gate.rejects"), 0u);
 }
 
 TEST(TrustGate, RejectsPoisonQueriesByCanaryAgreement) {
   const auto world = make_world(0xc2);
+  util::MetricsRegistry metrics;
   serve::TrustGate gate(gate_config(true), kClasses, kDim, world.queries,
-                        world.labels);
+                        world.labels, metrics);
 
   adversary::PoisonConfig poison;
   poison.chunks = kChunks;
@@ -280,9 +283,9 @@ TEST(TrustGate, RejectsPoisonQueriesByCanaryAgreement) {
     if (!verdict.accept) ++rejected;
   }
   EXPECT_EQ(rejected, wave.size());
-  const auto counters = gate.counters();
-  EXPECT_EQ(counters.poisoned_offers, wave.size());
-  EXPECT_EQ(counters.gate_rejects, wave.size());
+  const auto counters = metrics.snapshot();
+  EXPECT_EQ(counters.counter("gate.poisoned_offers"), wave.size());
+  EXPECT_EQ(counters.counter("gate.rejects"), wave.size());
 }
 
 TEST(TrustGate, RelativeGapCatchesLocalizedDisagreement) {
@@ -291,8 +294,9 @@ TEST(TrustGate, RelativeGapCatchesLocalizedDisagreement) {
   // 0.8 and the absolute chance-floor never fires. The relative criterion
   // flags the localized deficit against the query's own clean chunks.
   const auto world = make_world(0xc6);
+  util::MetricsRegistry metrics;
   serve::TrustGate gate(gate_config(true), kClasses, kDim, world.queries,
-                        world.labels);
+                        world.labels, metrics);
 
   auto query = gate.centroid(0);
   ASSERT_FALSE(query.empty());
@@ -313,8 +317,9 @@ TEST(TrustGate, RelativeGapCatchesLocalizedDisagreement) {
   // the absolute floor alone cannot see correlated payloads.
   auto lax_config = gate_config(true);
   lax_config.relative_gap = 0.0;
+  util::MetricsRegistry lax_metrics;
   serve::TrustGate lax(lax_config, kClasses, kDim, world.queries,
-                       world.labels);
+                       world.labels, lax_metrics);
   const auto lax_verdict = lax.check(query, conf.predicted, conf.margin);
   EXPECT_FALSE(lax_verdict.suspect);
   EXPECT_TRUE(lax_verdict.accept);
@@ -322,8 +327,9 @@ TEST(TrustGate, RelativeGapCatchesLocalizedDisagreement) {
 
 TEST(TrustGate, ShadowModeObservesWithoutRejecting) {
   const auto world = make_world(0xc3);
+  util::MetricsRegistry metrics;
   serve::TrustGate gate(gate_config(false), kClasses, kDim, world.queries,
-                        world.labels);
+                        world.labels, metrics);
 
   adversary::PoisonConfig poison;
   poison.chunks = kChunks;
@@ -338,15 +344,16 @@ TEST(TrustGate, ShadowModeObservesWithoutRejecting) {
     EXPECT_TRUE(verdict.accept);  // shadow mode admits everything
     EXPECT_TRUE(verdict.suspect); // ...but still tags it
   }
-  const auto counters = gate.counters();
-  EXPECT_EQ(counters.poisoned_offers, wave.size());
-  EXPECT_EQ(counters.gate_rejects, 0u);
+  const auto counters = metrics.snapshot();
+  EXPECT_EQ(counters.counter("gate.poisoned_offers"), wave.size());
+  EXPECT_EQ(counters.counter("gate.rejects"), 0u);
 }
 
 TEST(TrustGate, MarginFloorRejectsLowMarginQueries) {
   const auto world = make_world(0xc4);
+  util::MetricsRegistry metrics;
   serve::TrustGate gate(gate_config(true), kClasses, kDim, world.queries,
-                        world.labels);
+                        world.labels, metrics);
   util::Xoshiro256 rng(7);
   // A random vector sits at ~0.5 similarity to every class: its margin is
   // pure noise, far under the 4-sigma floor.
@@ -355,7 +362,7 @@ TEST(TrustGate, MarginFloorRejectsLowMarginQueries) {
   const auto conf = model::assess(scores, {}, kDim);
   const auto verdict = gate.check(junk, conf.predicted, conf.margin);
   EXPECT_FALSE(verdict.accept);
-  EXPECT_GT(gate.counters().margin_rejects, 0u);
+  EXPECT_GT(metrics.snapshot().counter("gate.margin_rejects"), 0u);
 }
 
 // The satellite regression test: before the gate, a single hot class
@@ -367,7 +374,9 @@ TEST(TrustGate, HotClassCannotMonopolizeAdmission) {
   config.rate_window = 64;
   config.fair_share_factor = 1.0;
   config.min_class_share = 4;  // cap = max(4, 64/5) = 12 per window
-  serve::TrustGate gate(config, kClasses, kDim, world.queries, world.labels);
+  util::MetricsRegistry metrics;
+  serve::TrustGate gate(config, kClasses, kDim, world.queries, world.labels,
+                        metrics);
 
   model::ConfidenceConfig confidence;
   auto offer = [&](const hv::BinVec& query) {
@@ -387,7 +396,7 @@ TEST(TrustGate, HotClassCannotMonopolizeAdmission) {
     if (offer(query)) ++hot_accepted;
   }
   EXPECT_LT(hot_accepted, 40u);  // well under the 100 a gateless ring takes
-  EXPECT_GT(gate.counters().rate_rejects, 0u);
+  EXPECT_GT(metrics.snapshot().counter("gate.rate_rejects"), 0u);
 
   // Other classes are still admissible right now — fairness, not a
   // global brake.

@@ -367,7 +367,7 @@ TEST(Fleet, InProcessPredictionsBitIdenticalToDirectServer) {
     expect_identical(fleet_future.get(), direct_future.get(), i);
   }
   const auto stats = fleet.stats();
-  EXPECT_EQ(stats.completed, w.queries.size());
+  EXPECT_EQ(stats.total.completed, w.queries.size());
   EXPECT_EQ(stats.failovers, 0u);
   fleet.shutdown();
   direct.shutdown();
@@ -734,7 +734,7 @@ TEST(Fleet, QuarantineDegradedFlagPropagatesOverTheWire) {
 
   const auto stats = fleet.stats();
   EXPECT_GT(stats.shards[0].quarantined_chunks, 0u);
-  EXPECT_GE(stats.degraded_responses, 1u);
+  EXPECT_GE(stats.total.degraded_responses, 1u);
 
   frontend.stop();
   fleet.shutdown();

@@ -97,12 +97,12 @@ TEST(NetChaos, CleanProxyIsTransparent) {
     EXPECT_EQ(a.confidence, b.confidence) << "query " << i;
     EXPECT_EQ(a.shard, b.shard) << "query " << i;
   }
-  const auto counters = chaos.counters();
-  EXPECT_GE(counters.connections, 1u);
-  EXPECT_GT(counters.bytes_in, 0u);
-  EXPECT_GT(counters.bytes_out, 0u);
-  EXPECT_EQ(counters.bits_flipped, 0u);
-  EXPECT_EQ(counters.resets_injected, 0u);
+  const auto counters = chaos.metrics();
+  EXPECT_GE(counters.counter("netchaos.connections"), 1u);
+  EXPECT_GT(counters.counter("netchaos.bytes_in"), 0u);
+  EXPECT_GT(counters.counter("netchaos.bytes_out"), 0u);
+  EXPECT_EQ(counters.counter("netchaos.bits_flipped"), 0u);
+  EXPECT_EQ(counters.counter("netchaos.resets_injected"), 0u);
 
   chaos.stop();
   frontend.stop();
@@ -126,7 +126,7 @@ TEST(NetChaos, InjectedDelayShowsUpInLatency) {
   ASSERT_TRUE(response.ok) << response.error_message;
   // Request and response chunks are each held 30ms.
   EXPECT_GE(elapsed, std::chrono::milliseconds(30));
-  EXPECT_GE(chaos.counters().chunks_delayed, 2u);
+  EXPECT_GE(chaos.metrics().counter("netchaos.chunks_delayed"), 2u);
 
   chaos.stop();
   frontend.stop();
@@ -155,7 +155,7 @@ TEST(NetChaos, EveryFlippedBitIsDetectedNeverServed) {
   // A CRC32C catches every single-bit flip: zero corrupted frames may
   // parse, so zero answers of any kind come back.
   EXPECT_EQ(ok, 0u);
-  EXPECT_GE(chaos.counters().bits_flipped, 8u);
+  EXPECT_GE(chaos.metrics().counter("netchaos.bits_flipped"), 8u);
   // The frontend saw the corruption as protocol errors (poisoned
   // connections), not as requests.
   EXPECT_GE(frontend.counters().protocol_errors, 1u);
@@ -183,7 +183,7 @@ TEST(NetChaos, InjectedResetSurfacesAsTransportError) {
   Client client(chaos.endpoints(), {"default"}, std::move(client_config));
   const auto response = client.predict(0, w.queries[0]);
   EXPECT_FALSE(response.ok);
-  EXPECT_GE(chaos.counters().resets_injected, 1u);
+  EXPECT_GE(chaos.metrics().counter("netchaos.resets_injected"), 1u);
   EXPECT_GE(client.counters().transport_errors, 1u);
 
   chaos.stop();
@@ -211,7 +211,7 @@ TEST(NetChaos, DroppedChunksTimeOutInsteadOfHanging) {
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(response.ok);
   EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
-  EXPECT_GE(chaos.counters().chunks_dropped, 1u);
+  EXPECT_GE(chaos.metrics().counter("netchaos.chunks_dropped"), 1u);
 
   chaos.stop();
   frontend.stop();
@@ -244,7 +244,7 @@ TEST(NetChaos, BlackholedShardFailsOverToItsTwin) {
   EXPECT_EQ(response.shard, 1u);
   EXPECT_TRUE(response.failover);
   EXPECT_GE(response.attempts, 2u);
-  EXPECT_GE(chaos.counters().blackholed_chunks, 1u);
+  EXPECT_GE(chaos.metrics().counter("netchaos.blackholed_chunks"), 1u);
   EXPECT_TRUE(chaos.blackholed(0));
 
   // Heal the partition: after the cooldown the primary serves again.
@@ -274,7 +274,7 @@ TEST(NetChaos, ThrottledByteTrickleStillReassembles) {
   const auto response = client.predict(0, w.queries[0]);
   ASSERT_TRUE(response.ok) << response.error_message;
   EXPECT_GE(response.predicted, 0);
-  EXPECT_GT(chaos.counters().throttled_writes, 0u);
+  EXPECT_GT(chaos.metrics().counter("netchaos.throttled_writes"), 0u);
 
   chaos.stop();
   frontend.stop();

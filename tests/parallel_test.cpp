@@ -1,5 +1,4 @@
-// Tests for the deterministic parallel helpers (free parallel_for and the
-// persistent ThreadPool).
+// Tests for the deterministic parallel helper (parallel_for).
 #include "robusthd/util/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 
 #include "robusthd/data/synthetic.hpp"
 #include "robusthd/hv/encoder.hpp"
-#include "robusthd/util/thread_pool.hpp"
 
 namespace robusthd::util {
 namespace {
@@ -62,77 +60,15 @@ TEST(ParallelFor, HardwareThreadsAtLeastOne) {
 
 TEST(ParallelFor, TemplatedOverloadAvoidsTypeErasure) {
   // A move-only callable can't form a std::function: compiling at all
-  // proves the call resolved to the template overload.
+  // proves the callable is invoked directly.
   auto counter = std::make_unique<std::atomic<int>>(0);
   parallel_for(100, [c = counter.get()](std::size_t) { ++*c; });
   EXPECT_EQ(counter->load(), 100);
 
-  // An std::function lvalue still takes the original erased overload.
+  // A caller that holds a type-erased callable passes it the same way.
   std::function<void(std::size_t)> erased = [&](std::size_t) { ++*counter; };
   parallel_for(50, erased);
   EXPECT_EQ(counter->load(), 150);
-}
-
-TEST(ThreadPool, VisitsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  const std::size_t n = 10000;
-  std::vector<std::atomic<int>> visits(n);
-  pool.parallel_for(n, [&](std::size_t i) { ++visits[i]; });
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(visits[i].load(), 1) << i;
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossSections) {
-  ThreadPool pool(3);
-  std::vector<double> a(4000), b(4000);
-  for (int round = 0; round < 5; ++round) {
-    pool.parallel_for(a.size(), [&](std::size_t i) {
-      a[i] = static_cast<double>(i) + round;
-    });
-    pool.parallel_for(b.size(), [&](std::size_t i) { b[i] = a[i] * 2.0; });
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(b[i], (static_cast<double>(i) + 4) * 2.0) << i;
-  }
-}
-
-TEST(ThreadPool, MatchesFreeParallelForPartition) {
-  // Same static chunking as the free function: identical writes, so the
-  // results are bit-identical regardless of which executor runs them.
-  const std::size_t n = 5000;
-  std::vector<double> from_free(n), from_pool(n);
-  parallel_for(n, [&](std::size_t i) {
-    from_free[i] = static_cast<double>(i) * 0.75;
-  });
-  ThreadPool pool(4);
-  pool.parallel_for(n, [&](std::size_t i) {
-    from_pool[i] = static_cast<double>(i) * 0.75;
-  });
-  EXPECT_EQ(from_free, from_pool);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(1000,
-                                 [](std::size_t i) {
-                                   if (i == 777) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 }),
-               std::runtime_error);
-  // The pool survives a throwing section.
-  std::atomic<int> calls{0};
-  pool.parallel_for(100, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 100);
-}
-
-TEST(ThreadPool, ZeroTasksAndSingleWorker) {
-  ThreadPool pool(1);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
-  int calls = 0;
-  pool.parallel_for(3, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 3);
 }
 
 TEST(ParallelEncodeAll, MatchesSerialEncode) {

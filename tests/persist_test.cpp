@@ -327,7 +327,8 @@ TEST(EpochLog, ReplayIsBitIdenticalToTheLastClosedEpoch) {
   util::Xoshiro256 rng(13);
 
   {
-    EpochLog log(fast_config(dir), blob, 0);
+    util::MetricsRegistry metrics;
+    EpochLog log(fast_config(dir), blob, 0, metrics);
     // Mutate a copy the way the scrubber would: rewrite word ranges and
     // journal exactly those ranges.
     for (std::uint64_t version = 1; version <= 20; ++version) {
@@ -352,10 +353,10 @@ TEST(EpochLog, ReplayIsBitIdenticalToTheLastClosedEpoch) {
       log.append_publication(version, {std::move(write)}, std::nullopt);
     }
     log.close_epoch();
-    const auto counters = log.counters();
-    EXPECT_GE(counters.epochs_closed, 1u);
-    EXPECT_EQ(counters.deltas_appended, 20u);
-    EXPECT_EQ(counters.io_errors, 0u);
+    const auto counters = metrics.snapshot();
+    EXPECT_GE(counters.counter("persist.epochs_closed"), 1u);
+    EXPECT_EQ(counters.counter("persist.deltas_appended"), 20u);
+    EXPECT_EQ(counters.counter("persist.io_errors"), 0u);
   }
 
   const auto rec = recover_dir(dir);
@@ -371,7 +372,9 @@ TEST(EpochLog, EngineStateRoundTripsThroughTheLog) {
   const auto dir = temp_dir();
   const auto model = small_model(17);
   {
-    EpochLog log(fast_config(dir), core::serialize_model(model, {}), 0);
+    util::MetricsRegistry metrics;
+    EpochLog log(fast_config(dir), core::serialize_model(model, {}), 0,
+                 metrics);
     model::RecoveryEngineState state;
     state.total_updates = 99;
     state.total_substituted_bits = 4321;
@@ -396,7 +399,8 @@ TEST(EpochLog, UnterminatedEpochIsDiscardedOnReplay) {
   auto model = small_model(19);
   const auto blob = core::serialize_model(model, {});
   {
-    EpochLog log(fast_config(dir), blob, 0);
+    util::MetricsRegistry metrics;
+    EpochLog log(fast_config(dir), blob, 0, metrics);
     log.close_epoch();  // epoch 0: nothing — no close record written
   }
   // Append a delta with NO following EpochClose, simulating a kill-9
@@ -426,7 +430,9 @@ TEST(EpochLog, RotationFencesStalePublications) {
   const auto model_a = small_model(23);
   auto model_b = small_model(29);
   {
-    EpochLog log(fast_config(dir), core::serialize_model(model_a, {}), 0);
+    util::MetricsRegistry metrics;
+    EpochLog log(fast_config(dir), core::serialize_model(model_a, {}), 0,
+                 metrics);
     // Version-3 delta queued BEFORE a rotation to base_version 10: by the
     // time the log thread drains, the fence must drop it.
     PlaneWrite write;
@@ -447,8 +453,8 @@ TEST(EpochLog, RotationFencesStalePublications) {
     stale.words = {~0ull};
     log.append_publication(9, {std::move(stale)}, std::nullopt);  // <= 10
     log.close_epoch();
-    EXPECT_EQ(log.counters().stale_discards, 1u);
-    EXPECT_GE(log.counters().rotations, 1u);
+    EXPECT_EQ(metrics.snapshot().counter("persist.stale_discards"), 1u);
+    EXPECT_GE(metrics.snapshot().counter("persist.rotations"), 1u);
     EXPECT_EQ(log.generation(), 1u);
   }
   const auto rec = recover_dir(dir);
@@ -464,7 +470,8 @@ TEST(EpochLog, CompactionFoldsTheWalIntoAFreshBase) {
   auto config = fast_config(dir);
   config.compact_bytes = 2048;  // force compaction almost immediately
   {
-    EpochLog log(config, core::serialize_model(model, {}), 0);
+    util::MetricsRegistry metrics;
+    EpochLog log(config, core::serialize_model(model, {}), 0, metrics);
     util::Xoshiro256 rng(37);
     for (std::uint64_t version = 1; version <= 30; ++version) {
       const auto cls = rng.next() % kClasses;
@@ -485,7 +492,7 @@ TEST(EpochLog, CompactionFoldsTheWalIntoAFreshBase) {
       log.append_publication(version, {std::move(write)}, std::nullopt);
       log.close_epoch();
     }
-    EXPECT_GE(log.counters().compactions, 1u);
+    EXPECT_GE(metrics.snapshot().counter("persist.compactions"), 1u);
   }
   const auto rec = recover_dir(dir);
   ASSERT_TRUE(rec.has_value());

@@ -248,8 +248,9 @@ TEST(Sentinel, DriftVerdictsQuarantineAndReleaseWithHysteresis) {
   const auto world = make_world(0x5e11);
   ModelSnapshot snapshot{model::HdcModel(world.model)};
   HookLog log;
+  util::MetricsRegistry metrics;
   Sentinel sentinel(snapshot, world.queries, world.labels,
-                    manual_sentinel_config(), logging_hooks(log));
+                    manual_sentinel_config(), logging_hooks(log), metrics);
 
   // Clean round: everything healthy, no escalation.
   sentinel.run_round();
@@ -289,7 +290,7 @@ TEST(Sentinel, DriftVerdictsQuarantineAndReleaseWithHysteresis) {
   EXPECT_EQ(report.quarantined_chunks, 1u);
   ASSERT_EQ(log.quarantines.size(), 1u);
   EXPECT_TRUE(log.quarantines.back()[3]);
-  EXPECT_EQ(sentinel.counters().quarantine_events, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("sentinel.quarantine_events"), 1u);
 
   // Heal the model (publish a clean copy; still not blessed — drift just
   // drops to zero, exactly as if the scrubber repaired the planes).
@@ -307,7 +308,7 @@ TEST(Sentinel, DriftVerdictsQuarantineAndReleaseWithHysteresis) {
   EXPECT_EQ(report.verdicts[1 * kChunks + 3], ChunkHealth::kHealthy);
   ASSERT_EQ(log.quarantines.size(), 2u);
   EXPECT_FALSE(log.quarantines.back()[3]);
-  EXPECT_EQ(sentinel.counters().release_events, 1u);
+  EXPECT_EQ(metrics.snapshot().counter("sentinel.release_events"), 1u);
   EXPECT_TRUE(log.breaker_changes.empty());
 }
 
@@ -327,8 +328,9 @@ TEST(Sentinel, BreakerTripsReloadsLastGoodAndCloses) {
     snapshot.publish(model::HdcModel(world.model));  // last-good
     return true;
   };
+  util::MetricsRegistry metrics;
   Sentinel sentinel(snapshot, world.queries, world.labels, config,
-                    std::move(hooks));
+                    std::move(hooks), metrics);
 
   // Wreck every plane: predictions collapse to ~chance (1/kClasses).
   {
@@ -345,9 +347,9 @@ TEST(Sentinel, BreakerTripsReloadsLastGoodAndCloses) {
   EXPECT_FALSE(sentinel.breaker_open());
   sentinel.run_round();  // streak 2: trip, reload, recover, close
   EXPECT_FALSE(sentinel.breaker_open());
-  const auto counters = sentinel.counters();
-  EXPECT_EQ(counters.breaker_trips, 1u);
-  EXPECT_EQ(counters.reload_retries, 1u);
+  const auto counters = metrics.snapshot();
+  EXPECT_EQ(counters.counter("sentinel.breaker_trips"), 1u);
+  EXPECT_EQ(counters.counter("sentinel.reload_retries"), 1u);
   EXPECT_EQ(reload_calls.load(), 1);
   // The breaker opened and closed within the round, both hook calls seen.
   ASSERT_EQ(log.breaker_changes.size(), 2u);
@@ -356,7 +358,7 @@ TEST(Sentinel, BreakerTripsReloadsLastGoodAndCloses) {
   // The reload rebased the reference; health is clean again.
   const auto report = sentinel.report();
   EXPECT_GE(report.raw_accuracy, 0.95);
-  EXPECT_GE(sentinel.latest_accuracy(), 0.95);
+  EXPECT_GE(metrics.snapshot().gauge("sentinel.canary_accuracy"), 0.95);
 }
 
 // ------------------------------------------------- server-level ladder ---
@@ -474,21 +476,25 @@ TEST(ChaosAgent, BudgetIsExactAndCampaignTerminates) {
   config.steps_to_full = 37;
   config.mode = fault::AttackMode::kRandom;
   config.seed = 0xfade;
-  ChaosAgent agent(snapshot, nullptr, config);
+  util::MetricsRegistry metrics;
+  ChaosAgent agent(snapshot, nullptr, config, metrics);
 
   const std::size_t total_bits =
       kClasses * util::words_for_bits(kDim) * 64;
   for (std::size_t i = 0; i < config.steps_to_full + 5; ++i) agent.tick();
 
-  const auto counters = agent.counters();
-  EXPECT_EQ(counters.ticks, config.steps_to_full);  // extra ticks no-op
+  const auto counters = metrics.snapshot();
+  EXPECT_EQ(counters.counter("chaos.ticks"),
+            config.steps_to_full);  // extra ticks no-op
   EXPECT_TRUE(agent.campaign_done());
   // Fractional carry makes the cumulative schedule exact to within one
   // flip of rate * total_bits.
   const double budget = config.rate * static_cast<double>(total_bits);
-  EXPECT_NEAR(static_cast<double>(counters.flips_scheduled), budget, 1.5);
-  EXPECT_EQ(counters.direct_publishes, counters.ticks);
-  EXPECT_EQ(counters.publish_conflicts, 0u);
+  EXPECT_NEAR(static_cast<double>(counters.counter("chaos.flips")), budget,
+              1.5);
+  EXPECT_EQ(counters.counter("chaos.direct_publishes"),
+            counters.counter("chaos.ticks"));
+  EXPECT_EQ(counters.counter("chaos.publish_conflicts"), 0u);
   // The damage actually landed on the published model.
   const auto damaged = snapshot.acquire();
   std::size_t changed = 0;
@@ -508,7 +514,8 @@ TEST(ChaosAgent, TargetedCampaignHitsOnlyTheProvidedClassPlane) {
   config.mode = fault::AttackMode::kTargeted;
   config.seed = 0x7a57;
   const std::size_t victim = 2;
-  ChaosAgent agent(snapshot, nullptr, config,
+  util::MetricsRegistry metrics;
+  ChaosAgent agent(snapshot, nullptr, config, metrics,
                    [victim] { return victim; });
   while (!agent.campaign_done()) agent.tick();
 
@@ -581,6 +588,8 @@ TEST(ServerResilience, ChaosScrubberSentinelStressUnderTraffic) {
 // -------------------------------------------------------------- stats ----
 
 TEST(ServerResilience, ResetStatsZeroesCountersAndKeepsGauges) {
+  // A phase is the difference of two snapshots: its counters start from
+  // zero and its gauges hold the later reading.
   const auto world = make_world(0xcafe);
   ServerConfig config;
   config.worker_threads = 2;
@@ -590,28 +599,30 @@ TEST(ServerResilience, ResetStatsZeroesCountersAndKeepsGauges) {
       std::span<const hv::BinVec>(world.queries.data(), 10));
   server.reload(world.model);
   server.drain();
-  auto stats = server.stats();
+  const auto before = server.metrics();
+  const ServerStats stats(before);
   EXPECT_EQ(stats.completed, 10u);
   EXPECT_EQ(stats.reloads, 1u);
   const auto version = stats.model_version;
   EXPECT_GE(version, 1u);
 
-  server.reset_stats();
-  stats = server.stats();
-  EXPECT_EQ(stats.submitted, 0u);
-  EXPECT_EQ(stats.completed, 0u);
-  EXPECT_EQ(stats.reloads, 0u);
-  EXPECT_EQ(stats.batches, 0u);
-  EXPECT_EQ(stats.scrub_offered, 0u);
-  EXPECT_EQ(stats.end_to_end.count, 0u);
-  EXPECT_EQ(stats.model_version, version);  // gauge preserved
+  ServerStats phase(server.metrics() - before);
+  EXPECT_EQ(phase.submitted, 0u);
+  EXPECT_EQ(phase.completed, 0u);
+  EXPECT_EQ(phase.reloads, 0u);
+  EXPECT_EQ(phase.batches, 0u);
+  EXPECT_EQ(phase.scrub_offered, 0u);
+  EXPECT_EQ(phase.end_to_end.count, 0u);
+  EXPECT_EQ(phase.model_version, version);  // gauge: the later reading
 
-  // The server still serves after a reset, and new work is counted from
-  // zero.
+  // New work is counted in the phase, and only there.
   const auto response = server.submit(world.queries[0]).get();
   EXPECT_EQ(response.predicted, world.labels[0]);
   server.drain();
-  EXPECT_EQ(server.stats().completed, 1u);
+  phase = ServerStats(server.metrics() - before);
+  EXPECT_EQ(phase.completed, 1u);
+  EXPECT_EQ(phase.end_to_end.count, 1u);
+  EXPECT_EQ(server.stats().completed, 11u);
   server.shutdown();
 }
 

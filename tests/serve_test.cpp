@@ -351,7 +351,7 @@ TEST(Server, BitIdenticalToDirectInference) {
   // answers, bit for bit, and each call counts as one batch with no queue
   // wait, whose end-to-end time is its service time.
   server.drain();
-  server.reset_stats();
+  const auto before = server.metrics();
   Server::Lane lane;
   std::size_t batches = 0;
   for (std::size_t first = 0; first < world.queries.size();
@@ -367,7 +367,7 @@ TEST(Server, BitIdenticalToDirectInference) {
                          first + j);
     }
   }
-  const auto inline_stats = server.stats();
+  const ServerStats inline_stats(server.metrics() - before);
   EXPECT_EQ(inline_stats.submitted, world.queries.size());
   EXPECT_EQ(inline_stats.completed, world.queries.size());
   EXPECT_EQ(inline_stats.batches, batches);
@@ -378,7 +378,8 @@ TEST(Server, BitIdenticalToDirectInference) {
   EXPECT_FALSE(answer_copies(
       server, lane,
       std::span(world.queries).first(config.max_batch + 1)));
-  EXPECT_EQ(server.stats().submitted, world.queries.size());
+  EXPECT_EQ(ServerStats(server.metrics() - before).submitted,
+            world.queries.size());
 }
 
 TEST(Server, ManyWorkersStayBitIdentical) {
@@ -561,7 +562,8 @@ TEST(Scrubber, ReproducesOfflineRecoveryEngine) {
   ScrubberConfig config;
   config.recovery = generous_recovery();
   config.ring_capacity = 64;  // deliberately small: exercises full-ring
-  Scrubber scrubber(snapshot, config);
+  util::MetricsRegistry metrics;
+  Scrubber scrubber(snapshot, config, metrics);
   scrubber.start();
   for (int e = 0; e < kEpochs; ++e) {
     for (const auto& q : world.queries) {
@@ -582,7 +584,7 @@ TEST(Scrubber, ReproducesOfflineRecoveryEngine) {
               offline_model.class_vector(c).planes[0].to_binvec())
         << "class " << c;
   }
-  EXPECT_GT(scrubber.counters().processed, 0u);
+  EXPECT_GT(metrics.snapshot().counter("scrub.processed"), 0u);
 
   // And the published snapshot is the repaired model.
   ASSERT_GT(snapshot.version(), 0u);
@@ -923,7 +925,8 @@ TEST(Scrubber, CountsTrustDropsWhenRingFull) {
   ModelSnapshot snapshot(world.model);
   ScrubberConfig config;
   config.ring_capacity = 8;
-  Scrubber scrubber(snapshot, config);  // never started: the ring fills up
+  util::MetricsRegistry metrics;
+  Scrubber scrubber(snapshot, config, metrics);  // never started: ring fills
   std::size_t accepted = 0, dropped = 0;
   for (std::size_t i = 0; i < 20; ++i) {
     if (scrubber.offer(world.queries[i])) {
@@ -934,7 +937,7 @@ TEST(Scrubber, CountsTrustDropsWhenRingFull) {
   }
   EXPECT_EQ(accepted, 8u);
   EXPECT_EQ(dropped, 12u);
-  EXPECT_EQ(scrubber.counters().trust_drops, dropped);
+  EXPECT_EQ(metrics.snapshot().counter("scrub.trust_drops"), dropped);
 }
 
 TEST(Batcher, FlushesPartialBatchWhenQueueClosesMidLinger) {
@@ -1222,8 +1225,6 @@ TEST(Server, InlinePaysOnlyWhenScoringBeatsTheMeasuredHandOff) {
   EXPECT_TRUE(lingering.inline_pays(1));
   EXPECT_FALSE(lingering.inline_pays(1'000'000))
       << "a million queries take longer than one hand-off";
-  lingering.reset_stats();
-  EXPECT_FALSE(lingering.inline_pays(1)) << "reset forgets the measurements";
 
   // A heavy model: scoring a batch costs far more than a wake-up, so its
   // batches stay with the workers. Only a request that finds the worker

@@ -169,7 +169,8 @@ TEST(WalFuzz, OnDiskFlipsNeverBreakRecoverDir) {
   PersistConfig config;
   config.dir = dir;
   {
-    EpochLog log(config, core::serialize_model(model, {}), 0);
+    util::MetricsRegistry metrics;
+    EpochLog log(config, core::serialize_model(model, {}), 0, metrics);
     for (std::uint64_t version = 1; version <= 5; ++version) {
       PlaneWrite write;
       write.cls = static_cast<std::uint32_t>(version % 3);

@@ -703,12 +703,12 @@ int cmd_adversary(const Args& args) {
   serve::Server server(model, config);
   std::ignore = server.predict_all(traffic);  // natural traffic warms the
   server.drain();                             // engine's per-class gates
-  server.reset_stats();
+  const auto before = server.metrics();
 
   adversary::PoisonCampaign campaign(blessed, poison);
   const auto report = campaign.run(server);
   server.drain();
-  const auto stats = server.stats();
+  const serve::ServerStats stats(server.metrics() - before);
   const auto wrong =
       adversary::PoisonCampaign::wrong_bits(blessed, *server.current_model());
   server.shutdown();
@@ -898,8 +898,8 @@ fleet::Fleet make_fleet(const model::HdcModel& model, std::size_t shards,
 void print_fleet_stats(const fleet::FleetStats& stats) {
   std::printf("fleet: completed %zu, rejected %zu, failovers %zu, "
               "shed (group down) %zu\n",
-              static_cast<std::size_t>(stats.completed),
-              static_cast<std::size_t>(stats.rejected),
+              static_cast<std::size_t>(stats.total.completed),
+              static_cast<std::size_t>(stats.total.rejected),
               static_cast<std::size_t>(stats.failovers),
               static_cast<std::size_t>(stats.shed_unrouteable));
   for (std::size_t s = 0; s < stats.shards.size(); ++s) {
@@ -913,7 +913,8 @@ void print_fleet_stats(const fleet::FleetStats& stats) {
                 sh.quarantined_chunks,
                 static_cast<std::size_t>(sh.degraded_responses),
                 static_cast<std::size_t>(sh.abstained_responses),
-                sh.breaker_open ? "OPEN" : "closed", sh.p99_ms);
+                sh.breaker_open ? "OPEN" : "closed",
+                sh.end_to_end.p99_ns / 1e6);
   }
 }
 
@@ -1072,14 +1073,19 @@ FleetPoint run_fleet_point(const model::HdcModel& model,
   fleet.drain();
   point.stats = fleet.stats();
   if (chaos) {
-    const auto c = chaos->counters();
+    const auto c = chaos->metrics();
     std::printf("netchaos: %llu conns, %llu delayed, %llu dropped, "
                 "%llu resets, %llu blackholed chunks\n",
-                static_cast<unsigned long long>(c.connections),
-                static_cast<unsigned long long>(c.chunks_delayed),
-                static_cast<unsigned long long>(c.chunks_dropped),
-                static_cast<unsigned long long>(c.resets_injected),
-                static_cast<unsigned long long>(c.blackholed_chunks));
+                static_cast<unsigned long long>(
+                    c.counter("netchaos.connections")),
+                static_cast<unsigned long long>(
+                    c.counter("netchaos.chunks_delayed")),
+                static_cast<unsigned long long>(
+                    c.counter("netchaos.chunks_dropped")),
+                static_cast<unsigned long long>(
+                    c.counter("netchaos.resets_injected")),
+                static_cast<unsigned long long>(
+                    c.counter("netchaos.blackholed_chunks")));
     chaos->stop();
   }
   frontend.stop();
